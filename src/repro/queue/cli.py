@@ -62,7 +62,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=DEFAULT_QUEUE_WORKERS, metavar="N",
-        help=f"concurrent job executions (default {DEFAULT_QUEUE_WORKERS})",
+        help=f"worker processes executing jobs concurrently (default {DEFAULT_QUEUE_WORKERS})",
     )
     parser.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="S",

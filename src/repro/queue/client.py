@@ -21,15 +21,19 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import CancelledError
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..runtime.jobs import JobResult
 from ..runtime.spec import ExperimentSpec
 from .model import QueueJob, spec_payload
 from .store import QueueStore, resolve_queue_root
 
-#: How often a blocking ``result()`` polls the daemon, in seconds.
+#: Pause before asking again after the daemon answered a long-poll early
+#: (it is stopping), in seconds.
 DEFAULT_POLL_INTERVAL_S = 0.1
+
+#: Longest wait a blocking ``result()`` asks the daemon for per request.
+LONG_POLL_S = 10.0
 
 
 class QueueServerError(RuntimeError):
@@ -71,8 +75,13 @@ class QueueClient:
     # -- HTTP plumbing --------------------------------------------------------------
 
     def _request(
-        self, method: str, path: str, body: Optional[Dict[str, object]] = None
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, object]] = None,
+        hold_s: float = 0.0,
     ) -> tuple:
+        """One JSON round trip; ``hold_s`` extends the timeout for a long-poll."""
         data = None if body is None else json.dumps(body).encode("utf-8")
         request = urllib.request.Request(
             f"{self.url}{path}",
@@ -81,7 +90,7 @@ class QueueClient:
             headers={"Content-Type": "application/json"},
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+            with urllib.request.urlopen(request, timeout=self.timeout_s + hold_s) as response:
                 return response.status, json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as error:
             try:
@@ -132,14 +141,28 @@ class QueueClient:
         """Re-attach a handle to a previously submitted job (any process)."""
         return RemoteJobHandle(self, self.job(job_id))
 
-    def result_row(self, job_id: str) -> Optional[Dict[str, object]]:
+    def result_row(
+        self,
+        job_id: str,
+        wait_s: float = 0.0,
+        on_job: Optional[Callable[[QueueJob], None]] = None,
+    ) -> Optional[Dict[str, object]]:
         """The finished job's result row, or ``None`` while still pending.
 
-        Raises :class:`CancelledError` for a cancelled job and
-        :class:`QueueServerError` for a failed one — mirroring what a
-        local handle's ``result()`` would do.
+        ``wait_s > 0`` long-polls: the daemon holds the request until the job
+        settles or ``wait_s`` seconds pass (it caps the wait at a minute),
+        so a result arrives the moment it exists.  ``on_job`` receives the
+        job record the daemon answered with, which spares a separate
+        :meth:`job` request.  Raises :class:`CancelledError` for a cancelled
+        job and :class:`QueueServerError` for a failed one — mirroring what
+        a local handle's ``result()`` would do.
         """
-        code, payload = self._request("GET", f"/jobs/{job_id}/result")
+        path = f"/jobs/{job_id}/result"
+        if wait_s > 0:
+            path += f"?wait={wait_s:.3f}"
+        code, payload = self._request("GET", path, hold_s=wait_s)
+        if on_job is not None and isinstance(payload.get("job"), dict):
+            on_job(QueueJob.from_dict(payload["job"]))
         if code == 202:
             return None
         if code == 409:
@@ -174,7 +197,7 @@ class RemoteJobHandle:
 
     ``status()`` maps the durable queue state onto
     :class:`~repro.primitives.job.JobStatus` (the string values are
-    identical by construction); ``result()`` polls until terminal and
+    identical by construction); ``result()`` long-polls until terminal and
     returns a :class:`~repro.runtime.jobs.JobResult`; ``cancel()`` follows
     the ``concurrent.futures`` contract across processes.
     """
@@ -191,6 +214,9 @@ class RemoteJobHandle:
         """Fetch and keep the latest durable record."""
         self._job = self._client.job(self.job_id)
         return self._job
+
+    def _observe(self, job: QueueJob) -> None:
+        self._job = job
 
     @property
     def job(self) -> QueueJob:
@@ -221,6 +247,11 @@ class RemoteJobHandle:
     ) -> JobResult:
         """Block until the job finishes on the daemon; return its row.
 
+        Each request long-polls (see :meth:`QueueClient.result_row`), so the
+        row arrives as soon as the job settles.  ``poll_interval_s`` is only
+        the pause before asking again when the daemon answers a long-poll
+        early because it is stopping.
+
         Raises :class:`concurrent.futures.CancelledError` if the job was
         cancelled, :class:`QueueServerError` if it failed on the daemon, and
         the builtin :class:`TimeoutError` past ``timeout`` seconds — the
@@ -228,13 +259,19 @@ class RemoteJobHandle:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            row = self._client.result_row(self.job_id)
+            asked = time.monotonic()
+            wait_s = LONG_POLL_S if deadline is None else min(LONG_POLL_S, deadline - asked)
+            row = self._client.result_row(
+                self.job_id, wait_s=max(0.0, wait_s), on_job=self._observe
+            )
             if row is not None:
-                self.refresh()
                 return JobResult.from_dict(row)
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 raise TimeoutError(f"{self.job_id} did not finish within {timeout}s")
-            time.sleep(poll_interval_s)
+            if now - asked < wait_s:  # answered early: the daemon is stopping
+                pause = poll_interval_s if deadline is None else deadline - now
+                time.sleep(min(poll_interval_s, pause))
 
     def cancel(self) -> bool:
         won = self._client.cancel(self.job_id)

@@ -25,9 +25,14 @@ deferrable job is *parked* instead — skipped, counted in the
 :class:`QueueService` drives the policy: each :meth:`~QueueService.tick`
 completes cache-hit jobs instantly against the shared
 :class:`~repro.runtime.store.ResultStore`, admits what fits, and executes
-admitted jobs through :func:`repro.runtime.jobs.execute_spec` — the same
-single execution door every other client of the repo uses — on a bounded
-thread pool.
+admitted jobs in worker *processes* (:class:`~repro.queue.workers.WorkerPool`)
+through the sweep's worker entry point
+:func:`repro.runtime.jobs.run_group_payload`, one job thread per worker.
+Admission, power accounting and every durable transition stay in the
+daemon.  Each terminal transition (finish, fail, cache-hit finish, cancel)
+notifies a condition that :meth:`QueueService.wait_settled` blocks on, with
+the job's terminal record in hand, which is how the HTTP API answers a
+long-poll the moment its job settles without re-reading the queue.
 """
 
 from __future__ import annotations
@@ -40,15 +45,27 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..hardware.budget import FridgeBudget
-from ..runtime.jobs import execute_spec
+from ..runtime.jobs import group_payload, merge_shipped_telemetry
 from ..runtime.store import ResultStore
 from .model import QueueJob, priority_rank
 from .store import QueueStore
+from .workers import WorkerPool
 
 logger = logging.getLogger(__name__)
 
-#: Default worker threads executing admitted jobs.
+#: Default worker processes executing admitted jobs.
 DEFAULT_QUEUE_WORKERS = 2
+
+
+def _report_escape(future) -> None:
+    """Log what ended a job thread besides the job's own outcome.
+
+    ``_run_job`` settles every ``Exception``; an interrupt or exit passes
+    through and leaves the job ``running`` for crash recovery to requeue.
+    """
+    error = future.exception()
+    if error is not None:
+        logger.warning("a job thread stopped on %s", type(error).__name__)
 
 
 def order_candidates(
@@ -97,13 +114,14 @@ class QueueService:
         Fridge power budget admissions are checked against (default: the
         paper's 10 W).
     max_workers:
-        Concurrent job executions (thread pool size, also the admission
+        Concurrent job executions (worker processes, also the admission
         concurrency cap).
     runner:
         Execution hook ``(job) -> result_dict-or-None`` used by tests to
-        observe scheduling without paying for real compilations; ``None``
-        (production) executes the job's spec through
-        :func:`repro.runtime.jobs.execute_spec`.
+        observe scheduling without paying for real compilations; it runs
+        in-process on the job thread.  ``None`` (production) executes the
+        job's spec in a worker process through
+        :func:`repro.runtime.jobs.run_group_payload`.
     fair_share_weights:
         Optional per-session fair-share weights (see
         :func:`order_candidates`).
@@ -131,8 +149,14 @@ class QueueService:
         self._usage: Dict[str, float] = {}
         self.peak_power_w = 0.0
         self._executor: Optional[ThreadPoolExecutor] = None
+        self._workers: Optional[WorkerPool] = None
         self._wake = threading.Event()
         self._stop = threading.Event()
+        # Long-poll bookkeeping, guarded by the condition: how many requests
+        # await each job, and the terminal records of awaited jobs.
+        self._settled = threading.Condition()
+        self._awaited: Dict[str, int] = {}
+        self._settled_jobs: Dict[str, QueueJob] = {}
         store.ensure_layout()
 
     # -- power accounting -----------------------------------------------------------
@@ -198,7 +222,10 @@ class QueueService:
         queued = self.store.jobs("queued")
         pending: List[QueueJob] = []
         for job in queued:
-            if self.results.get(job.result_key) is not None:
+            # The presence probe keeps blocked jobs from counting a store miss
+            # every round; get() then rules out a torn entry before serving it.
+            key = job.result_key
+            if self.results.contains(key) and self.results.get(key) is not None:
                 self._finish_cached(job)
             else:
                 pending.append(job)
@@ -228,10 +255,56 @@ class QueueService:
         """Complete a queued job off the shared result cache (no execution)."""
         try:
             claimed = self.store.claim(job)
-            self.store.finish(claimed)
+            finished = self.store.finish(claimed)
         except LookupError:
             return
         telemetry.counter("queue.cache_hits").inc()
+        self._notify_settled(finished)
+
+    def cancel(self, job_id: str) -> Optional[QueueJob]:
+        """Cancel a not-yet-started job (see :meth:`QueueStore.cancel`)."""
+        cancelled = self.store.cancel(job_id)
+        if cancelled is not None:
+            self._notify_settled(cancelled)
+        return cancelled
+
+    # -- settlement -----------------------------------------------------------------
+
+    def _notify_settled(self, job: QueueJob) -> None:
+        """Hand a terminal record to the long-polls awaiting that job."""
+        with self._settled:
+            if job.job_id in self._awaited:
+                self._settled_jobs[job.job_id] = job
+                self._settled.notify_all()
+
+    def wait_settled(self, job_id: str, timeout_s: float) -> Optional[QueueJob]:
+        """A job's record once it is terminal, or after ``timeout_s`` seconds.
+
+        Returns early, with the job still pending, when the service stops;
+        ``None`` for an unknown job.  Terminal transitions made by this
+        service wake the wait at once; one made by another process sharing
+        the queue root is seen by the caller's next request.
+        """
+        with self._settled:
+            self._awaited[job_id] = self._awaited.get(job_id, 0) + 1
+        try:
+            job = self.store.get(job_id)
+            if job is None or job.is_terminal:
+                return job
+            deadline = time.monotonic() + timeout_s
+            with self._settled:
+                while job_id not in self._settled_jobs:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0 or self.stopping:
+                        return job
+                    self._settled.wait(remaining)
+                return self._settled_jobs[job_id]
+        finally:
+            with self._settled:
+                self._awaited[job_id] -= 1
+                if not self._awaited[job_id]:
+                    del self._awaited[job_id]
+                    self._settled_jobs.pop(job_id, None)
 
     # -- execution ------------------------------------------------------------------
 
@@ -244,38 +317,59 @@ class QueueService:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.max_workers, thread_name_prefix="repro-queue"
             )
-        self._executor.submit(self._run_job, job)
+        self._executor.submit(self._run_job, job).add_done_callback(_report_escape)
 
     def _run_job(self, job: QueueJob) -> None:
         """Execute one claimed job and record its terminal state."""
+        settled: Optional[QueueJob] = None
         try:
-            with telemetry.span(
-                "queue.execute",
-                job_id=job.job_id,
-                benchmark=job.benchmark,
-                priority=job.priority,
-                session=job.session,
-                power_w=job.power_w,
-            ):
-                if self._runner is not None:
-                    result = self._runner(job)
-                else:
-                    result = execute_spec(job.to_spec(), key=job.result_key).as_dict()
-                if result is not None:
-                    self.results.put(job.result_key, result)
-            self.store.finish(job)
-            telemetry.counter("queue.completed").inc()
+            try:
+                with telemetry.span(
+                    "queue.execute",
+                    job_id=job.job_id,
+                    benchmark=job.benchmark,
+                    priority=job.priority,
+                    session=job.session,
+                    power_w=job.power_w,
+                ) as execute_span:
+                    if self._runner is not None:
+                        result = self._runner(job)
+                    else:
+                        result = self._execute(job, execute_span)
+                    if result is not None:
+                        self.results.put(job.result_key, result)
+            except Exception as error:  # noqa: BLE001 - daemon must survive any job
+                telemetry.counter("queue.failed").inc()
+                settled = self.store.fail(job, f"{type(error).__name__}: {error}")
+            else:
+                settled = self.store.finish(job)
+                telemetry.counter("queue.completed").inc()
         except LookupError:
             logger.warning("job %s lost its running entry; dropping", job.job_id)
-        except BaseException as error:  # noqa: BLE001 - daemon must survive any job
-            telemetry.counter("queue.failed").inc()
-            try:
-                self.store.fail(job, f"{type(error).__name__}: {error}")
-            except LookupError:
-                pass
         finally:
             self._power_remove(job.job_id)
+            if settled is not None:  # before the loop: a client is waiting on it
+                self._notify_settled(settled)
             self._wake.set()
+
+    def _execute(
+        self, job: QueueJob, parent: Optional[telemetry.Span]
+    ) -> Dict[str, object]:
+        """Run one job in a worker process; returns its stored-form result.
+
+        The worker's spans are adopted under ``parent`` (this job's
+        ``queue.execute`` span) and its metrics merged into the daemon's.
+        """
+        with self._lock:
+            if self._workers is None:
+                self._workers = WorkerPool(self.max_workers)
+            workers = self._workers
+        payload = group_payload([job.to_spec()], [job.result_key])
+        payload["telemetry"] = telemetry.enabled()
+        (result,) = merge_shipped_telemetry(
+            workers.run(payload), None if parent is None else parent.span_id
+        )
+        return result
 
     # -- daemon loop ----------------------------------------------------------------
 
@@ -284,8 +378,11 @@ class QueueService:
         self._wake.set()
 
     def stop(self) -> None:
+        """Stop the loop and release every pending :meth:`wait_settled`."""
         self._stop.set()
         self._wake.set()
+        with self._settled:
+            self._settled.notify_all()
 
     @property
     def stopping(self) -> bool:
@@ -301,10 +398,14 @@ class QueueService:
         self.drain()
 
     def drain(self, wait: bool = True) -> None:
-        """Shut the worker pool down (letting started jobs finish)."""
+        """Let started jobs finish, then stop the job threads and processes."""
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait)
+        with self._lock:
+            workers, self._workers = self._workers, None
+        if workers is not None:
+            workers.shutdown(wait=wait)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -7,7 +7,9 @@ method     path                    meaning
 =========  ======================  ==============================================
 ``POST``   ``/jobs``               submit a spec payload; returns the job record
 ``GET``    ``/jobs/<id>``          one job's current record
-``GET``    ``/jobs/<id>/result``   the result row once done (202 while pending)
+``GET``    ``/jobs/<id>/result``   the result row once done (202 while pending);
+                                   ``?wait=S`` long-polls: the request is held
+                                   until the job settles or ``S`` seconds pass
 ``DELETE`` ``/jobs/<id>``          cancel a not-yet-started job
 ``GET``    ``/queue/stats``        live scheduler + durable-store accounting
 ``POST``   ``/shutdown``           stop scheduling, drain workers, exit cleanly
@@ -25,13 +27,16 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import signal
+import sys
 import threading
 import time
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from .. import telemetry
 from ..hardware.budget import FridgeBudget
@@ -41,6 +46,30 @@ from .scheduler import DEFAULT_QUEUE_WORKERS, QueueService
 from .store import QueueStore
 
 logger = logging.getLogger(__name__)
+
+#: Longest ``?wait=`` a result request may hold its connection, in seconds.
+MAX_RESULT_WAIT_S = 60.0
+
+#: The daemon process's GIL switch interval, in seconds.
+DAEMON_SWITCH_INTERVAL_S = 0.001
+
+
+class BadRequest(ValueError):
+    """A malformed request (answered with HTTP 400)."""
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` query parameter of a result request (0 when absent)."""
+    values = parse_qs(query).get("wait")
+    if not values:
+        return 0.0
+    try:
+        wait_s = float(values[-1])
+    except ValueError:
+        raise BadRequest(f"wait must be a number of seconds, got {values[-1]!r}") from None
+    if not math.isfinite(wait_s) or wait_s < 0:
+        raise BadRequest(f"wait must be a finite number >= 0, got {values[-1]!r}")
+    return min(wait_s, MAX_RESULT_WAIT_S)
 
 
 class QueueRequestHandler(BaseHTTPRequestHandler):
@@ -79,7 +108,7 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
 
     def _job_route(self) -> Optional[Tuple[str, bool]]:
         """``(job_id, wants_result)`` for ``/jobs/...`` paths, else None."""
-        parts = [p for p in self.path.split("/") if p]
+        parts = [p for p in urlsplit(self.path).path.split("/") if p]
         if not parts or parts[0] != "jobs" or len(parts) not in (2, 3):
             return None
         if len(parts) == 3 and parts[2] != "result":
@@ -112,9 +141,11 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
             if route is None:
                 self._send(404, {"error": f"no such endpoint: GET {self.path}"})
             elif route[1]:
-                self._result(route[0])
+                self._result(route[0], _wait_seconds(urlsplit(self.path).query))
             else:
                 self._status(route[0])
+        except BadRequest as error:
+            self._send(400, {"error": str(error)})
         except Exception as error:  # noqa: BLE001
             self._send(500, {"error": f"{type(error).__name__}: {error}"})
 
@@ -165,8 +196,8 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
         else:
             self._send(200, {"job": job.as_dict()})
 
-    def _result(self, job_id: str) -> None:
-        job = self.service.store.get(job_id)
+    def _result(self, job_id: str, wait_s: float) -> None:
+        job = self.service.wait_settled(job_id, wait_s)
         if job is None:
             self._send(404, {"error": f"unknown job '{job_id}'"})
             return
@@ -180,11 +211,11 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
             self._send(409, {"job": job.as_dict(), "error": job.error or "job failed"})
         elif job.state == "cancelled":
             self._send(409, {"job": job.as_dict(), "error": "job was cancelled"})
-        else:  # queued / running
+        else:  # queued / running: the wait ran out or the daemon is stopping
             self._send(202, {"job": job.as_dict()})
 
     def _cancel(self, job_id: str) -> None:
-        cancelled = self.service.store.cancel(job_id)
+        cancelled = self.service.cancel(job_id)
         if cancelled is not None:
             self._send(200, {"job": cancelled.as_dict()})
             return
@@ -222,6 +253,9 @@ def serve(
     the queue root's ``daemon.json`` so clients and the ``repro queue`` CLI
     can discover the URL, then runs crash recovery and the scheduling loop.
     """
+    # The daemon's threads only coordinate (jobs run in worker processes), so
+    # hand the GIL to a woken request thread sooner than the 5 ms default.
+    sys.setswitchinterval(DAEMON_SWITCH_INTERVAL_S)
     store = QueueStore(root)
     results = ResultStore(cache_dir)
     budget = FridgeBudget() if budget_w is None else FridgeBudget(power_w=float(budget_w))

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from .jobs import JobResult, execute_compile_group, job_key, ordered_row, run_group_payload
+from .jobs import (
+    JobResult,
+    execute_compile_group,
+    group_payload,
+    job_key,
+    merge_shipped_telemetry,
+    ordered_row,
+    run_group_payload,
+)
 from .spec import ExperimentSpec, SweepGrid
 from .store import ResultStore, canonical_json
 
@@ -159,28 +167,13 @@ def _group_payloads(
     specs: Sequence[ExperimentSpec], keys: Sequence[str], missing: Sequence[int]
 ) -> List[Dict[str, object]]:
     """Batch cache-missing jobs into per-compile-group worker payloads."""
-    groups: Dict[Tuple[object, ...], Dict[str, object]] = {}
+    groups: Dict[Tuple[object, ...], List[int]] = {}
     for index in missing:
-        spec = specs[index]
-        payload = groups.get(spec.compile_group)
-        if payload is None:
-            payload = {
-                "benchmark": spec.benchmark,
-                "num_qubits": spec.num_qubits,
-                "seed": spec.seed,
-                "circuit": None if spec.circuit is None else spec.circuit.as_dict(),
-                "compile": spec.compile_options.as_dict(),
-                "jobs": [],
-            }
-            groups[spec.compile_group] = payload
-        payload["jobs"].append(
-            {
-                "key": keys[index],
-                "backend": spec.backend.to_dict(),
-                "fidelity": spec.fidelity.as_dict() if spec.fidelity is not None else None,
-            }
-        )
-    return list(groups.values())
+        groups.setdefault(specs[index].compile_group, []).append(index)
+    return [
+        group_payload([specs[i] for i in members], [keys[i] for i in members])
+        for members in groups.values()
+    ]
 
 
 def run_sweep(
@@ -265,9 +258,7 @@ def run_sweep(
                 # therefore summaries and traces — is deterministic for a
                 # given grid, exactly like the result rows.
                 for future in futures:
-                    shipped = future.result()
-                    telemetry.merge_spans(shipped["spans"], parent_id=parent_id)
-                    telemetry.merge_metrics(shipped["metrics"])
+                    merge_shipped_telemetry(future.result(), parent_id)
         # Deterministic accounting order regardless of worker completion order.
         computed_keys = [job["key"] for payload in payloads for job in payload["jobs"]]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..backends import Backend
@@ -273,6 +273,35 @@ def execute_spec(
     )
 
 
+def group_payload(
+    specs: Sequence[ExperimentSpec], keys: Sequence[str]
+) -> Dict[str, object]:
+    """The worker payload of one compile group (see :func:`execute_compile_group`).
+
+    ``specs`` must all share one :attr:`ExperimentSpec.compile_group` (the
+    circuit instance, compile options and device topology); ``keys`` are
+    their content keys, in the same order.  The sweep dispatcher batches
+    every cache-missing job of a group into one payload; the queue daemon
+    sends each admitted job as a one-job payload.
+    """
+    first = specs[0]
+    return {
+        "benchmark": first.benchmark,
+        "num_qubits": first.num_qubits,
+        "seed": first.seed,
+        "circuit": None if first.circuit is None else first.circuit.as_dict(),
+        "compile": first.compile_options.as_dict(),
+        "jobs": [
+            {
+                "key": key,
+                "backend": spec.backend.to_dict(),
+                "fidelity": spec.fidelity.as_dict() if spec.fidelity is not None else None,
+            }
+            for spec, key in zip(specs, keys)
+        ],
+    }
+
+
 def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]:
     """Execute all jobs of one compile group; the worker-process entry point.
 
@@ -341,10 +370,10 @@ def run_group_payload(payload: Dict[str, object]) -> Dict[str, object]:
     — whatever a fork inherited or a previous task recorded — so this resets
     the collector and registry first, runs the group (collecting spans when
     the dispatching parent asked for them via ``payload['telemetry']``), and
-    ships the spans and metrics back alongside the results.  ``run_sweep``
-    merges both into the parent's telemetry, which is how a parallel sweep
-    reports the same span tree (modulo timings) and exactly the same
-    counters as a serial one.
+    ships the spans and metrics back alongside the results.  The caller
+    merges both into its own telemetry with :func:`merge_shipped_telemetry`,
+    which is how a parallel sweep reports the same span tree (modulo
+    timings) and exactly the same counters as a serial one.
     """
     telemetry.reset()
     collect_spans = bool(payload.get("telemetry"))
@@ -358,3 +387,17 @@ def run_group_payload(payload: Dict[str, object]) -> Dict[str, object]:
         "spans": telemetry.snapshot_spans() if collect_spans else [],
         "metrics": telemetry.snapshot_metrics(),
     }
+
+
+def merge_shipped_telemetry(
+    shipped: Dict[str, object], parent_id: Optional[str]
+) -> List[Dict[str, object]]:
+    """Adopt what :func:`run_group_payload` shipped back; returns its results.
+
+    The worker's spans are re-parented under ``parent_id`` (the span that
+    dispatched the payload) and its metrics added to this process's
+    registry — the one merge path for every caller of the worker entry point.
+    """
+    telemetry.merge_spans(shipped["spans"], parent_id=parent_id)
+    telemetry.merge_metrics(shipped["metrics"])
+    return shipped["results"]

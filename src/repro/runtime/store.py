@@ -87,6 +87,17 @@ class ResultStore:
         # as it does for every other read path.
         return self.get(key) is not None
 
+    def contains(self, key: str) -> bool:
+        """Whether an entry file exists for ``key`` — a presence probe only.
+
+        Unlike ``key in store`` this neither opens nor parses the entry and
+        records no ``store.hit``/``store.miss``, so a poller may call it as
+        often as it likes without skewing the store's accounting.  A torn
+        entry still reads as present here; confirm with :meth:`get` before
+        relying on the contents.
+        """
+        return self.path_for(key).is_file()
+
     def keys(self) -> List[str]:
         """All stored job keys (sorted)."""
         if not self.root.is_dir():

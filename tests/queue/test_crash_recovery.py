@@ -7,7 +7,8 @@ Covers the two durability acceptance scenarios:
   eventual result is byte-identical to a clean local run;
 * submit from process A, kill and restart the daemon, collect from process
   B — bytes identical to a local ``Session.run``, shared ResultStore key
-  hit asserted.
+  hit asserted, and none of the killed daemon's worker processes outlives
+  it.
 """
 
 import json
@@ -69,6 +70,67 @@ def start_daemon(tmp_path, extra=()):
         time.sleep(0.05)
     process.kill()
     raise AssertionError("daemon did not advertise itself within 30s")
+
+
+def _stat(pid):
+    """The /proc stat fields after the command name, or None once the process is
+    gone or a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return None if fields[0] == "Z" else fields
+
+
+def process_tree(pid):
+    """``{pid: parent pid}`` of every live descendant of ``pid``."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        fields = _stat(entry) if entry.isdigit() else None
+        if fields is not None:
+            parents[int(entry)] = int(fields[1])
+    tree, frontier = {}, [pid]
+    while frontier:
+        parent = frontier.pop()
+        for child, its_parent in parents.items():
+            if its_parent == parent:
+                tree[child] = parent
+                frontier.append(child)
+    return tree
+
+
+def worker_pids(daemon_pid):
+    """The daemon's job worker processes (forked by its fork server)."""
+    return sorted(
+        pid for pid, parent in process_tree(daemon_pid).items() if parent != daemon_pid
+    )
+
+
+def wait_for_workers(daemon_pid, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        workers = worker_pids(daemon_pid)
+        if workers:
+            return workers
+        time.sleep(0.05)
+    raise AssertionError(f"daemon {daemon_pid} started no worker process in {timeout_s}s")
+
+
+def identity(pid):
+    """``(pid, start time)`` of a live process, or None (immune to pid reuse)."""
+    fields = _stat(pid)
+    return None if fields is None else (pid, fields[19])
+
+
+def survivors_after(processes, timeout_s):
+    """The ``identity`` tuples still alive once ``timeout_s`` has passed (or none are)."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        survivors = [proc for proc in processes if identity(proc[0]) == proc]
+        if not survivors or time.monotonic() >= deadline:
+            return survivors
+        time.sleep(0.05)
 
 
 def stop_daemon(process):
@@ -134,6 +196,7 @@ class TestCrossProcessRoundTrip:
         """Submit from A, kill + restart the daemon, collect from B."""
         spec = make_spec(seed=12)
         first, url = start_daemon(tmp_path)
+        pool = set()
         try:
             submitted = subprocess.run(
                 [
@@ -148,9 +211,15 @@ class TestCrossProcessRoundTrip:
             )
             assert submitted.returncode == 0, submitted.stderr.decode()
             job_id = json.loads(submitted.stdout)["job_id"]
+            wait_for_workers(first.pid)
+            # the fork server, its workers and the resource tracker
+            pool = {identity(pid) for pid in process_tree(first.pid)} - {None}
         finally:
             os.kill(first.pid, signal.SIGKILL)  # hard kill: no clean shutdown
+            # the pool notices while the dead daemon is still an unreaped zombie
+            survivors = survivors_after(pool, timeout_s=10.0)
             stop_daemon(first)
+        assert pool and not survivors
 
         store = QueueStore(tmp_path / "queue")
         assert store.read_daemon() is None  # the dead daemon is not advertised
@@ -187,3 +256,6 @@ class TestCrossProcessRoundTrip:
         assert cached is True  # served from the shared ResultStore key
         assert remote["key"] == key == local.key
         assert canonical_json(remote["row"]) == canonical_json(local.row)
+
+        # recovery is done and none of the killed daemon's pool is running
+        assert not survivors_after(pool, timeout_s=0.0)

@@ -1,5 +1,6 @@
 """Tests for power-aware admission scheduling and the QueueService engine."""
 
+import sys
 import threading
 import time
 
@@ -194,6 +195,144 @@ class TestQueueServiceTick:
         svc.store.cancel(job.job_id)
         assert svc.tick() == []
         assert svc.store.get(job.job_id).state == "cancelled"
+
+
+    def test_blocked_jobs_do_not_count_store_misses(self, tmp_path):
+        """The tick's presence probe leaves the store's hit/miss counters alone."""
+        svc = service(tmp_path, budget_w=1.0)
+        jobs = [enqueue(svc.store, power_w=2.0) for _ in range(5)]  # all over budget
+        misses = telemetry.counter("store.miss").value
+        hits = telemetry.counter("store.hit").value
+        for _ in range(10):
+            assert svc.tick() == []
+        assert telemetry.counter("store.miss").value - misses == 0
+        assert telemetry.counter("store.hit").value - hits == 0
+        assert {svc.store.get(job.job_id).state for job in jobs} == {"queued"}
+
+    def test_torn_cache_entry_is_recomputed_not_served(self, tmp_path):
+        executed = []
+        svc = service(tmp_path, runner=lambda job: executed.append(job.job_id) or {"r": 2})
+        job = enqueue(svc.store)
+        path = svc.results.path_for(job.result_key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"torn": ')
+        assert svc.results.contains(job.result_key)
+        svc.tick()
+        assert executed == [job.job_id]
+        assert svc.results.get(job.result_key) == {"r": 2}
+
+    def test_job_raising_lookup_error_is_failed_not_dropped(self, tmp_path):
+        def missing(job):
+            raise KeyError("no such column")
+
+        svc = service(tmp_path, runner=missing)
+        job = enqueue(svc.store)
+        svc.tick()
+        got = svc.store.get(job.job_id)
+        assert got.state == "failed"
+        assert got.error.startswith("KeyError: ")
+
+    def test_interrupt_propagates_and_is_not_recorded_as_failure(self, tmp_path):
+        def interrupted(job):
+            raise KeyboardInterrupt
+
+        svc = service(tmp_path, runner=interrupted)
+        job = enqueue(svc.store)
+        with pytest.raises(KeyboardInterrupt):
+            svc.tick()
+        # left 'running' for crash recovery to requeue, power released
+        assert svc.store.get(job.job_id).state == "running"
+        assert svc.power_in_flight() == 0.0
+
+
+class TestWaitSettled:
+    def test_returns_at_once_for_terminal_and_unknown_jobs(self, tmp_path):
+        svc = service(tmp_path)
+        job = enqueue(svc.store)
+        svc.tick()
+        started = time.monotonic()
+        assert svc.wait_settled(job.job_id, 30.0).state == "done"
+        assert svc.wait_settled("j999999-none", 30.0) is None
+        assert time.monotonic() - started < 5.0
+
+    def test_times_out_with_the_pending_record(self, tmp_path):
+        svc = service(tmp_path, budget_w=1.0)
+        job = enqueue(svc.store, power_w=2.0)
+        started = time.monotonic()
+        assert svc.wait_settled(job.job_id, 0.2).state == "queued"
+        assert 0.2 <= time.monotonic() - started < 5.0
+
+    @pytest.mark.parametrize("settle", ["finish", "fail", "cache_hit", "cancel"])
+    def test_every_terminal_transition_wakes_the_wait(self, tmp_path, settle):
+        def runner(job):
+            if settle == "fail":
+                raise RuntimeError("boom")
+            return {"r": 1}
+
+        svc = service(tmp_path, budget_w=1.0, runner=runner)
+        job = enqueue(svc.store, power_w=2.0)  # parked behind the budget
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(svc.wait_settled(job.job_id, 30.0)))
+        waiter.start()
+        time.sleep(0.2)  # let the wait block
+        if settle == "cancel":
+            svc.cancel(job.job_id)
+        else:
+            if settle == "cache_hit":
+                svc.results.put(job.result_key, {"r": 0})
+            svc.budget = FridgeBudget(power_w=10.0)
+            svc.tick()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        expected = {"fail": "failed", "cancel": "cancelled"}.get(settle, "done")
+        assert got[0].state == expected
+
+    def test_many_concurrent_waits_each_see_their_job_settle(self, tmp_path):
+        """More waiters than cores, several per job, jobs settling meanwhile."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            svc = service(tmp_path, budget_w=1.0)
+            jobs = [enqueue(svc.store, power_w=2.0) for _ in range(6)]  # parked
+            got = {}
+            waiters = [
+                threading.Thread(
+                    target=lambda i=i: got.__setitem__(
+                        i, svc.wait_settled(jobs[i % len(jobs)].job_id, 30.0)
+                    )
+                )
+                for i in range(24)
+            ]
+            for waiter in waiters:
+                waiter.start()
+            time.sleep(0.2)
+            svc.cancel(jobs[0].job_id)
+            svc.budget = FridgeBudget(power_w=10.0)
+            deadline = time.monotonic() + 20.0
+            while svc.tick() and time.monotonic() < deadline:
+                pass  # inline: one job runs to completion per tick
+            for waiter in waiters:
+                waiter.join(timeout=10.0)
+            assert not any(waiter.is_alive() for waiter in waiters)
+        finally:
+            sys.setswitchinterval(interval)
+        for i, job in got.items():
+            assert job.job_id == jobs[i % len(jobs)].job_id
+            assert job.state == ("cancelled" if i % len(jobs) == 0 else "done")
+        assert len(got) == 24
+        assert svc._awaited == {} and svc._settled_jobs == {}  # nothing retained
+
+    def test_stop_releases_pending_waits(self, tmp_path):
+        svc = service(tmp_path, budget_w=1.0)
+        job = enqueue(svc.store, power_w=2.0)
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(svc.wait_settled(job.job_id, 30.0)))
+        waiter.start()
+        time.sleep(0.2)
+        svc.stop()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert got[0].state == "queued"
 
 
 class TestConcurrentBudget:

@@ -1,4 +1,5 @@
-"""End-to-end `repro serve --trace` smoke: queue.* spans render in summarize."""
+"""End-to-end `repro serve --trace` smoke: queue.* spans render in summarize,
+and the job's worker-process spans nest under the daemon's ``queue.execute``."""
 
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 from test_crash_recovery import start_daemon, stop_daemon, sub_env
 
 from repro.queue.client import QueueClient
-from repro.telemetry import summarize_trace_file
+from repro.telemetry import read_trace, split_trace, summarize_trace_file
 
 
 class TestServeTraceSmoke:
@@ -40,6 +41,21 @@ class TestServeTraceSmoke:
         metric_names = {row["metric"] for row in metric_rows}
         assert "queue.submitted" in metric_names
         assert "queue.power_in_flight" in metric_names
+        # worker metrics were merged into the daemon's registry
+        assert "compile.wall_s" in metric_names
+
+        # the job ran in a worker process whose spans hang under queue.execute
+        spans, _ = split_trace(read_trace(str(trace)))
+        by_id = {span["span_id"]: span for span in spans}
+        executes = [span for span in spans if span["name"] == "job.execute"]
+        assert executes
+        for span in executes:
+            assert span["pid"] != daemon.pid
+            group = by_id[span["parent_id"]]
+            assert group["name"] == "sweep.group" and group["pid"] == span["pid"]
+            queue_execute = by_id[group["parent_id"]]
+            assert queue_execute["name"] == "queue.execute"
+            assert queue_execute["pid"] == daemon.pid
 
         # ...and `repro telemetry summarize` renders them for humans
         summarized = subprocess.run(

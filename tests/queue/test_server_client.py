@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 from concurrent.futures import CancelledError
 
 import pytest
@@ -86,6 +87,86 @@ class TestRoundTrip:
         assert http_stats == json.loads(
             json.dumps(service.stats(), sort_keys=True)
         )  # the endpoint serves exactly the service's accounting
+
+
+class TestLongPoll:
+    def counting(self, client, name):
+        calls = []
+        original = getattr(client, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        setattr(client, name, wrapper)
+        return calls
+
+    def test_result_is_one_poll_and_no_status_request(self, daemon):
+        client, _ = daemon
+        polls = self.counting(client, "result_row")
+        lookups = self.counting(client, "job")
+        handle = client.submit(make_spec(seed=40))
+        handle.result(timeout=60.0)
+        assert len(polls) == 1 and polls[0]["wait_s"] > 0
+        assert lookups == []  # the final record came with the result
+        assert handle.job.state == "done"
+        assert handle.job.started_at <= handle.job.finished_at
+
+    def test_wait_returns_as_soon_as_the_job_settles(self, daemon):
+        client, _ = daemon
+        wide = make_spec(backend="cryo-cmos-grid", num_qubits=1000)
+        handle = client.submit(wide, priority="deferrable")  # parked forever
+        outcome = []
+
+        def long_poll():
+            try:
+                outcome.append(client.result_row(handle.job_id, wait_s=30.0))
+            except CancelledError as error:
+                outcome.append(error)
+
+        poller = threading.Thread(target=long_poll)
+        started = time.monotonic()
+        poller.start()
+        time.sleep(0.2)
+        assert handle.cancel() is True
+        poller.join(timeout=10.0)
+        assert not poller.is_alive()
+        assert isinstance(outcome[0], CancelledError)
+        assert time.monotonic() - started < 10.0
+
+    def test_stop_answers_pending_long_polls(self, daemon):
+        client, service = daemon
+        wide = make_spec(backend="cryo-cmos-grid", num_qubits=1000)
+        handle = client.submit(wide, priority="deferrable")
+        outcome = []
+        poller = threading.Thread(
+            target=lambda: outcome.append(client.result_row(handle.job_id, wait_s=30.0))
+        )
+        poller.start()
+        time.sleep(0.2)
+        started = time.monotonic()
+        service.stop()
+        poller.join(timeout=10.0)
+        assert not poller.is_alive()
+        assert outcome == [None]  # 202: still pending
+        assert time.monotonic() - started < 5.0
+
+    def test_early_answers_pause_between_polls(self, daemon):
+        client, service = daemon
+        wide = make_spec(backend="cryo-cmos-grid", num_qubits=1000)
+        handle = client.submit(wide, priority="deferrable")
+        service.stop()  # every long-poll now comes back at once
+        polls = self.counting(client, "result_row")
+        with pytest.raises(TimeoutError):
+            handle.result(timeout=0.5, poll_interval_s=0.1)
+        assert 2 <= len(polls) <= 10
+
+    @pytest.mark.parametrize("wait", ["soon", "-1", "nan", "inf"])
+    def test_bad_wait_is_rejected(self, daemon, wait):
+        client, _ = daemon
+        handle = client.submit(make_spec(seed=41))
+        code, payload = client._request("GET", f"/jobs/{handle.job_id}/result?wait={wait}")
+        assert code == 400 and "wait" in payload["error"]
 
 
 class TestCancellation:

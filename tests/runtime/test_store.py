@@ -41,6 +41,22 @@ class TestResultStore:
         assert store.get(KEY_A) is None
         assert KEY_A not in store  # membership agrees with get()
 
+    def test_contains_is_a_metrics_free_presence_probe(self, tmp_path):
+        from repro import telemetry
+
+        store = ResultStore(tmp_path)
+        counters = ("store.hit", "store.miss", "store.corrupt")
+        before = [telemetry.counter(name).value for name in counters]
+        assert store.contains(KEY_A) is False
+        path = store.put(KEY_A, {"x": 1})
+        assert store.contains(KEY_A) is True
+        path.write_text("{torn", encoding="utf-8")
+        assert store.contains(KEY_A) is True  # presence only; get() still refuses it
+        assert [telemetry.counter(name).value for name in counters] == before
+        assert store.stats()["corrupt"] == 0
+        with pytest.raises(ValueError, match="malformed"):
+            store.contains("not-a-key")
+
     def test_corrupt_entries_are_counted_and_warned_once(self, tmp_path, caplog):
         store = ResultStore(tmp_path)
         path_a = store.put(KEY_A, {"x": 1})
