@@ -139,8 +139,8 @@ def _best_candidate(
     Per-pair terms accumulate in the same order as the scalar loop did
     (pair by pair, one fused multiply-add over the meetings axis), so every
     cost is byte-identical and the argmin — with its deterministic
-    tie-break — never changes.  :func:`_best_candidate_reference` retains
-    the replay implementation for cross-checking.
+    tie-break — never changes; ``tests/compiler/test_lookahead_scorer.py``
+    cross-checks it against the replay implementation.
     """
     paths = coupling.cached_candidate_paths(start, end)
     if not window:
@@ -203,44 +203,6 @@ def _best_candidate(
         for weight, physical_a, physical_b in relevant:
             costs += weight * flat[landing(physical_a) * n + landing(physical_b)]
         for meeting, cost in enumerate(costs.tolist()):
-            if best_cost is None or cost < best_cost - 1e-12:
-                best_cost = cost
-                best_path = path
-                best_meeting = meeting
-    return best_path, best_meeting
-
-
-def _best_candidate_reference(
-    coupling: CouplingMap,
-    layout: Layout,
-    start: int,
-    end: int,
-    window: List[Tuple[int, int]],
-    decay: float,
-) -> Tuple[List[int], int]:
-    """Naive reference scorer: copy the layout and replay the SWAP walk.
-
-    This is the pre-optimization implementation of :func:`_best_candidate`,
-    kept as the ground truth the incremental scorer is cross-checked
-    against (see ``tests/compiler/test_lookahead_scorer.py``).
-    """
-    best_path: List[int] = []
-    best_meeting = 0
-    best_cost = None
-    for path in coupling.candidate_paths(start, end):
-        meetings = range(len(path) - 1) if len(path) >= 3 else [0]
-        for meeting in meetings:
-            trial = layout.copy()
-            # circuit=None: preview the layout permutation the real insertion
-            # would produce, via the same shared walk.
-            insert_swaps_along_path(None, trial, path, meeting)
-            cost = 0.0
-            weight = 1.0
-            for logical_a, logical_b in window:
-                cost += weight * coupling.distance(
-                    trial.physical(logical_a), trial.physical(logical_b)
-                )
-                weight *= decay
             if best_cost is None or cost < best_cost - 1e-12:
                 best_cost = cost
                 best_path = path

@@ -116,8 +116,8 @@ def crosstalk_aware_schedule(
     # Per-moment closure of crosstalk-blocked qubits: a two-qubit gate on
     # (u, v) blocks u, v, and every direct neighbour of either, so a later
     # two-qubit gate conflicts iff one of its endpoints lands in the
-    # closure.  Equivalent to the pairwise :func:`_couplers_adjacent` scan
-    # over the moment's couplers, without the scan.
+    # closure — the same answer as checking every pair of the moment's
+    # couplers for a shared or directly coupled endpoint, without the scan.
     moment_blocked: List[Set[int]] = []
     frontier = [0] * circuit.num_qubits
     adjacency = coupling._adjacency if coupling is not None else None
@@ -161,16 +161,3 @@ def crosstalk_aware_schedule(
         for q in qubits:
             frontier[q] = index + 1
     return Schedule(moments=moments, num_qubits=circuit.num_qubits)
-
-
-def _couplers_adjacent(
-    coupling: CouplingMap, a: Tuple[int, int], b: Tuple[int, int]
-) -> bool:
-    """True if two couplers share a qubit or have directly-coupled endpoints."""
-    if set(a) & set(b):
-        return True
-    for qubit_a in a:
-        for qubit_b in b:
-            if coupling.are_coupled(qubit_a, qubit_b):
-                return True
-    return False

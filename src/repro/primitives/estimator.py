@@ -251,5 +251,4 @@ class Estimator:
                 },
             )
 
-        executor = None if lazy else self.session._ensure_executor()
-        return JobHandle(work, backend_name=self.session.backend.name, executor=executor)
+        return self.session._submit(work, lazy=lazy)

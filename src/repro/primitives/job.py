@@ -16,9 +16,11 @@ Handles resolve in one of two modes:
   a :class:`~repro.primitives.session.Session`'s pool) at creation time and
   runs in the background; ``result()`` blocks until it finishes.
 
-Both modes share the same state machine (``QUEUED -> RUNNING -> DONE`` /
-``FAILED``, with ``CANCELLED`` reachable only before the work starts), so
-callers can treat every handle uniformly.
+Either way the handle wraps one :class:`concurrent.futures.Future` — the one
+the executor returned, or a bare one the first ``result()`` caller claims —
+and derives its whole lifecycle (``QUEUED -> RUNNING -> DONE`` / ``FAILED``,
+with ``CANCELLED`` reachable only before the work starts) from it, so callers
+can treat every handle uniformly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import threading
 import time
 from concurrent import futures as _futures
-from concurrent.futures import CancelledError, Executor, Future
+from concurrent.futures import Executor, Future
 from enum import Enum
 from typing import Callable, Dict, Generic, Optional, TypeVar
 
@@ -81,66 +83,49 @@ class JobHandle(Generic[T]):
         self._work = work
         self.backend_name = backend_name
         self.job_id = f"job-{next(_JOB_COUNTER)}"
-        self._lock = threading.RLock()
-        self._status = JobStatus.QUEUED
-        self._claimed = False
-        self._finished = threading.Event()
-        self._result: Optional[T] = None
-        self._error: Optional[BaseException] = None
-        self._future: Optional[Future] = None
+        # Serialises claiming (lazy) and cancelling, the two transitions the
+        # handle initiates itself; the future guards everything else.
+        self._lock = threading.Lock()
         # Lifecycle timestamps (time.monotonic): recorded for every handle,
         # lazy or executor-backed, and surfaced through ``timings``.
         self.queued_at: float = time.monotonic()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         telemetry.counter("jobs.submitted").inc()
-        if executor is not None:
-            self._future = executor.submit(self._invoke)
+        self._lazy = executor is None
+        self._future: Future = Future() if self._lazy else executor.submit(self._invoke)
 
-    # -- execution ------------------------------------------------------------------
-
-    def _invoke(self) -> Optional[T]:
-        """Run the work once, tracking the state machine (worker entry point)."""
+    def _invoke(self) -> T:
+        """Run the work once, stamping its start and finish."""
+        self.started_at = time.monotonic()
         try:
-            with self._lock:
-                if self._status is JobStatus.CANCELLED:
-                    return None
-                self._status = JobStatus.RUNNING
-                self.started_at = time.monotonic()
-            try:
-                value = self._work()
-            except BaseException as error:
-                with self._lock:
-                    self._error = error
-                    self._status = JobStatus.FAILED
-                    self.finished_at = time.monotonic()
-                telemetry.counter("jobs.failed").inc()
-                raise
-            with self._lock:
-                self._result = value
-                self._status = JobStatus.DONE
-                self.finished_at = time.monotonic()
-            telemetry.counter("jobs.completed").inc()
-            return value
-        finally:
-            # Wake every thread blocked in result() no matter how the work
-            # ended (done, failed, or cancelled before it started).
-            self._finished.set()
+            value = self._work()
+        except BaseException:
+            self.finished_at = time.monotonic()
+            telemetry.counter("jobs.failed").inc()
+            raise
+        self.finished_at = time.monotonic()
+        telemetry.counter("jobs.completed").inc()
+        return value
 
     # -- inspection -----------------------------------------------------------------
 
     def status(self) -> JobStatus:
         """Current lifecycle state (non-blocking)."""
-        with self._lock:
-            return self._status
+        future = self._future
+        if future.cancelled():
+            return JobStatus.CANCELLED
+        if future.done():
+            return JobStatus.DONE if future.exception() is None else JobStatus.FAILED
+        return JobStatus.RUNNING if future.running() else JobStatus.QUEUED
 
     def done(self) -> bool:
         """Whether the job reached a terminal state (done/failed/cancelled)."""
-        return self.status().is_terminal
+        return self._future.done()
 
     def cancelled(self) -> bool:
         """Whether the job was cancelled before it started."""
-        return self.status() is JobStatus.CANCELLED
+        return self._future.cancelled()
 
     @property
     def timings(self) -> Dict[str, Optional[float]]:
@@ -153,8 +138,7 @@ class JobHandle(Generic[T]):
         submission to terminal state.  Recorded identically for lazy and
         executor-backed invocation.
         """
-        with self._lock:
-            queued, started, finished = self.queued_at, self.started_at, self.finished_at
+        queued, started, finished = self.queued_at, self.started_at, self.finished_at
         return {
             "queued_at": queued,
             "started_at": started,
@@ -171,57 +155,39 @@ class JobHandle(Generic[T]):
     def result(self, timeout: Optional[float] = None) -> T:
         """The job's result, executing or waiting for the work as needed.
 
-        Lazy handles resolve synchronously in the calling thread on the first
-        call (``timeout`` does not apply to that in-line execution — the
-        claimer *is* the worker — only to other threads waiting on it);
+        A lazy handle's first caller claims the work and runs it in the
+        calling thread (``timeout`` does not apply to that in-line execution
+        — the claimer *is* the worker — only to other threads waiting on it);
         executor-backed handles block up to ``timeout`` seconds for the
-        background run.  Waiting is event-based in both modes, never a
-        poll loop, and the deadline is honoured precisely: a waiter that
-        times out raises the builtin :class:`TimeoutError` and leaves the
-        handle's state untouched.  Concurrent ``result()`` calls are safe —
-        the work runs exactly once and every caller sees the same outcome.
-        Raises :class:`concurrent.futures.CancelledError` if the job was
-        cancelled, or re-raises the work's own exception if it failed.
+        background run.  A waiter that times out raises the builtin
+        :class:`TimeoutError` and leaves the handle's state untouched.
+        Concurrent ``result()`` calls are safe — the work runs exactly once
+        and every caller sees the same outcome.  Raises
+        :class:`concurrent.futures.CancelledError` if the job was cancelled,
+        or re-raises the work's own exception if it failed.
         """
-        if self._future is not None:
-            try:
-                # future.result re-raises the work's exception or CancelledError.
-                self._future.result(timeout)
-            except _futures.TimeoutError:
-                # On 3.10 futures.TimeoutError is not the builtin; normalise
-                # so callers catch one exception type in both modes.
-                raise TimeoutError(
-                    f"{self.job_id} did not finish within {timeout}s"
-                ) from None
-            with self._lock:
-                if self._status is JobStatus.CANCELLED:
-                    raise CancelledError(f"{self.job_id} was cancelled")
-                return self._result
-        with self._lock:
-            if self._status is JobStatus.CANCELLED:
-                raise CancelledError(f"{self.job_id} was cancelled")
-            if self._status is JobStatus.DONE:
-                return self._result
-            if self._status is JobStatus.FAILED:
-                raise self._error
-            # Exactly one caller claims the in-line execution; later callers
-            # (status QUEUED-claimed or RUNNING) wait for it instead of
-            # re-running the work.
-            claimed = not self._claimed
-            self._claimed = True
+        future = self._future
+        claimed = False
+        if self._lazy:
+            with self._lock:  # exactly one caller moves the future off PENDING
+                claimed = (
+                    not future.running()
+                    and not future.done()
+                    and future.set_running_or_notify_cancel()
+                )
         if claimed:
             try:
-                self._invoke()
-            except BaseException:
-                pass  # re-raised below from the recorded state
-        elif not self._finished.wait(timeout):
-            raise TimeoutError(f"{self.job_id} did not finish within {timeout}s")
-        with self._lock:
-            if self._status is JobStatus.CANCELLED:
-                raise CancelledError(f"{self.job_id} was cancelled")
-            if self._status is JobStatus.FAILED:
-                raise self._error
-            return self._result
+                future.set_result(self._invoke())
+            except BaseException as error:
+                future.set_exception(error)
+        try:
+            return future.result(timeout)
+        except _futures.TimeoutError:
+            # On 3.10 futures.TimeoutError is not the builtin; normalise so
+            # callers catch one exception type in both modes.
+            raise TimeoutError(
+                f"{self.job_id} did not finish within {timeout}s"
+            ) from None
 
     def cancel(self) -> bool:
         """Cancel the job if it has not started; returns whether it worked.
@@ -230,11 +196,10 @@ class JobHandle(Generic[T]):
         exactly the ``concurrent.futures`` contract.
         """
         with self._lock:
-            if self._status is not JobStatus.QUEUED:
-                return self._status is JobStatus.CANCELLED
-            if self._future is not None and not self._future.cancel():
+            if self._future.cancelled():
+                return True
+            if not self._future.cancel():
                 return False
-            self._status = JobStatus.CANCELLED
             self.finished_at = time.monotonic()
         telemetry.counter("jobs.cancelled").inc()
         return True

@@ -159,5 +159,4 @@ class Sampler:
             metadata["shots"] = shots
             return SamplerResult(entries=entries, metadata=metadata)
 
-        executor = None if lazy else self.session._ensure_executor()
-        return JobHandle(work, backend_name=self.session.backend.name, executor=executor)
+        return self.session._submit(work, lazy=lazy)

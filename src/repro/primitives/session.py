@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .. import telemetry
 from ..backends import Backend, get_backend
 from ..circuits.circuit import QuantumCircuit
 from ..compiler.pipeline import CompiledCircuit
-from ..runtime.dispatch import default_worker_count
+from ..runtime.executor import default_worker_count
 from ..runtime.jobs import JobResult, compile_spec, execute_spec, job_key
 from ..runtime.spec import CompileOptions, ExperimentSpec, FidelityOptions
 from ..runtime.store import ResultStore
@@ -47,6 +47,8 @@ from .results import CircuitExecution, RunResult
 #: Anything ``Session.run`` accepts as one circuit: a user circuit or a
 #: registered Table IV benchmark name (parameterised by ``num_qubits``/``seed``).
 CircuitLike = Union[QuantumCircuit, str]
+
+T = TypeVar("T")
 
 
 class Session:
@@ -64,7 +66,7 @@ class Session:
         with the sweep engine and other sessions.
     max_workers:
         Thread-pool size for executor-backed submissions; defaults to
-        :func:`repro.runtime.dispatch.default_worker_count` (which honours
+        :func:`repro.runtime.executor.default_worker_count` (which honours
         ``REPRO_MAX_WORKERS``).  The pool is created lazily, so sessions
         that only resolve lazily never start a thread.
     queue:
@@ -132,6 +134,16 @@ class Session:
             self._closed = True
         if executor is not None:
             executor.shutdown(wait=wait)
+
+    def _submit(self, work: Callable[[], T], lazy: bool = False) -> JobHandle:
+        """Wrap ``work`` in a :class:`JobHandle` on this session's backend.
+
+        The one submission path of :meth:`run` and the primitives built on a
+        session: ``lazy=True`` defers ``work`` to the first ``result()``
+        call, otherwise it starts on the session's thread pool.
+        """
+        executor = None if lazy else self._ensure_executor()
+        return JobHandle(work, backend_name=self.backend.name, executor=executor)
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -341,8 +353,7 @@ class Session:
                 metadata["shots"] = shots
             return RunResult(entries=entries, metadata=metadata)
 
-        executor = None if lazy else self._ensure_executor()
-        return JobHandle(work, backend_name=self.backend.name, executor=executor)
+        return self._submit(work, lazy=lazy)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -25,9 +25,9 @@ deferrable job is *parked* instead — skipped, counted in the
 :class:`QueueService` drives the policy: each :meth:`~QueueService.tick`
 completes cache-hit jobs instantly against the shared
 :class:`~repro.runtime.store.ResultStore`, admits what fits, and executes
-admitted jobs in worker *processes* (:class:`~repro.queue.workers.WorkerPool`)
-through the sweep's worker entry point
-:func:`repro.runtime.jobs.run_group_payload`, one job thread per worker.
+admitted jobs in worker *processes* of a
+:class:`~repro.runtime.executor.WorkerPool` — the pool pooled sweeps use —
+as one-job compile groups, one job thread per worker.
 Admission, power accounting and every durable transition stay in the
 daemon.  Each terminal transition (finish, fail, cache-hit finish, cancel)
 notifies a condition that :meth:`QueueService.wait_settled` blocks on, with
@@ -45,11 +45,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..hardware.budget import FridgeBudget
-from ..runtime.jobs import group_payload, merge_shipped_telemetry
+from ..runtime.executor import WorkerPool, merge_shipped_telemetry
+from ..runtime.jobs import execute_compile_group, group_payload
 from ..runtime.store import ResultStore
 from .model import QueueJob, priority_rank
 from .store import QueueStore
-from .workers import WorkerPool
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ class QueueService:
         observe scheduling without paying for real compilations; it runs
         in-process on the job thread.  ``None`` (production) executes the
         job's spec in a worker process through
-        :func:`repro.runtime.jobs.run_group_payload`.
+        :func:`repro.runtime.jobs.execute_compile_group`.
     fair_share_weights:
         Optional per-session fair-share weights (see
         :func:`order_candidates`).
@@ -365,9 +365,9 @@ class QueueService:
                 self._workers = WorkerPool(self.max_workers)
             workers = self._workers
         payload = group_payload([job.to_spec()], [job.result_key])
-        payload["telemetry"] = telemetry.enabled()
+        shipped = workers.submit(execute_compile_group, payload).result()
         (result,) = merge_shipped_telemetry(
-            workers.run(payload), None if parent is None else parent.span_id
+            shipped, None if parent is None else parent.span_id
         )
         return result
 

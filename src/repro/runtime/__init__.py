@@ -9,7 +9,8 @@ so reruns and resumed sweeps skip completed work.  ``python -m repro.runtime``
 is the CLI front end.
 """
 
-from .dispatch import MAX_WORKERS_ENV, SweepReport, default_worker_count, run_sweep
+from .dispatch import SweepReport, run_sweep
+from .executor import MAX_WORKERS_ENV, default_worker_count
 from .jobs import JobResult, circuit_fingerprint, execute_spec, job_key
 from .spec import (
     DEFAULT_BACKEND_NAMES,

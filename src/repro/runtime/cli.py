@@ -51,7 +51,8 @@ from ..circuits.benchmarks import BENCHMARK_NAMES
 from ..compiler.layout import LAYOUT_STRATEGIES
 from ..compiler.pipeline import DEFAULT_OPT_LEVEL, OPT_LEVELS, PIPELINE_NAMES
 from ..simulation.trajectories import DEFAULT_BATCH_SIZE, PLAN_MODES
-from .dispatch import SweepReport, default_worker_count, run_sweep
+from .dispatch import SweepReport, run_sweep
+from .executor import default_worker_count
 from .spec import (
     DEFAULT_BACKEND_NAMES,
     DEFAULT_BENCHMARKS,

@@ -7,7 +7,8 @@ rows in three steps:
 2. split cache hits from misses against the :class:`~repro.runtime.store.ResultStore`;
 3. batch the misses by *compile group* — all backends of one benchmark
    instance that share a device topology share a single compilation — and
-   execute the groups either serially or on a ``ProcessPoolExecutor``.
+   execute the groups either serially or on a
+   :class:`~repro.runtime.executor.WorkerPool`.
 
 Results are re-assembled in grid-expansion order, so a parallel run yields
 exactly the same row sequence (byte-identical under canonical JSON) as a
@@ -16,20 +17,18 @@ serial run, and a resumed run as an uninterrupted one.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from .executor import WorkerPool, merge_shipped_telemetry
 from .jobs import (
     JobResult,
     execute_compile_group,
     group_payload,
     job_key,
-    merge_shipped_telemetry,
     ordered_row,
-    run_group_payload,
 )
 from .spec import ExperimentSpec, SweepGrid
 from .store import ResultStore, canonical_json
@@ -122,35 +121,6 @@ class SweepReport:
         return traces
 
 
-#: Environment variable overriding the default worker-pool size everywhere a
-#: pool is sized implicitly (the sweep dispatcher, the CLI, primitive
-#: sessions).  An explicit ``workers=`` / ``--workers`` argument still wins.
-MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-
-def default_worker_count() -> int:
-    """Worker-pool size when the caller does not pin one (>= 1).
-
-    Defaults to ``min(4, cpu_count)``; the ``REPRO_MAX_WORKERS`` environment
-    variable overrides that cap (useful on large machines where four workers
-    under-use the host, or in CI where one worker keeps runs predictable).
-    """
-    override = os.environ.get(MAX_WORKERS_ENV)
-    if override is not None and override.strip():
-        try:
-            workers = int(override)
-        except ValueError:
-            raise ValueError(
-                f"{MAX_WORKERS_ENV} must be a positive integer, got {override!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(
-                f"{MAX_WORKERS_ENV} must be a positive integer, got {override!r}"
-            )
-        return workers
-    return max(1, min(4, (os.cpu_count() or 1)))
-
-
 def compute_job_keys(specs: Sequence[ExperimentSpec]) -> List[str]:
     """Content keys for a list of jobs, building each source circuit once."""
     circuits: Dict[Tuple[object, ...], object] = {}
@@ -192,7 +162,7 @@ def run_sweep(
         Completed jobs found in the store are never recomputed.
     workers:
         ``1`` executes compile groups serially in-process; ``> 1`` fans them
-        out over a ``ProcessPoolExecutor`` of that size.
+        out over a :class:`~repro.runtime.executor.WorkerPool` of that size.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -222,14 +192,12 @@ def run_sweep(
                 missing_indices.append(index)
 
         payloads = _group_payloads(specs, keys, missing_indices)
-        collect_spans = telemetry.enabled()
         # A sweep that collapses to one compile group (or runs serially with a
         # worker budget) hands its workers down to the group's own trajectory
         # batches instead of leaving them idle; pooled groups keep their
         # simulations in-process so process pools never nest.
-        in_process = workers == 1 or len(payloads) == 1
+        in_process = workers == 1 or len(payloads) <= 1
         for payload in payloads:
-            payload["telemetry"] = collect_spans
             payload["sim_workers"] = workers if in_process else 1
 
         def persist(batch: Sequence[Dict[str, object]]) -> None:
@@ -238,27 +206,24 @@ def run_sweep(
                 store.put(result.key, result.as_dict())
                 by_key[result.key] = result
 
-        if payloads:
-            # Each group's results are persisted as soon as that group
-            # finishes, so an interrupted sweep keeps every completed group
-            # and a resumed run only recomputes the remainder.
-            if workers == 1 or len(payloads) == 1:
-                for payload in payloads:
-                    persist(execute_compile_group(payload))
-            else:
-                parent_id = sweep_span.span_id if sweep_span is not None else None
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(payloads))
-                ) as pool:
-                    futures = [pool.submit(run_group_payload, p) for p in payloads]
-                    for future in as_completed(futures):
-                        persist(future.result()["results"])
-                # Worker telemetry is merged in *submission* order (not
-                # completion order), so the merged span sequence — and
-                # therefore summaries and traces — is deterministic for a
-                # given grid, exactly like the result rows.
-                for future in futures:
-                    merge_shipped_telemetry(future.result(), parent_id)
+        # Each group's results are persisted as soon as that group finishes,
+        # so an interrupted sweep keeps every completed group and a resumed
+        # run only recomputes the remainder.
+        if in_process:
+            for payload in payloads:
+                persist(execute_compile_group(payload))
+        else:
+            parent_id = sweep_span.span_id if sweep_span is not None else None
+            with WorkerPool(min(workers, len(payloads))) as pool:
+                futures = [pool.submit(execute_compile_group, p) for p in payloads]
+                for future in as_completed(futures):
+                    persist(future.result()["result"])
+            # Worker telemetry is merged in *submission* order (not completion
+            # order), so the merged span sequence — and therefore summaries
+            # and traces — is deterministic for a given grid, exactly like
+            # the result rows.
+            for future in futures:
+                merge_shipped_telemetry(future.result(), parent_id)
         # Deterministic accounting order regardless of worker completion order.
         computed_keys = [job["key"] for payload in payloads for job in payload["jobs"]]
 

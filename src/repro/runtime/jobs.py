@@ -13,9 +13,9 @@ same entries as the equivalent ``--fidelity`` sweep.
 :func:`execute_spec` runs exactly one job and is the execution door every
 client shares: :class:`repro.primitives.Session` calls it per submission,
 and :func:`execute_compile_group` — the unit of work the sweep dispatcher
-sends to a worker process — calls it once per backend after compiling the
-group's circuit a single time per device topology, which is what makes wide
-backend sweeps cheap.
+and the queue daemon submit to a :class:`repro.runtime.executor.WorkerPool`
+— calls it once per backend after compiling the group's circuit a single
+time per device topology, which is what makes wide backend sweeps cheap.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def group_payload(
 
 
 def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]:
-    """Execute all jobs of one compile group; the worker-process entry point.
+    """Execute all jobs of one compile group; the pooled unit of work.
 
     ``payload`` is plain JSON-able data (it must cross a process boundary)::
 
@@ -361,43 +361,3 @@ def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]
                 )
             results.append(result.as_dict())
     return results
-
-
-def run_group_payload(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker-*process* entry point wrapping :func:`execute_compile_group`.
-
-    A pooled worker starts (or is reused) with stale process-local telemetry
-    — whatever a fork inherited or a previous task recorded — so this resets
-    the collector and registry first, runs the group (collecting spans when
-    the dispatching parent asked for them via ``payload['telemetry']``), and
-    ships the spans and metrics back alongside the results.  The caller
-    merges both into its own telemetry with :func:`merge_shipped_telemetry`,
-    which is how a parallel sweep reports the same span tree (modulo
-    timings) and exactly the same counters as a serial one.
-    """
-    telemetry.reset()
-    collect_spans = bool(payload.get("telemetry"))
-    if collect_spans:
-        with telemetry.collecting():
-            results = execute_compile_group(payload)
-    else:
-        results = execute_compile_group(payload)
-    return {
-        "results": results,
-        "spans": telemetry.snapshot_spans() if collect_spans else [],
-        "metrics": telemetry.snapshot_metrics(),
-    }
-
-
-def merge_shipped_telemetry(
-    shipped: Dict[str, object], parent_id: Optional[str]
-) -> List[Dict[str, object]]:
-    """Adopt what :func:`run_group_payload` shipped back; returns its results.
-
-    The worker's spans are re-parented under ``parent_id`` (the span that
-    dispatched the payload) and its metrics added to this process's
-    registry — the one merge path for every caller of the worker entry point.
-    """
-    telemetry.merge_spans(shipped["spans"], parent_id=parent_id)
-    telemetry.merge_metrics(shipped["metrics"])
-    return shipped["results"]

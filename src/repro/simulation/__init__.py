@@ -6,13 +6,14 @@ stochastic error rates (sampled from :class:`~repro.noise.variability.Variabilit
 or lifted from the Fig. 10 reports in :mod:`repro.core.errors`), and
 :func:`run_trajectories` estimates a circuit's success probability and state
 fidelity over seeded, batched Monte-Carlo trajectories — serially or across
-a process pool, with bit-identical results either way.  Clifford-only
+the shared worker pool of :mod:`repro.runtime.executor`, with bit-identical
+results either way.  Clifford-only
 circuits automatically take the exact stabilizer/Pauli-frame fast path of
 :mod:`repro.simulation.stabilizer`, which has no ``2**n`` arrays at all.
 """
 
 from .channels import DEFAULT_CZ_ERROR, DEFAULT_SINGLE_QUBIT_ERROR, NoiseModel
-from .engine import benchmark_fidelity, run_trajectories
+from .engine import run_trajectories
 from .sparse import (
     SparseProgram,
     SparseScorer,
@@ -44,7 +45,6 @@ from .trajectories import (
     ideal_final_state,
     noisy_trajectory_states,
     run_trajectory_batch,
-    simulate_trajectories,
     trajectory_batch_payloads,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "advance_sparse_batch",
     "apply_fused_ops",
     "batch_sizes",
-    "benchmark_fidelity",
     "build_scorer",
     "build_sparse_scorer",
     "build_trajectory_plan",
@@ -78,7 +77,6 @@ __all__ = [
     "noisy_trajectory_states",
     "run_trajectories",
     "run_trajectory_batch",
-    "simulate_trajectories",
     "sparse_auto_budget",
     "sparse_to_dense",
     "trajectory_batch_payloads",

@@ -1,13 +1,14 @@
-"""Parallel trajectory dispatch over a ``ProcessPoolExecutor``.
+"""Trajectory dispatch: in-process, or batches on the shared worker pool.
 
 :func:`run_trajectories` is the front door of the simulation subsystem: it
 builds one :class:`~repro.simulation.trajectories.TrajectoryPlan` (fusing the
 circuit once), derives one child seed per trajectory batch from a single
 :class:`numpy.random.SeedSequence`, and runs the batches either in-process or
-on a worker pool (the same dispatch shape as
-:func:`repro.runtime.dispatch.run_sweep`).  Batches are re-assembled in spawn
-order, so the merged result is bit-identical for any worker count — the
-parallel/serial-identical guarantee the determinism tests pin down.
+on a :class:`repro.runtime.executor.WorkerPool` — the process pool sweeps and
+the daemon use too.  Batches are re-assembled in spawn order, so the merged
+result is bit-identical for any worker count — the parallel/serial-identical
+guarantee the determinism tests pin down — and the workers' ``sim.batch``
+spans and counters merge back under the run's ``sim.run`` span.
 
 For the dense statevector kernel, the plan's large arrays — the ideal
 ``(2**n,)`` statevector and every fused-op matrix — are shipped to the pool
@@ -22,7 +23,6 @@ and pickle in constant size, so they take the plain payload path.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -136,22 +136,10 @@ def _run_batch_shared(
     name, spec, size, child_seed = payload
     cached = _ATTACHED_PLANS.get(name)
     if cached is None:
+        # Fork-server workers share the parent's resource tracker, whose
+        # registry is a set: attaching re-registers the block as a no-op, and
+        # the parent's unlink unregisters it once.
         block = shared_memory.SharedMemory(name=name)
-        # Under the spawn start method, attaching registers the (already
-        # parent-tracked) block with this worker's *own* resource tracker,
-        # which would warn and double-unlink at worker exit; the parent owns
-        # the block's lifetime, so unregister here.  Forked workers share the
-        # parent's tracker (whose registry is a set, so the attach was a
-        # no-op) and must NOT unregister, or the parent's entry vanishes.
-        import multiprocessing
-
-        if multiprocessing.get_start_method(allow_none=True) not in (None, "fork"):
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(block._name, "shared_memory")
-            except Exception:
-                pass
         cached = (block, _plan_from_shared(block, spec))
         _ATTACHED_PLANS[name] = cached
     _block, plan = cached
@@ -185,8 +173,9 @@ def run_trajectories(
         Trajectories advanced in lockstep per batch.
     workers:
         ``1`` runs batches serially in-process; ``> 1`` fans them out over a
-        ``ProcessPoolExecutor`` of that size (statevector plans travel once
-        through shared memory instead of being pickled per batch).
+        :class:`~repro.runtime.executor.WorkerPool` of that size (statevector
+        plans travel once through shared memory instead of being pickled per
+        batch).
     mode:
         Kernel selection, forwarded to
         :func:`~repro.simulation.trajectories.build_trajectory_plan`:
@@ -208,13 +197,14 @@ def run_trajectories(
         batches=len(payloads),
         workers=workers,
         mode=plan.mode,
-    ):
+    ) as run_span:
         if workers == 1 or len(payloads) == 1:
             # In-process batches record their own sim.batch kernel spans,
             # nested under this one (the path fidelity sweep jobs take).
             parts = [_run_batch(payload) for payload in payloads]
         else:
-            parts = _run_pooled(plan, payloads, workers)
+            parent_id = run_span.span_id if run_span is not None else None
+            parts = _run_pooled(plan, payloads, workers, parent_id)
     return TrajectoryResult.merge(parts)
 
 
@@ -222,16 +212,16 @@ def _run_pooled(
     plan: TrajectoryPlan,
     payloads: Sequence[Tuple[TrajectoryPlan, int, np.random.SeedSequence]],
     workers: int,
+    parent_id: Optional[str],
 ) -> List[TrajectoryResult]:
-    """Fan batches out over a process pool, sharing the plan when it pays.
+    """Fan batches out over a worker pool, sharing the plan when it pays.
 
-    ``pool.map`` preserves submission order, so the merge sees batches
-    exactly as the serial path would.  Batch kernel spans recorded inside
-    these short-lived workers are not shipped back; the sweep dispatcher
-    (which runs trajectories with ``workers=1`` inside its own pooled
-    processes) is the cross-process telemetry boundary.
+    Shipped results and telemetry are adopted in submission order, under
+    ``parent_id``, so the merge sees batches exactly as the serial path would.
     """
-    max_workers = min(workers, len(payloads))
+    # Deferred: repro.runtime imports this module through its job runner.
+    from ..runtime.executor import WorkerPool, merge_shipped_telemetry
+
     block: Optional[shared_memory.SharedMemory] = None
     if plan.mode == "statevector":
         try:
@@ -243,36 +233,15 @@ def _run_pooled(
     try:
         if block is not None:
             telemetry.counter("sim.shm_bytes").inc(block.size)
-            shared_payloads = [
+            task, args = _run_batch_shared, [
                 (block.name, spec, size, child) for _plan, size, child in payloads
             ]
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(_run_batch_shared, shared_payloads))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_batch, payloads))
+        else:
+            task, args = _run_batch, list(payloads)
+        with WorkerPool(min(workers, len(args))) as pool:
+            futures = [pool.submit(task, arg) for arg in args]
+            return [merge_shipped_telemetry(f.result(), parent_id) for f in futures]
     finally:
         if block is not None:
             block.close()
             block.unlink()
-
-
-def benchmark_fidelity(
-    circuit: QuantumCircuit,
-    noise: Optional[NoiseModel] = None,
-    num_trajectories: int = 100,
-    seed: int = 0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-    mode: str = "auto",
-) -> TrajectoryResult:
-    """Convenience wrapper: uniform-noise trajectory run of one benchmark."""
-    noise = noise or NoiseModel.uniform(circuit.num_qubits)
-    return run_trajectories(
-        circuit,
-        noise,
-        num_trajectories=num_trajectories,
-        seed=seed,
-        batch_size=batch_size,
-        workers=workers,
-        mode=mode,
-    )

@@ -924,13 +924,12 @@ def trajectory_batch_payloads(
 ) -> List[Tuple[TrajectoryPlan, int, np.random.SeedSequence]]:
     """The seeded per-batch work items of one trajectory run.
 
-    This is the single source of the fusion + seeding scheme: the serial
-    driver (:func:`simulate_trajectories`) and the pooled engine
-    (:func:`repro.simulation.engine.run_trajectories`) both execute exactly
-    these payloads in order, which is what makes their results bit-identical.
-    Every payload shares one :class:`TrajectoryPlan` object, so the engine
-    can ship its large arrays to pool workers once (via shared memory)
-    instead of once per batch.
+    This is the single source of the fusion + seeding scheme:
+    :func:`repro.simulation.engine.run_trajectories` executes exactly these
+    payloads in order, in-process or on a worker pool, which is what makes
+    its results bit-identical for any worker count.  Every payload shares one
+    :class:`TrajectoryPlan` object, so the engine can ship its large arrays
+    to pool workers once (via shared memory) instead of once per batch.
     """
     plan = build_trajectory_plan(circuit, noise, mode=mode)
     sizes = batch_sizes(num_trajectories, batch_size)
@@ -948,9 +947,10 @@ def noisy_trajectory_states(
     """Final statevectors of seeded noisy trajectories, one row per trajectory.
 
     Shares the exact fusion + seeding + kick-draw scheme of
-    :func:`simulate_trajectories`, so for a given ``(seed, num_trajectories,
-    batch_size)`` triple the trajectory ``t`` returned here is the *same*
-    noisy evolution that :func:`simulate_trajectories` scored — an
+    :func:`repro.simulation.engine.run_trajectories`, so for a given
+    ``(seed, num_trajectories, batch_size)`` triple the trajectory ``t``
+    returned here is the *same* noisy evolution that a statevector-mode
+    ``run_trajectories`` scored — an
     expectation value averaged over these states is statistically consistent
     with the fidelity columns the runtime reports for the same job.
 
@@ -970,27 +970,3 @@ def noisy_trajectory_states(
         )
     ]
     return np.concatenate(batches, axis=0)
-
-
-def simulate_trajectories(
-    circuit: QuantumCircuit,
-    noise: NoiseModel,
-    num_trajectories: int,
-    seed: int = 0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    mode: str = "auto",
-) -> TrajectoryResult:
-    """Run seeded Monte-Carlo trajectories of a circuit, serially.
-
-    Results are identical to :func:`repro.simulation.engine.run_trajectories`
-    with any worker count, because both execute the payloads of
-    :func:`trajectory_batch_payloads` and concatenate batches in order.
-    """
-    parts = [
-        run_trajectory_batch(plan, size, np.random.default_rng(child))
-        for plan, size, child in trajectory_batch_payloads(
-            circuit, noise, num_trajectories,
-            seed=seed, batch_size=batch_size, mode=mode,
-        )
-    ]
-    return TrajectoryResult.merge(parts)

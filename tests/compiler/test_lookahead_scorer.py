@@ -1,8 +1,8 @@
 """Cross-check of the incremental lookahead scorer against the naive one.
 
 ``_best_candidate`` evaluates each (path, meeting) candidate's permutation
-in closed form on the path's qubits only; ``_best_candidate_reference`` is
-the retained pre-optimization implementation that copies the layout and
+in closed form on the path's qubits only; :func:`best_candidate_reference`
+below is the pre-optimization implementation that copies the layout and
 replays the SWAP walk.  Both must pick the *same* candidate — argmin and
 tie-break — on every input, which is what keeps routed circuits (and the
 compile goldens) byte-identical.
@@ -23,11 +23,8 @@ from repro.compiler.coupling import (
     TorusCouplingMap,
 )
 from repro.compiler.layout import Layout
-from repro.compiler.lookahead import (
-    DEFAULT_DECAY,
-    _best_candidate,
-    _best_candidate_reference,
-)
+from repro.compiler.lookahead import DEFAULT_DECAY, _best_candidate
+from repro.compiler.routing import insert_swaps_along_path
 
 COUPLINGS = {
     "grid": GridCouplingMap(rows=4, cols=4),
@@ -35,6 +32,36 @@ COUPLINGS = {
     "heavy_hex": HeavyHexCouplingMap(rows=4, cols=4),
     "torus": TorusCouplingMap(rows=4, cols=4),
 }
+
+
+def best_candidate_reference(coupling, layout, start, end, window, decay):
+    """Naive reference scorer: copy the layout and replay the SWAP walk.
+
+    The pre-optimization implementation of ``_best_candidate``, kept as the
+    ground truth the incremental scorer is cross-checked against.
+    """
+    best_path = []
+    best_meeting = 0
+    best_cost = None
+    for path in coupling.candidate_paths(start, end):
+        meetings = range(len(path) - 1) if len(path) >= 3 else [0]
+        for meeting in meetings:
+            trial = layout.copy()
+            # circuit=None: preview the layout permutation the real insertion
+            # would produce, via the same shared walk.
+            insert_swaps_along_path(None, trial, path, meeting)
+            cost = 0.0
+            weight = 1.0
+            for logical_a, logical_b in window:
+                cost += weight * coupling.distance(
+                    trial.physical(logical_a), trial.physical(logical_b)
+                )
+                weight *= decay
+            if best_cost is None or cost < best_cost - 1e-12:
+                best_cost = cost
+                best_path = path
+                best_meeting = meeting
+    return best_path, best_meeting
 
 
 def _scenario(coupling, rng, num_logical, window_len):
@@ -74,7 +101,7 @@ def test_incremental_matches_reference(kind, seed, window_len):
     layout, start, end, window = scenario
 
     fast = _best_candidate(coupling, layout, start, end, window, DEFAULT_DECAY)
-    reference = _best_candidate_reference(
+    reference = best_candidate_reference(
         coupling, layout, start, end, window, DEFAULT_DECAY
     )
     # The incremental scorer returns cached tuples, the reference fresh lists.
@@ -100,5 +127,5 @@ def test_irrelevant_window_skips_scoring():
     # untouched by either L-path.
     window = [(12, 14)]
     fast = _best_candidate(coupling, layout, 0, 2, window, DEFAULT_DECAY)
-    reference = _best_candidate_reference(coupling, layout, 0, 2, window, DEFAULT_DECAY)
+    reference = best_candidate_reference(coupling, layout, 0, 2, window, DEFAULT_DECAY)
     assert (list(fast[0]), fast[1]) == (list(reference[0]), reference[1])

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from repro.circuits.benchmarks import build_benchmark
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.coupling import GridCouplingMap
+from repro.compiler.coupling import (
+    GridCouplingMap,
+    HeavyHexCouplingMap,
+    LineCouplingMap,
+    TorusCouplingMap,
+)
 from repro.compiler.pipeline import compile_circuit
 from repro.compiler.scheduling import asap_schedule, crosstalk_aware_schedule
 
@@ -32,6 +37,22 @@ class TestASAPSchedule:
         for q in range(6):
             circuit.h(q)
         assert asap_schedule(circuit).depth == 1
+
+
+#: One device of every built-in topology family.
+COUPLINGS = {
+    "grid": GridCouplingMap(rows=3, cols=3),
+    "line": LineCouplingMap(num_sites=8),
+    "heavy_hex": HeavyHexCouplingMap(rows=2, cols=3),
+    "torus": TorusCouplingMap(rows=3, cols=3),
+}
+
+
+def couplers_adjacent(coupling, a, b):
+    """True if two couplers share a qubit or have directly coupled endpoints."""
+    if set(a) & set(b):
+        return True
+    return any(coupling.are_coupled(x, y) for x in a for y in b)
 
 
 class TestCrosstalkAwareSchedule:
@@ -121,3 +142,40 @@ class TestCompilePipeline:
         circuit.h(0)
         with pytest.raises(ValueError):
             compile_circuit(circuit, coupling=GridCouplingMap(3, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(COUPLINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_crosstalk_schedule_never_pairs_adjacent_couplers(kind, data):
+    """No moment holds two two-qubit gates that share a qubit or sit on
+    directly coupled endpoints, for random circuits on every topology."""
+    coupling = COUPLINGS[kind]
+    couplers = coupling.couplers()
+    n = coupling.num_qubits
+    circuit = QuantumCircuit(n)
+    ops = data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("h"), st.integers(0, n - 1)),
+                st.tuples(st.just("cz"), st.sampled_from(couplers)),
+                st.tuples(
+                    st.just("cz"),
+                    st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                ),
+            ),
+            max_size=60,
+        )
+    )
+    for name, operand in ops:
+        if name == "h":
+            circuit.h(operand)
+        else:
+            circuit.cz(*operand)
+    schedule = crosstalk_aware_schedule(circuit, coupling)
+    assert schedule.gate_count() == len(circuit)
+    for moment in schedule.moments:
+        pairs = [tuple(gate.qubits) for gate in moment.two_qubit_gates]
+        for i, a in enumerate(pairs):
+            for b in pairs[i + 1 :]:
+                assert not couplers_adjacent(coupling, a, b)

@@ -1,4 +1,8 @@
-"""Daemon jobs run in worker processes: a dead worker fails only its own job."""
+"""Daemon jobs run in worker processes: a dead worker fails only its own job.
+
+The pool itself (:class:`repro.runtime.executor.WorkerPool`) is the one every
+pooled path shares; its unit tests live here next to the daemon's.
+"""
 
 import os
 import signal
@@ -7,17 +11,36 @@ import time
 import pytest
 
 from test_crash_recovery import (
+    identity,
     make_spec,
     start_daemon,
     stop_daemon,
+    survivors_after,
     wait_for_workers,
     worker_pids,
 )
 
+from repro import telemetry
 from repro.queue.client import QueueClient, QueueServerError
-from repro.queue.workers import WorkerDiedError, WorkerPool
-from repro.runtime.jobs import group_payload, job_key
+from repro.runtime.executor import WorkerDiedError, WorkerPool
+from repro.runtime.jobs import execute_compile_group, group_payload, job_key
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
+
+
+def timed_nap(seconds):
+    """Pool task: sleep, then report the worker pid and the interval slept."""
+    start = time.monotonic()  # CLOCK_MONOTONIC is system-wide on Linux
+    time.sleep(seconds)
+    return os.getpid(), start, time.monotonic()
+
+
+def nap_after_reporting(args):
+    """Pool task: write this worker's pid to ``path``, then sleep."""
+    path, seconds = args
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def long_fidelity_spec():
@@ -66,13 +89,13 @@ class TestWorkerPool:
     def test_runs_payloads_in_another_process_and_ships_telemetry(self):
         spec = make_spec(seed=22)
         payload = group_payload([spec], [job_key(spec)])
-        payload["telemetry"] = True
         pool = WorkerPool(1)
         try:
-            shipped = pool.run(payload)
+            with telemetry.collecting():  # the pool collects what its caller does
+                shipped = pool.submit(execute_compile_group, payload).result()
         finally:
             pool.shutdown()
-        (result,) = shipped["results"]
+        (result,) = shipped["result"]
         assert result["key"] == job_key(spec)
         spans = {span["name"]: span for span in shipped["spans"]}
         assert spans["job.execute"]["pid"] != os.getpid()
@@ -85,7 +108,7 @@ class TestWorkerPool:
         pool = WorkerPool(1)
         try:
             with pytest.raises(ValueError):
-                pool.run(payload)
+                pool.submit(execute_compile_group, payload).result()
         finally:
             pool.shutdown()
 
@@ -93,3 +116,56 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(0)
         assert issubclass(WorkerDiedError, RuntimeError)
+
+    def test_queued_tasks_run_fifo_with_at_most_size_running(self):
+        with WorkerPool(2) as pool:
+            # warm both slots so process start-up does not skew the timings
+            warm = [pool.submit(timed_nap, 0.3) for _ in range(2)]
+            assert len({future.result(timeout=60)["result"][0] for future in warm}) == 2
+            futures = [pool.submit(timed_nap, 1.5)]
+            futures += [pool.submit(timed_nap, 0.3) for _ in range(4)]
+            runs = [future.result(timeout=60)["result"] for future in futures]
+        starts = [start for _pid, start, _end in runs]
+        # one slot holds the long task; the other drains the queue in order
+        assert starts[1:] == sorted(starts[1:])
+        assert all(start > runs[1][2] for start in starts[2:])
+        for probe in starts:
+            running = sum(start <= probe < end for _pid, start, end in runs)
+            assert 1 <= running <= 2
+        assert sum(starts[0] <= start < runs[0][2] for start in starts[1:]) >= 1
+
+    def test_killed_worker_fails_only_its_own_task(self, tmp_path):
+        pid_file = tmp_path / "doomed.pid"
+        with WorkerPool(2) as pool:
+            doomed = pool.submit(nap_after_reporting, (str(pid_file), 60.0))
+            sibling = pool.submit(timed_nap, 1.0)
+            queued = [pool.submit(timed_nap, 0.05) for _ in range(3)]
+            deadline = time.monotonic() + 30.0
+            while not (pid_file.exists() and pid_file.read_text()):
+                assert time.monotonic() < deadline, "the doomed task never started"
+                time.sleep(0.02)
+            victim = int(pid_file.read_text())
+            os.kill(victim, signal.SIGKILL)
+
+            with pytest.raises(WorkerDiedError):
+                doomed.result(timeout=30)
+            assert sibling.result(timeout=30)["result"][0] != victim
+            pids = {future.result(timeout=30)["result"][0] for future in queued}
+            assert victim not in pids
+            # the dead slot was rebuilt: it serves tasks from a fresh process
+            after = [pool.submit(timed_nap, 0.3) for _ in range(2)]
+            assert victim not in {future.result(timeout=60)["result"][0] for future in after}
+
+    def test_shutdown_leaves_no_worker_process_behind(self):
+        before = set(worker_pids(os.getpid()))
+        pool = WorkerPool(2)
+        futures = [pool.submit(timed_nap, 0.2) for _ in range(4)]
+        pids = {future.result(timeout=60)["result"][0] for future in futures}
+        assert len(pids) == 2 and os.getpid() not in pids
+        workers = [identity(pid) for pid in pids]
+        assert all(workers)
+        pool.shutdown()
+        assert survivors_after(workers, timeout_s=10.0) == []
+        assert set(worker_pids(os.getpid())) <= before
+        with pytest.raises(RuntimeError):
+            pool.submit(timed_nap, 0.0)

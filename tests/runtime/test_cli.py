@@ -124,20 +124,20 @@ class TestMain:
 
 class TestWorkersEnv:
     def test_env_override_is_honored(self, monkeypatch):
-        from repro.runtime.dispatch import default_worker_count
+        from repro.runtime.executor import default_worker_count
 
         monkeypatch.setenv("REPRO_MAX_WORKERS", "7")
         assert default_worker_count() == 7
 
     def test_unset_env_uses_bounded_default(self, monkeypatch):
-        from repro.runtime.dispatch import default_worker_count
+        from repro.runtime.executor import default_worker_count
 
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
         assert 1 <= default_worker_count() <= 4
 
     @pytest.mark.parametrize("bad", ["abc", "0", "-3", "1.5"])
     def test_malformed_env_raises_clear_error(self, monkeypatch, bad):
-        from repro.runtime.dispatch import default_worker_count
+        from repro.runtime.executor import default_worker_count
 
         monkeypatch.setenv("REPRO_MAX_WORKERS", bad)
         with pytest.raises(ValueError, match="REPRO_MAX_WORKERS must be a positive integer"):

@@ -1,13 +1,17 @@
-"""Parallel sweeps yield the same telemetry as serial ones (satellite of
-the observability PR): identical merged span trees modulo timing, and
-exactly equal metric counters."""
+"""Parallel runs yield the same telemetry as serial ones: identical merged
+span trees modulo timing, and exactly equal metric counters — for pooled
+compile groups and for pooled trajectory batches alike."""
+
+import os
 
 import pytest
 
 from repro import telemetry
+from repro.circuits.benchmarks import build_benchmark
 from repro.runtime.dispatch import run_sweep
-from repro.runtime.spec import SweepGrid
+from repro.runtime.spec import FidelityOptions, SweepGrid
 from repro.runtime.store import ResultStore
+from repro.simulation import NoiseModel, run_trajectories
 
 
 @pytest.fixture(autouse=True)
@@ -77,3 +81,46 @@ class TestParallelTelemetryEquivalence:
         assert telemetry.snapshot_spans() == []
         # Metrics stay on even while span recording is off.
         assert telemetry.snapshot_metrics()["counters"]["sweep.jobs"] == 2
+
+
+def fidelity_grid():
+    """One compile group whose fidelity job runs 4 batches of 10 trajectories."""
+    return SweepGrid(
+        benchmarks=("ising",),
+        backends=("digiq-opt8",),
+        num_qubits=8,
+        seeds=(0,),
+        fidelity=FidelityOptions(trajectories=40, batch_size=10),
+    )
+
+
+def sweep_counters(workers, store_dir):
+    telemetry.reset()
+    run_sweep(fidelity_grid(), store=ResultStore(store_dir), workers=workers)
+    return telemetry.snapshot_metrics()["counters"]
+
+
+class TestPooledTrajectoryTelemetry:
+    def test_one_group_fidelity_sweep_counts_like_serial(self, tmp_path):
+        serial = sweep_counters(1, tmp_path / "serial")
+        pooled = sweep_counters(2, tmp_path / "pooled")
+        assert serial["sim.trajectories"] == 40
+        assert serial["sim.batches"] == 4
+        # only a pooled run ships its plan through shared memory
+        assert pooled.pop("sim.shm_bytes") > 0
+        assert "sim.shm_bytes" not in serial
+        assert pooled == serial
+
+    def test_pooled_batches_nest_under_sim_run(self):
+        circuit = build_benchmark("qgan", num_qubits=6, seed=3)
+        noise = NoiseModel.uniform(6, 0.02, 0.05)
+        telemetry.reset()
+        with telemetry.collecting():
+            run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=2)
+        spans = telemetry.snapshot_spans()
+        (run,) = [span for span in spans if span["name"] == "sim.run"]
+        batches = [span for span in spans if span["name"] == "sim.batch"]
+        assert len(batches) == 4
+        assert all(span["pid"] != os.getpid() for span in batches)
+        assert all(span["parent_id"] == run["span_id"] for span in batches)
+        assert telemetry.counter("sim.trajectories").value == 40

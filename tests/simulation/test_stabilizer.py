@@ -22,7 +22,6 @@ from repro.simulation.trajectories import (
     build_trajectory_plan,
     fuse_circuit,
     run_trajectory_batch,
-    simulate_trajectories,
 )
 
 #: One-qubit Clifford gates with no parameters.
@@ -165,8 +164,8 @@ class TestPlanSelection:
         circuit = build_benchmark("bv", num_qubits=6, seed=3)
         noise = NoiseModel.uniform(6, 0.02, 0.05)
         auto = run_trajectories(circuit, noise, 30, seed=5, batch_size=10)
-        forced = simulate_trajectories(
-            circuit, noise, 30, seed=5, batch_size=10, mode="statevector"
+        forced = run_trajectories(
+            circuit, noise, 30, seed=5, batch_size=10, mode="statevector", workers=1
         )
         assert auto.as_row() == forced.as_row()
         assert auto.kicks == forced.kicks

