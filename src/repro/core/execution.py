@@ -80,10 +80,15 @@ def impossible_mimd_time_ns(
     )
     total = 0.0
     for moment in compiled.schedule.moments:
-        duration = 0.0
-        if moment.two_qubit_gates:
-            duration = config.cz_time_ns
-        if any(gate.name != "rz" for gate in moment.single_qubit_gates):
+        two_qubit = pulsed = False
+        for gate in moment.gates:
+            width = len(gate.qubits)
+            if width == 2:
+                two_qubit = True
+            elif width == 1 and gate.name != "rz":
+                pulsed = True
+        duration = config.cz_time_ns if two_qubit else 0.0
+        if pulsed:
             duration = max(duration, single_gate_ns)
         total += duration
     return total

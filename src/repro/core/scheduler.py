@@ -16,6 +16,14 @@ serialization the paper quantifies in Fig. 9.  :class:`SIMDScheduler` models
 that cycle-by-cycle process and reports total controller cycles, per-moment
 breakdowns, and the serialization overhead relative to a ``BS = infinity``
 controller.
+
+A group can only serialize when more than ``BS`` of its qubits need pulses
+in the same moment: with at most ``BS`` requests, every cycle's distinct
+delay values fit in the group's bitstreams.  So the scheduler costs most
+moments from two cheap facts per gate, its pulse count and its group, and
+consults the delay model (a SHA-256 hash without a calibration) and the
+greedy grant loop only for moments where some group is over-subscribed.
+DigiQ_min never reads delay values at all, only sequence lengths.
 """
 
 from __future__ import annotations
@@ -116,6 +124,22 @@ class SIMDScheduleResult:
         }
 
 
+def _synthetic_pulses(gate: Gate, config: DigiQConfig) -> int:
+    """Controller cycles of a single-qubit gate under the synthetic model.
+
+    Virtual Rz gates take none.  DigiQ_opt needs two basis pulses for a
+    generic ``u3`` and one for any other rotation; DigiQ_min needs its
+    typical sequence depth for a ``u3`` and at least three gates otherwise.
+    The count depends on the gate's name only.
+    """
+    if gate.name == "rz":
+        return 0
+    if config.is_opt:
+        return 2 if gate.name == "u3" else 1
+    typical = config.typical_u3_cycles()
+    return typical if gate.name == "u3" else max(3, typical // 2)
+
+
 def _synthetic_delays(gate: Gate, config: DigiQConfig, num_qubits: int) -> Tuple[int, ...]:
     """Deterministic per-qubit delay sequence for a gate without a full calibration.
 
@@ -125,16 +149,9 @@ def _synthetic_delays(gate: Gate, config: DigiQConfig, num_qubits: int) -> Tuple
     hash of (qubit, gate name, rounded parameters, pulse index): deterministic
     across runs, different across qubits, uniform over the delay range.
     """
-    if gate.name == "rz":
-        return ()
-    if config.is_opt:
-        pulses = 2 if gate.name == "u3" else 1
-    else:
-        typical = config.typical_u3_cycles()
-        pulses = typical if gate.name == "u3" else max(3, typical // 2)
     qubit = gate.qubits[0]
     delays = []
-    for step in range(pulses):
+    for step in range(_synthetic_pulses(gate, config)):
         payload = f"{qubit}:{gate.name}:{tuple(round(p, 6) for p in gate.params)}:{step}"
         digest = hashlib.sha256(payload.encode()).digest()
         delays.append(int.from_bytes(digest[:4], "little") % (config.n_delay_slots + 1))
@@ -163,6 +180,11 @@ class SIMDScheduler:
     def __init__(self, config: DigiQConfig, calibration: Optional[DeviceCalibration] = None):
         self.config = config
         self.calibration = calibration
+        # Per-config constants, hoisted out of the per-moment loop.
+        self._cz_cycles = config.cz_decomposed_cycles()
+        self._cycle_ns = config.controller_cycle_ns()
+        # Synthetic pulse count per gate name (see _synthetic_pulses).
+        self._pulse_counts: Dict[str, int] = {}
 
     # -- per-gate requirements -----------------------------------------------------
 
@@ -228,26 +250,72 @@ class SIMDScheduler:
         return cycles, ideal
 
     def moment_cost(self, moment: Moment, index: int, num_qubits: int) -> MomentCost:
-        """Controller-cycle cost of one compiled moment."""
-        requirements = [
-            self.gate_requirement(gate, num_qubits)
-            for gate in moment.single_qubit_gates
-        ]
-        single_cycles, ideal_single = self._single_qubit_cycles(requirements)
+        """Controller-cycle cost of one compiled moment, from one pass over its gates.
+
+        Without a calibration, a single-qubit gate is known by two cheap
+        facts: its synthetic pulse count and its group.  Delay values are
+        hashed, and the greedy grant loop run, only when some group has more
+        than ``BS`` gates that need pulses; otherwise every group's requests
+        fit in its bitstreams each cycle and the moment takes its ideal
+        cycles.
+        """
+        config = self.config
+        calibrated = self.calibration is not None
+        pulse_counts = self._pulse_counts
+        group_of_qubit = config.group_of_qubit
+        requirements: List[GateRequirement] = []
+        pulsed: List[Tuple[Gate, int]] = []
+        occupancy: Dict[int, int] = {}
+        num_single = num_two = ideal_single = 0
+        for gate in moment.gates:
+            width = len(gate.qubits)
+            if width == 2:
+                num_two += 1
+                continue
+            if width != 1:
+                continue
+            num_single += 1
+            if calibrated:
+                requirements.append(self.gate_requirement(gate, num_qubits))
+                continue
+            group = group_of_qubit(gate.qubits[0], num_qubits)
+            pulses = pulse_counts.get(gate.name)
+            if pulses is None:
+                pulses = pulse_counts[gate.name] = _synthetic_pulses(gate, config)
+            if pulses:
+                pulsed.append((gate, group))
+                occupancy[group] = occupancy.get(group, 0) + 1
+                if pulses > ideal_single:
+                    ideal_single = pulses
+
+        if calibrated:
+            single_cycles, ideal_single = self._single_qubit_cycles(requirements)
+        elif not config.is_opt or max(occupancy.values(), default=0) <= config.bitstreams:
+            # DigiQ_min broadcasts its whole gate set every cycle; DigiQ_opt
+            # grants at most occupancy <= BS distinct delays per group.
+            single_cycles = ideal_single
+        else:
+            single_cycles, ideal_single = self._single_qubit_cycles(
+                [
+                    GateRequirement(
+                        qubit=gate.qubits[0],
+                        group=group,
+                        delays=_synthetic_delays(gate, config, num_qubits),
+                    )
+                    for gate, group in pulsed
+                ]
+            )
         # A software-calibrated CZ is an echo sequence of Uqq pulses with
         # interleaved single-qubit gates (Sec. V-B), so it occupies far more
         # than one pulse worth of controller cycles.
-        two_qubit_cycles = (
-            self.config.cz_decomposed_cycles() if moment.two_qubit_gates else 0
-        )
-        ideal = max(ideal_single, two_qubit_cycles)
+        two_qubit_cycles = self._cz_cycles if num_two else 0
         return MomentCost(
             index=index,
             single_qubit_cycles=single_cycles,
             two_qubit_cycles=two_qubit_cycles,
-            ideal_cycles=ideal,
-            num_single_qubit_gates=len(moment.single_qubit_gates),
-            num_two_qubit_gates=len(moment.two_qubit_gates),
+            ideal_cycles=max(ideal_single, two_qubit_cycles),
+            num_single_qubit_gates=num_single,
+            num_two_qubit_gates=num_two,
         )
 
     # -- whole-circuit scheduling -----------------------------------------------------
@@ -269,5 +337,5 @@ class SIMDScheduler:
             moments=costs,
             total_cycles=total,
             ideal_cycles=ideal,
-            controller_cycle_ns=self.config.controller_cycle_ns(),
+            controller_cycle_ns=self._cycle_ns,
         )

@@ -36,21 +36,7 @@ from .spec import (
     ExperimentSpec,
     FidelityOptions,
 )
-from .store import canonical_json
-
-#: Bump when the result row schema changes; part of every job key so stale
-#: cache entries from older schema versions are never reused.
-#: v2: Monte-Carlo fidelity columns + fidelity options in the job key.
-#: v3: pass-manager compile options (opt_level/pipeline/routing_seed) in the
-#: job key, opt_level column, per-pass compile trace stored with each result.
-#: v4: jobs are keyed on the full backend description (topology + config +
-#: controller + calibration) instead of a bare DigiQConfig; rows carry the
-#: backend name.
-#: v5: circuit-level jobs — arbitrary user circuits (submitted through
-#: ``repro.primitives``) share the keyspace with benchmark jobs; specs of
-#: user-circuit jobs record the circuit fingerprint and worker payloads may
-#: carry a serialized gate stream instead of a generator name.
-RESULT_SCHEMA_VERSION = 5
+from .store import RESULT_SCHEMA_VERSION, canonical_json
 
 #: Canonical column order of a result row.  Stored entries round-trip through
 #: sorted-key JSON, so presentation order is re-imposed from this list.
@@ -182,7 +168,10 @@ def _result_row(
     spec: ExperimentSpec, compiled: CompiledCircuit, sim_workers: int = 1
 ) -> Dict[str, object]:
     """The Fig. 9 row for one (compiled benchmark, backend) pair, with compile stats."""
-    estimate = normalized_execution_time(compiled, spec.config, benchmark_name=spec.benchmark)
+    with telemetry.span("job.simd_schedule", backend=spec.backend.name):
+        estimate = normalized_execution_time(
+            compiled, spec.config, benchmark_name=spec.benchmark
+        )
     row = estimate.as_row()
     row.update(
         {

@@ -19,6 +19,20 @@ from typing import Dict, Iterable, List, Optional
 
 from .. import telemetry
 
+#: Bump when the result row schema changes; part of every job key so stale
+#: cache entries from older schema versions are never reused.
+#: v2: Monte-Carlo fidelity columns + fidelity options in the job key.
+#: v3: pass-manager compile options (opt_level/pipeline/routing_seed) in the
+#: job key, opt_level column, per-pass compile trace stored with each result.
+#: v4: jobs are keyed on the full backend description (topology + config +
+#: controller + calibration) instead of a bare DigiQConfig; rows carry the
+#: backend name.
+#: v5: circuit-level jobs — arbitrary user circuits (submitted through
+#: ``repro.primitives``) share the keyspace with benchmark jobs; specs of
+#: user-circuit jobs record the circuit fingerprint and worker payloads may
+#: carry a serialized gate stream instead of a generator name.
+RESULT_SCHEMA_VERSION = 5
+
 #: Default store location, relative to the current working directory.
 DEFAULT_STORE_DIR = ".repro_cache/sweeps"
 
@@ -30,6 +44,14 @@ def canonical_json(data: Dict[str, object]) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _mislabeled(entry: object, key: str) -> bool:
+    """Whether a parsed entry names another job key or result schema."""
+    if not isinstance(entry, dict) or "key" not in entry:
+        return False
+    schema = entry.get("schema", RESULT_SCHEMA_VERSION)
+    return entry["key"] != key or schema != RESULT_SCHEMA_VERSION
+
+
 class ResultStore:
     """A directory of content-addressed job results."""
 
@@ -37,6 +59,7 @@ class ResultStore:
         self.root = Path(root) if root is not None else Path(DEFAULT_STORE_DIR)
         self._corrupt_seen = 0
         self._warned_corrupt = False
+        self._warned_mismatch = False
 
     # -- addressing -----------------------------------------------------------------
 
@@ -56,6 +79,12 @@ class ResultStore:
         the ``store.corrupt`` counter and the instance's ``stats()['corrupt']``
         count, and the first one per store instance logs a warning naming
         the offending path.
+
+        An entry whose stored ``key`` names another job, or whose ``schema``
+        is not :data:`RESULT_SCHEMA_VERSION`, was copied or left under the
+        wrong name: it reads as a miss too, bumps ``store.mismatch`` and is
+        warned about once per instance.  Entries without a ``key`` field are
+        served as stored.
         """
         path = self.path_for(key)
         try:
@@ -77,6 +106,21 @@ class ResultStore:
                     "silently — see stats()['corrupt'])",
                     self.root,
                     path,
+                )
+            return None
+        if _mislabeled(result, key):
+            telemetry.counter("store.mismatch").inc()
+            telemetry.counter("store.miss").inc()
+            if not self._warned_mismatch:
+                self._warned_mismatch = True
+                logger.warning(
+                    "result store %s holds an entry at %s labelled key=%s schema=%s; "
+                    "treating as a cache miss (further mislabeled entries in this "
+                    "store are counted silently as store.mismatch)",
+                    self.root,
+                    path,
+                    result.get("key"),
+                    result.get("schema"),
                 )
             return None
         telemetry.counter("store.hit").inc()

@@ -27,10 +27,16 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.circuits.benchmarks import TABLE_IV_NAMES, build_benchmark
+from repro.circuits.gate import Gate
 from repro.circuits.library import gate_matrix
 from repro.compiler import compile_circuit
+from repro.compiler.scheduling import Moment, Schedule
+from repro.core import scheduler as scheduler_module
 from repro.core.architecture import DigiQConfig
 from repro.core.calibration import DeviceCalibration
 from repro.core.decomposition import OptDecomposition
@@ -236,3 +242,183 @@ def test_calibrated_path_matches_reference_oracle(config):
         compiled.coupling.num_qubits,
     )
     assert result.total_cycles >= result.ideal_cycles
+
+
+# -- properties of the model over random moments -------------------------------------
+
+
+ONE_QUBIT_GATES = ("rz", "u3", "rx", "sx")
+
+
+@st.composite
+def random_schedules(draw):
+    """A few moments of disjoint-qubit gates on a square grid device.
+
+    Few distinct angles keep repeated (qubit, gate) requests likely, and
+    the configs below use few delay slots, so groups often ask for equal
+    delay values: that is where the greedy grant's vote counts matter.
+    """
+    num_qubits = draw(st.sampled_from((4, 9, 16, 36)))
+    moments = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(range(num_qubits)))
+        num_cz = draw(st.integers(0, num_qubits // 4))
+        num_single = draw(st.integers(0, num_qubits - 2 * num_cz))
+        gates = [Gate("cz", (order[2 * i], order[2 * i + 1])) for i in range(num_cz)]
+        for qubit in order[2 * num_cz : 2 * num_cz + num_single]:
+            name = draw(st.sampled_from(ONE_QUBIT_GATES))
+            params = () if name == "sx" else (draw(st.sampled_from((0.0, 0.5, 1.5))),)
+            gates.append(Gate(name, (qubit,), params))
+        moments.append(Moment(draw(st.permutations(gates))))
+    return Schedule(moments=moments, num_qubits=num_qubits)
+
+
+def random_configs(variant=None):
+    return st.builds(
+        DigiQConfig,
+        variant=st.sampled_from(("opt", "min")) if variant is None else st.just(variant),
+        groups=st.integers(1, 4),
+        bitstreams=st.integers(1, 8),
+        n_delay_slots=st.sampled_from((1, 2, 3, 255)),
+    )
+
+
+def max_occupancy(moment, config):
+    """Largest number of pulsed (non-Rz) single-qubit gates in one group."""
+    occupancy = Counter(
+        gate.qubits[0] % config.groups
+        for gate in moment.gates
+        if gate.is_single_qubit and gate.name != "rz"
+    )
+    return max(occupancy.values(), default=0)
+
+
+def virtual_only(moment):
+    """1 for a moment of only virtual Rz gates: charged a cycle, ideal 0."""
+    return int(bool(moment.gates) and all(gate.name == "rz" for gate in moment.gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_schedules(), random_configs())
+def test_random_moments_match_reference_oracle(schedule, config):
+    assert_matches_reference(SIMDScheduler(config), schedule, schedule.num_qubits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_schedules(), random_configs())
+def test_total_cycles_at_least_ideal(schedule, config):
+    result = SIMDScheduler(config).schedule_moments(schedule, schedule.num_qubits)
+    assert result.total_cycles >= result.ideal_cycles
+    assert result.serialization_overhead >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_schedules(), random_configs())
+def test_enough_bitstreams_never_serialize(schedule, config):
+    config = config.with_bitstreams(
+        max(max_occupancy(moment, config) for moment in schedule.moments) or 1
+    )
+    result = SIMDScheduler(config).schedule_moments(schedule, schedule.num_qubits)
+    for moment, cost in zip(schedule.moments, result.moments):
+        assert cost.single_qubit_cycles <= cost.ideal_cycles
+        assert cost.serialization_cycles == virtual_only(moment)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_schedules(), random_configs(variant="min"))
+def test_digiq_min_never_serializes(schedule, config):
+    result = SIMDScheduler(config).schedule_moments(schedule, schedule.num_qubits)
+    for moment, cost in zip(schedule.moments, result.moments):
+        deepest = max(
+            (len(reference_delays(gate, config)) for gate in moment.gates if gate.is_single_qubit),
+            default=0,
+        )
+        assert cost.single_qubit_cycles == deepest
+        assert cost.serialization_cycles == virtual_only(moment)
+
+
+#: Seven gates in one group whose greedy grant takes more cycles at BS = 3
+#: than at BS = 2.  Synthetic delays with 5 delay slots, in gate order:
+#: (1, 2), (1,), (3,), (2, 0), (3,), (2, 3), (5, 3).  At BS = 3 the first
+#: cycle grants 1, 3 and 2 (three two-vote ties, broken by request order);
+#: the second grants three one-vote values in request order; both times the
+#: lone request for 5 loses, and qubit 12's two pulses then run alone.
+NON_MONOTONE_MOMENT = Moment(
+    [
+        Gate("u3", (14,), (1.5,)),
+        Gate("rx", (7,), (1.5,)),
+        Gate("rx", (13,), (0.5,)),
+        Gate("u3", (0,), (0.0,)),
+        Gate("rx", (11,), (1.5,)),
+        Gate("u3", (15,), (1.5,)),
+        Gate("u3", (12,), (1.5,)),
+    ]
+)
+
+
+def test_greedy_grant_is_not_monotone_in_bitstreams():
+    cycles = {}
+    for bs in range(1, 8):
+        config = DigiQConfig.opt(groups=1, bitstreams=bs, n_delay_slots=5)
+        cost = SIMDScheduler(config).moment_cost(NON_MONOTONE_MOMENT, 0, 16)
+        assert cost == reference_moment_cost(NON_MONOTONE_MOMENT, 0, 16, config)
+        cycles[bs] = cost.cycles
+    assert cycles == {1: 6, 2: 3, 3: 4, 4: 2, 5: 2, 6: 2, 7: 2}
+
+
+def test_table_iv_cycles_non_increasing_in_bitstreams():
+    goldens = json.loads(GOLDEN_PATH.read_text())
+    for name in TABLE_IV_NAMES:
+        for qubits in QUBITS:
+            for groups in (1, 2, 4):
+                totals = [
+                    goldens[f"{name}@{qubits}q/opt-g{groups}-bs{bs}"]["total_cycles"]
+                    for bs in (1, 2, 4, 8, 16)
+                ]
+                assert totals == sorted(totals, reverse=True), (name, qubits, groups)
+
+
+def test_out_of_range_qubit_is_rejected():
+    schedule = Schedule(moments=[Moment([Gate("rz", (4,), (0.5,))])], num_qubits=5)
+    for config in (DigiQConfig.opt(), DigiQConfig.minimal()):
+        with pytest.raises(ValueError, match="outside device"):
+            SIMDScheduler(config).schedule_moments(schedule, 4)
+
+
+# -- delays are hashed only where a group can serialize ------------------------------
+
+
+def count_delay_calls(monkeypatch):
+    calls = []
+    original = scheduler_module._synthetic_delays
+
+    def counting(gate, config, num_qubits):
+        calls.append(gate)
+        return original(gate, config, num_qubits)
+
+    monkeypatch.setattr(scheduler_module, "_synthetic_delays", counting)
+    return calls
+
+
+def test_table_iv_designs_at_16q_never_hash_delays(monkeypatch):
+    calls = count_delay_calls(monkeypatch)
+    for backend in ("digiq-opt8", "digiq-opt16", "digiq-min2"):
+        config = get_backend(backend).config
+        for name in TABLE_IV_NAMES:
+            SIMDScheduler(config).schedule(compiled_benchmark(name, 16))
+    assert calls == []
+
+
+def test_only_over_subscribed_groups_hash_delays(monkeypatch):
+    calls = count_delay_calls(monkeypatch)
+    config = DigiQConfig.opt(groups=1, bitstreams=2)
+    compiled = compiled_benchmark("ising", 16)
+    SIMDScheduler(config).schedule(compiled)
+    over_subscribed = [
+        moment for moment in compiled.schedule.moments if max_occupancy(moment, config) > 2
+    ]
+    assert over_subscribed
+    assert len(calls) == sum(
+        1 for moment in over_subscribed for gate in moment.gates
+        if gate.is_single_qubit and gate.name != "rz"
+    )

@@ -1,8 +1,12 @@
 """Tests for the content-addressed on-disk result store."""
 
+import shutil
+
 import pytest
 
-from repro.runtime.store import ResultStore, canonical_json
+from repro.runtime.dispatch import run_sweep
+from repro.runtime.spec import SweepGrid
+from repro.runtime.store import RESULT_SCHEMA_VERSION, ResultStore, canonical_json
 
 KEY_A = "ab" + "0" * 62
 KEY_B = "cd" + "1" * 62
@@ -172,6 +176,56 @@ class TestStatsAndPrune:
         assert store.prune(max_entries=0, keep=[KEY_A]) == []
         assert store.keys() == [KEY_A]
 
+
+
+class TestMislabeledEntries:
+    """An entry is served only under the key and schema it was written for."""
+
+    def _entry(self, key, schema=RESULT_SCHEMA_VERSION):
+        return {"schema": schema, "key": key, "row": {"benchmark": "bv"}}
+
+    def test_entry_copied_under_another_key_reads_as_miss(self, tmp_path, caplog):
+        from repro import telemetry
+
+        store = ResultStore(tmp_path)
+        path_a = store.put(KEY_A, self._entry(KEY_A))
+        path_b = store.path_for(KEY_B)
+        path_b.parent.mkdir(parents=True)
+        shutil.copyfile(path_a, path_b)
+        mismatch, hit = telemetry.counter("store.mismatch"), telemetry.counter("store.hit")
+        before = (mismatch.value, hit.value)
+        with caplog.at_level("WARNING", logger="repro.runtime.store"):
+            assert store.get(KEY_B) is None
+            assert KEY_B not in store
+        assert (mismatch.value, hit.value) == (before[0] + 2, before[1])
+        # one warning per store instance, naming the mislabeled path
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert str(path_b) in warnings[0].getMessage()
+        # the original is still served under its own key
+        assert store.get(KEY_A) == self._entry(KEY_A)
+        assert store.stats()["corrupt"] == 0
+
+    def test_entry_of_another_schema_reads_as_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(KEY_A, self._entry(KEY_A, schema=RESULT_SCHEMA_VERSION - 1))
+        assert store.get(KEY_A) is None
+
+    def test_entries_without_a_key_are_served_as_stored(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(KEY_A, {"schema": RESULT_SCHEMA_VERSION - 1, "x": 1})
+        assert store.get(KEY_A) == {"schema": RESULT_SCHEMA_VERSION - 1, "x": 1}
+
+    def test_sweep_recomputes_and_replaces_a_mislabeled_entry(self, tmp_path):
+        grid = SweepGrid(benchmarks=("bv", "ising"), backends=("opt8",), num_qubits=6)
+        store = ResultStore(tmp_path)
+        first = run_sweep(grid, store=store)
+        key_a, key_b = first.keys
+        shutil.copyfile(store.path_for(key_a), store.path_for(key_b))
+        second = run_sweep(grid, store=store)
+        assert second.computed_keys == [key_b]
+        assert second.rows == first.rows
+        assert store.get(key_b)["key"] == key_b
 
 class TestCanonicalJson:
     def test_sorted_and_compact(self):

@@ -43,6 +43,14 @@ def tree_shape(node):
     }
 
 
+def find_spans(nodes, name):
+    """Every node called ``name`` in a span forest, depth first."""
+    for node in nodes:
+        if node["name"] == name:
+            yield node
+        yield from find_spans(node["children"], name)
+
+
 def run_and_snapshot(workers, store_dir):
     telemetry.reset()
     with telemetry.collecting():
@@ -74,6 +82,22 @@ class TestParallelTelemetryEquivalence:
         assert set(parallel_hists) == set(serial_hists)
         for name in serial_hists:
             assert parallel_hists[name]["count"] == serial_hists[name]["count"]
+
+    def test_every_job_has_one_simd_schedule_span(self, tmp_path):
+        serial_tree, _ = run_and_snapshot(1, tmp_path / "serial")
+        parallel_tree, _ = run_and_snapshot(2, tmp_path / "parallel")
+        for tree in (serial_tree, parallel_tree):
+            jobs = list(find_spans(tree, "job.execute"))
+            assert len(jobs) == 2
+            for job in jobs:
+                schedules = [
+                    child for child in job["children"] if child["name"] == "job.simd_schedule"
+                ]
+                assert len(schedules) == 1
+                assert schedules[0]["attrs"]["backend"] == job["attrs"]["backend"]
+        assert [tree_shape(root) for root in parallel_tree] == [
+            tree_shape(root) for root in serial_tree
+        ]
 
     def test_parallel_sweep_records_nothing_when_disabled(self, tmp_path):
         telemetry.reset()
