@@ -9,7 +9,7 @@ Add2    Carry-lookahead adder (256-bit in the paper)
 Sqrt10  10-bit square root via Grover search
 QFT     Quantum Fourier transform (all-to-all; not in the paper)
 QAOA    QAOA MaxCut on a seeded random graph (not in the paper)
-GHZ     GHZ core + seeded phase layers (sparse-kernel workload)
+GHZ     GHZ core + seeded phase layers (two-amplitude support)
 ======  =========================================================
 
 :func:`benchmark_suite` builds the full suite scaled to a target device size,

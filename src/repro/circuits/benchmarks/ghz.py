@@ -1,16 +1,12 @@
-"""GHZ-phase benchmark: a low-entanglement workload for the sparse kernel.
+"""GHZ-phase benchmark: a non-Clifford circuit with a two-amplitude support.
 
 One Hadamard opens a two-amplitude superposition, a CX ladder stretches it
 into an ``n``-qubit GHZ core, and seeded layers of arbitrary ``rz`` phases
 interleaved with further CX ladders dress it with non-Clifford structure —
 without ever branching again.  The statevector therefore holds exactly two
-nonzero amplitudes from the second gate to the last, at any register width:
-the canonical circuit whose dense ``2**n`` simulation cost is pure waste,
-and the workload ``repro bench --sparse`` uses to exercise the sparse
-trajectory kernel past the dense 24-qubit ceiling.
-
-The arbitrary phase angles keep the circuit out of the Clifford fast path,
-so ``mode="auto"`` lands on the sparse kernel, not the stabilizer one.
+nonzero amplitudes from the second gate to the last, at any register width.
+It is a registered benchmark like the others; its fidelity runs on the dense
+trajectory kernel, so they are bounded by that kernel's 24-qubit ceiling.
 """
 
 from __future__ import annotations

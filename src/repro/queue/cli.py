@@ -27,7 +27,6 @@ from typing import Dict, Optional, Sequence
 from .. import telemetry
 from ..compiler.pipeline import DEFAULT_OPT_LEVEL, OPT_LEVELS
 from ..runtime.spec import CompileOptions, ExperimentSpec, FidelityOptions
-from ..simulation.trajectories import PLAN_MODES
 from .client import QueueClient, QueueServerError
 from .model import PRIORITIES
 from .scheduler import DEFAULT_QUEUE_WORKERS
@@ -131,10 +130,6 @@ def build_queue_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--trajectories", type=int, default=100, metavar="N")
     submit.add_argument(
-        "--sim-mode", default="auto", choices=tuple(PLAN_MODES), dest="sim_mode",
-        help="trajectory kernel for --fidelity jobs (default auto)",
-    )
-    submit.add_argument(
         "--priority", default="batch", choices=PRIORITIES,
         help="admission priority class (default batch)",
     )
@@ -227,7 +222,7 @@ def _submit(client: QueueClient, args: argparse.Namespace) -> int:
         seed=args.seed,
         compile_options=CompileOptions(opt_level=args.opt_level),
         fidelity=(
-            FidelityOptions(trajectories=args.trajectories, mode=args.sim_mode)
+            FidelityOptions(trajectories=args.trajectories)
             if args.fidelity
             else None
         ),

@@ -4,17 +4,13 @@
 through the real compile pipeline — and, with ``fidelity=True``, through the
 Monte-Carlo trajectory engine — inside a :func:`repro.telemetry.collecting`
 window, then folds the aggregated spans and the metrics delta into a
-schema-versioned report (:data:`BENCH_SCHEMA`).  ``sparse=True`` adds the
-``sim_sparse`` stage: the GHZ-phase benchmark run through the sparse
-low-entanglement trajectory kernel, once past the dense 24-qubit ceiling
-(completion check) and once head-to-head against the dense statevector
-kernel at a width both can simulate (``speedup_vs_dense``).
+schema-versioned report (:data:`BENCH_SCHEMA`).
 
 :func:`bench_main` (the ``repro bench`` subcommand) writes the report to
 ``BENCH_<rev>.json`` — ``rev`` defaults to the short git revision — and can
 gate CI with ``--check BASELINE``: the run fails when any benchmark's
 compile throughput (at both the default level and ``-O2``) — or, for
-fidelity/sparse runs, its Monte-Carlo trajectory throughput — drops more
+fidelity runs, its Monte-Carlo trajectory throughput — drops more
 than ``--tolerance`` (default 25%) below the committed baseline.  Stages
 the baseline predates are skipped with a printed warning, never a failure
 (:func:`baseline_stage_gaps`).
@@ -24,7 +20,7 @@ the baseline predates are skipped with a printed warning, never a failure
 Examples::
 
     python -m repro.runtime bench --quick
-    python -m repro.runtime bench --quick --fidelity --sparse
+    python -m repro.runtime bench --quick --fidelity
     python -m repro.runtime bench --quick --fidelity --rev baseline
     python -m repro.runtime bench --quick --check BENCH_baseline.json
     python -m repro.runtime bench --quick --pass-table --profile-out bench.prof
@@ -41,7 +37,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from .. import telemetry
 from ..analysis.report import format_table
-from ..circuits.benchmarks import TABLE_IV_NAMES, build_benchmark, ghz_phase_circuit
+from ..circuits.benchmarks import TABLE_IV_NAMES, build_benchmark
 from ..compiler.pipeline import DEFAULT_OPT_LEVEL, OPT_LEVELS, compile_circuit
 from ..simulation.channels import NoiseModel
 from ..simulation.engine import run_trajectories
@@ -53,17 +49,11 @@ BENCH_SCHEMA = "repro-bench/v1"
 #: Compile-stage parameters: (device qubits, timed repeats per benchmark).
 FULL_PROFILE = {
     "qubits": 16, "repeats": 7, "trajectories": 100, "traj_batch": 25, "sim_qubits": 10,
-    "sparse_qubits": 20, "sparse_big_qubits": 32,
-    "sparse_trajectories": 200, "sparse_dense_trajectories": 10,
 }
 # Quick compiles are a few milliseconds, so the regression gate needs several
 # repeats for a stable best-of time; seven keeps the whole suite under a second.
-# The sparse stage's dense-comparison row dominates its wall time (each dense
-# 20-qubit trajectory costs ~2 s), so it runs only a handful of trajectories.
 QUICK_PROFILE = {
     "qubits": 8, "repeats": 7, "trajectories": 100, "traj_batch": 25, "sim_qubits": 6,
-    "sparse_qubits": 20, "sparse_big_qubits": 28,
-    "sparse_trajectories": 100, "sparse_dense_trajectories": 5,
 }
 
 
@@ -151,70 +141,10 @@ def bench_fidelity(
     }
 
 
-def _sparse_row(
-    num_qubits: int, mode: str, trajectories: int, batch_size: int
-) -> Dict[str, object]:
-    """One ``sim_sparse`` row: the GHZ-phase workload on one kernel."""
-    circuit = ghz_phase_circuit(num_qubits=num_qubits, seed=0)
-    noise = NoiseModel.uniform(circuit.num_qubits)
-    start = time.perf_counter()
-    result = run_trajectories(
-        circuit,
-        noise,
-        num_trajectories=trajectories,
-        seed=0,
-        batch_size=batch_size,
-        mode=mode,
-    )
-    wall = time.perf_counter() - start
-    label = "dense" if mode == "statevector" else "sparse"
-    return {
-        "benchmark": f"ghz{num_qubits}-{label}",
-        "qubits": num_qubits,
-        "mode": mode,
-        "trajectories": result.num_trajectories,
-        "wall_s": wall,
-        "throughput_traj_per_s": result.num_trajectories / wall if wall > 0 else None,
-        "state_fidelity": result.state_fidelity,
-        "kicks": result.kicks,
-        "nnz_peak": result.nnz_peak,
-    }
-
-
-def bench_sparse(
-    sparse_qubits: int,
-    big_qubits: int,
-    trajectories: int,
-    dense_trajectories: int,
-    batch_size: int,
-) -> List[Dict[str, object]]:
-    """The ``sim_sparse`` stage: sparse-kernel throughput on GHZ-phase.
-
-    Three rows: the sparse kernel at ``big_qubits`` (past the dense
-    24-qubit ceiling — completing at all is the point), the sparse kernel
-    at ``sparse_qubits``, and the dense statevector kernel at the same
-    ``sparse_qubits`` for a head-to-head.  The head-to-head sparse row
-    carries ``speedup_vs_dense``; the dense row runs far fewer
-    trajectories because each one costs seconds at 20 qubits.
-    """
-    rows = [
-        _sparse_row(big_qubits, "sparse", trajectories, batch_size),
-        _sparse_row(sparse_qubits, "sparse", trajectories, batch_size),
-        _sparse_row(sparse_qubits, "statevector", dense_trajectories, batch_size),
-    ]
-    sparse_tp = rows[1]["throughput_traj_per_s"]
-    dense_tp = rows[2]["throughput_traj_per_s"]
-    rows[1]["speedup_vs_dense"] = (
-        sparse_tp / dense_tp if sparse_tp and dense_tp else None
-    )
-    return rows
-
-
 def run_bench(
     benchmarks: Sequence[str] = TABLE_IV_NAMES,
     quick: bool = False,
     fidelity: bool = False,
-    sparse: bool = False,
     opt_level: int = DEFAULT_OPT_LEVEL,
     rev: str = "local",
 ) -> Dict[str, object]:
@@ -247,15 +177,6 @@ def run_bench(
                 )
                 for name in benchmarks
             ]
-        sparse_rows = None
-        if sparse:
-            sparse_rows = bench_sparse(
-                profile["sparse_qubits"],
-                profile["sparse_big_qubits"],
-                profile["sparse_trajectories"],
-                profile["sparse_dense_trajectories"],
-                profile["traj_batch"],
-            )
         spans = telemetry.snapshot_spans()
     report: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
@@ -283,16 +204,6 @@ def run_bench(
             }
         )
         report["fidelity"] = fidelity_rows
-    if sparse_rows is not None:
-        report["params"].update(
-            {
-                "sparse_qubits": profile["sparse_qubits"],
-                "sparse_big_qubits": profile["sparse_big_qubits"],
-                "sparse_trajectories": profile["sparse_trajectories"],
-                "sparse_dense_trajectories": profile["sparse_dense_trajectories"],
-            }
-        )
-        report["sim_sparse"] = sparse_rows
     return report
 
 
@@ -304,7 +215,6 @@ _GATED_STAGES = (
     ("compile", "throughput_per_s", "compile throughput"),
     ("compile_o2", "throughput_per_s", "compile throughput (-O2)"),
     ("fidelity", "throughput_traj_per_s", "trajectory throughput"),
-    ("sim_sparse", "throughput_traj_per_s", "sparse trajectory throughput"),
 )
 
 
@@ -436,26 +346,6 @@ def _fidelity_table(rows: Sequence[Mapping[str, object]]) -> List[Dict[str, obje
     ]
 
 
-def _sparse_table(rows: Sequence[Mapping[str, object]]) -> List[Dict[str, object]]:
-    return [
-        {
-            "benchmark": row["benchmark"],
-            "qubits": row["qubits"],
-            "mode": row["mode"],
-            "trajectories": row["trajectories"],
-            "wall_s": f"{row['wall_s']:.2f}",
-            "traj_per_s": f"{row['throughput_traj_per_s']:.1f}",
-            "nnz_peak": row["nnz_peak"],
-            "vs_dense": (
-                f"{row['speedup_vs_dense']:.0f}x"
-                if row.get("speedup_vs_dense")
-                else "-"
-            ),
-        }
-        for row in rows
-    ]
-
-
 def build_bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime bench",
@@ -472,11 +362,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fidelity", action="store_true",
         help="also measure Monte-Carlo trajectory throughput per benchmark",
-    )
-    parser.add_argument(
-        "--sparse", action="store_true",
-        help="also measure the sparse trajectory kernel on the GHZ-phase "
-        "workload (past the dense ceiling, plus a dense head-to-head)",
     )
     parser.add_argument(
         "--opt-level", type=int, default=DEFAULT_OPT_LEVEL, choices=OPT_LEVELS,
@@ -529,7 +414,6 @@ def bench_main(argv: Sequence[str]) -> int:
         benchmarks=args.benchmarks,
         quick=args.quick,
         fidelity=args.fidelity,
-        sparse=args.sparse,
         opt_level=args.opt_level,
         rev=rev,
     )
@@ -552,14 +436,6 @@ def bench_main(argv: Sequence[str]) -> int:
         print(
             format_table(
                 _fidelity_table(report["fidelity"]), title="Trajectory throughput"
-            )
-        )
-    if "sim_sparse" in report:
-        print()
-        print(
-            format_table(
-                _sparse_table(report["sim_sparse"]),
-                title="Sparse kernel throughput (GHZ-phase)",
             )
         )
     if args.pass_table:

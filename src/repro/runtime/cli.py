@@ -50,7 +50,7 @@ from ..backends import Backend, list_backends
 from ..circuits.benchmarks import BENCHMARK_NAMES
 from ..compiler.layout import LAYOUT_STRATEGIES
 from ..compiler.pipeline import DEFAULT_OPT_LEVEL, OPT_LEVELS, PIPELINE_NAMES
-from ..simulation.trajectories import DEFAULT_BATCH_SIZE, PLAN_MODES
+from ..simulation.trajectories import DEFAULT_BATCH_SIZE
 from .dispatch import SweepReport, run_sweep
 from .executor import default_worker_count
 from .spec import (
@@ -170,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-sim-qubits", type=int, default=16, metavar="Q",
         help="skip fidelity simulation of devices beyond this physical size (default 16)",
-    )
-    parser.add_argument(
-        "--sim-mode", choices=PLAN_MODES, default="auto",
-        help="trajectory kernel used with --fidelity: auto picks stabilizer/"
-        "sparse/statevector per circuit; the rest force one (default auto)",
     )
     parser.add_argument(
         "--format", choices=("table", "json"), default="table", dest="output_format",
@@ -412,7 +407,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ("--traj-batch", args.traj_batch, DEFAULT_BATCH_SIZE),
                 ("--noise-seed", args.noise_seed, 0),
                 ("--max-sim-qubits", args.max_sim_qubits, 16),
-                ("--sim-mode", args.sim_mode, "auto"),
             )
             if value != default
         ]
@@ -431,7 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 batch_size=args.traj_batch,
                 noise_seed=args.noise_seed,
                 max_qubits=args.max_sim_qubits,
-                mode=args.sim_mode,
             )
         grid = SweepGrid(
             benchmarks=tuple(args.benchmarks),

@@ -159,7 +159,6 @@ def _fidelity_row(
         seed=spec.seed,
         batch_size=options.batch_size,
         workers=max(1, sim_workers),
-        mode=options.mode,
     )
     return result.as_row()
 

@@ -28,7 +28,7 @@ from ..circuits.circuit import QuantumCircuit, circuit_fingerprint
 from ..compiler.layout import LAYOUT_STRATEGIES
 from ..compiler.pipeline import DEFAULT_OPT_LEVEL, OPT_LEVELS, PIPELINE_NAMES
 from ..core.architecture import DigiQConfig
-from ..simulation.trajectories import DEFAULT_BATCH_SIZE, PLAN_MODES
+from ..simulation.trajectories import DEFAULT_BATCH_SIZE, MAX_DENSE_QUBITS
 
 #: Default sweep axes used by ``python -m repro.runtime`` with no arguments.
 DEFAULT_BENCHMARKS: Tuple[str, ...] = ("qgan", "ising", "bv")
@@ -140,30 +140,25 @@ class FidelityOptions:
     the job's own ``seed`` drives the trajectory randomness, so sweeping
     seeds varies the Monte-Carlo sample on a fixed noisy device.  Devices
     whose physical qubit count exceeds ``max_qubits`` skip simulation and
-    report null fidelity columns instead of exploding the statevector.
-
-    ``mode`` selects the trajectory kernel
-    (:data:`~repro.simulation.trajectories.PLAN_MODES`): ``"auto"`` lets the
-    planner pick (stabilizer for Clifford circuits, sparse under the
-    low-entanglement budget, dense statevector otherwise); the explicit
-    modes force one kernel, mostly for cross-checks and benchmarking.
+    report null fidelity columns instead of exploding the statevector;
+    ``max_qubits`` itself is capped at the dense kernel's
+    :data:`~repro.simulation.trajectories.MAX_DENSE_QUBITS`.
     """
 
     trajectories: int = 100
     batch_size: int = DEFAULT_BATCH_SIZE
     noise_seed: int = 0
     max_qubits: int = 16
-    mode: str = "auto"
 
     def __post_init__(self) -> None:
         if self.trajectories < 1:
             raise ValueError("trajectories must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 1 <= self.max_qubits <= 24:
-            raise ValueError("max_qubits must be in [1, 24] (dense statevector limit)")
-        if self.mode not in PLAN_MODES:
-            raise ValueError(f"mode must be one of {PLAN_MODES}")
+        if not 1 <= self.max_qubits <= MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"max_qubits must be in [1, {MAX_DENSE_QUBITS}] (dense statevector limit)"
+            )
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -171,12 +166,23 @@ class FidelityOptions:
             "batch_size": self.batch_size,
             "noise_seed": self.noise_seed,
             "max_qubits": self.max_qubits,
-            "mode": self.mode,
+            # Keys hash this dict; stored rows were keyed with the old kernel
+            # knob's default, so the literal keeps every key byte-identical.
+            "mode": "auto",
         }
 
     @staticmethod
     def from_dict(data: Optional[Dict[str, object]]) -> Optional["FidelityOptions"]:
-        return None if data is None else FidelityOptions(**data)
+        if data is None:
+            return None
+        fields = dict(data)
+        mode = fields.pop("mode", "auto")
+        if mode != "auto":
+            raise ValueError(
+                f"fidelity option mode={mode!r} is no longer supported; "
+                "the only trajectory kernel is the dense statevector one"
+            )
+        return FidelityOptions(**fields)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,14 @@ result is bit-identical for any worker count — the parallel/serial-identical
 guarantee the determinism tests pin down — and the workers' ``sim.batch``
 spans and counters merge back under the run's ``sim.run`` span.
 
-For the dense statevector kernel, the plan's large arrays — the ideal
-``(2**n,)`` statevector and every fused-op matrix — are shipped to the pool
-through one ``multiprocessing.shared_memory`` block instead of being pickled
-into every batch payload: workers attach once per process, rebuild the plan
-as zero-copy views, and cache it for subsequent batches.  Payloads shrink to
-a name plus per-batch seeds, which is what keeps ``workers > 1`` profitable
+The plan's large arrays — the ideal ``(2**n,)`` statevector and every
+fused-op matrix — are shipped to the pool through one
+``multiprocessing.shared_memory`` block instead of being pickled into every
+batch payload: workers attach once per process, rebuild the plan as
+zero-copy views, and cache it for subsequent batches.  Payloads shrink to a
+name plus per-batch seeds, which is what keeps ``workers > 1`` profitable
 for the register sizes where re-pickling ``2**n`` complex amplitudes per
-batch used to eat the speedup.  Stabilizer-mode plans are a few bit-matrices
-and pickle in constant size, so they take the plain payload path.
+batch used to eat the speedup.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ def _run_batch(
 def _pack_shared_plan(
     plan: TrajectoryPlan,
 ) -> Tuple[shared_memory.SharedMemory, Dict[str, object]]:
-    """Copy a statevector plan's arrays into one shared-memory block.
+    """Copy a plan's arrays into one shared-memory block.
 
     Returns the block (caller owns close+unlink) and a small picklable spec
     from which :func:`_plan_from_shared` rebuilds the plan as zero-copy views.
@@ -85,7 +84,7 @@ def _pack_shared_plan(
             "ideal": placed[0],
             "cumweights": placed[1],
             "ops": [
-                (op.qubits, op.kick_probs, op.gates, matrix_spec)
+                (op.qubits, op.kick_probs, matrix_spec)
                 for op, matrix_spec in zip(plan.ops, placed[2:])
             ],
         }
@@ -99,7 +98,7 @@ def _pack_shared_plan(
 def _plan_from_shared(
     block: shared_memory.SharedMemory, spec: Dict[str, object]
 ) -> TrajectoryPlan:
-    """Rebuild a statevector plan as zero-copy views into a shared block."""
+    """Rebuild a plan as zero-copy views into a shared block."""
 
     def view(array_spec: Tuple[int, str, Tuple[int, ...]]) -> np.ndarray:
         offset, dtype, shape = array_spec
@@ -109,14 +108,13 @@ def _plan_from_shared(
         ).reshape(shape)
 
     ops = tuple(
-        FusedOp(view(matrix_spec), tuple(qubits), tuple(kick_probs), tuple(gates))
-        for qubits, kick_probs, gates, matrix_spec in spec["ops"]
+        FusedOp(view(matrix_spec), tuple(qubits), tuple(kick_probs))
+        for qubits, kick_probs, matrix_spec in spec["ops"]
     )
     return TrajectoryPlan(
         num_qubits=spec["num_qubits"],
         ops=ops,
         kick_cumweights=view(spec["cumweights"]),
-        mode="statevector",
         ideal_state=view(spec["ideal"]),
     )
 
@@ -153,9 +151,13 @@ def run_trajectories(
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
-    mode: str = "auto",
 ) -> TrajectoryResult:
     """Monte-Carlo trajectory estimate of a circuit's end-to-end fidelity.
+
+    Every run uses the dense statevector kernel of
+    :mod:`repro.simulation.trajectories`; a circuit wider than
+    :data:`~repro.simulation.trajectories.MAX_DENSE_QUBITS` raises
+    ``ValueError`` before anything is allocated.
 
     Parameters
     ----------
@@ -173,19 +175,14 @@ def run_trajectories(
         Trajectories advanced in lockstep per batch.
     workers:
         ``1`` runs batches serially in-process; ``> 1`` fans them out over a
-        :class:`~repro.runtime.executor.WorkerPool` of that size (statevector
-        plans travel once through shared memory instead of being pickled per
+        :class:`~repro.runtime.executor.WorkerPool` of that size (the plan
+        travels once through shared memory instead of being pickled per
         batch).
-    mode:
-        Kernel selection, forwarded to
-        :func:`~repro.simulation.trajectories.build_trajectory_plan`:
-        ``"auto"`` (stabilizer fast path for Clifford-only circuits),
-        ``"statevector"``, or ``"stabilizer"``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     payloads = trajectory_batch_payloads(
-        circuit, noise, num_trajectories, seed=seed, batch_size=batch_size, mode=mode
+        circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
     )
     plan = payloads[0][0]
 
@@ -223,13 +220,12 @@ def _run_pooled(
     from ..runtime.executor import WorkerPool, merge_shipped_telemetry
 
     block: Optional[shared_memory.SharedMemory] = None
-    if plan.mode == "statevector":
-        try:
-            block, spec = _pack_shared_plan(plan)
-        except Exception:
-            # Shared memory can be unavailable (e.g. /dev/shm restrictions);
-            # fall back to pickling the plan into every payload.
-            block = None
+    try:
+        block, spec = _pack_shared_plan(plan)
+    except Exception:
+        # Shared memory can be unavailable (e.g. /dev/shm restrictions);
+        # fall back to pickling the plan into every payload.
+        block = None
     try:
         if block is not None:
             telemetry.counter("sim.shm_bytes").inc(block.size)

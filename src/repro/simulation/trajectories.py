@@ -17,35 +17,26 @@ evaluation ultimately cares about — instead of per-gate errors:
    (state fidelity) and against the noiseless dominant measurement outcome
    (success probability).
 
-Circuits made entirely of Clifford gates skip the dense statevector
-altogether: :func:`build_trajectory_plan` selects the Pauli-frame/stabilizer
-path of :mod:`repro.simulation.stabilizer`, which scores the same quantities
-exactly with two bits per qubit per trajectory and no ``2**n`` arrays — so
-Clifford benchmarks (Bernstein-Vazirani above all) run far past the 24-qubit
-statevector ceiling.  Non-Clifford circuits whose states stay low-rank (a
-static branching-gate analysis bounds the peak nonzeros) take the sparse
-(index, amplitude) kernel of :mod:`repro.simulation.sparse` instead, which
-also clears the dense ceiling and spills back to the dense kernel if a
-forced-sparse run outgrows its plan.
+This dense kernel is the only trajectory kernel.  A batch holds
+``B * 2**n`` complex amplitudes, so :func:`build_trajectory_plan` refuses
+circuits wider than :data:`MAX_DENSE_QUBITS` before it allocates anything.
 
 All randomness flows from one ``numpy`` generator seeded by the caller, and
 kick draws are consumed in a fixed order independent of which trajectories
 are actually kicked, so a (seed, trajectory-count, batch-size) triple pins
-the result bit-for-bit — serially, across worker processes, and across the
-statevector/stabilizer/sparse paths (all consume the identical draw stream).
+the result bit-for-bit — serially and across worker processes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gate import Gate
 from ..circuits.library import gate_matrix
 from ..circuits.simulator import (
     _matrix_strategy,
@@ -54,28 +45,14 @@ from ..circuits.simulator import (
     zero_state,
 )
 from .channels import NoiseModel
-from .sparse import (
-    SparseProgram,
-    SparseScorer,
-    advance_sparse_batch,
-    build_sparse_scorer,
-    compile_sparse_program,
-    default_spill_nnz,
-    sparse_auto_budget,
-)
-from .stabilizer import (
-    StabilizerScorer,
-    advance_pauli_frames,
-    build_scorer,
-    is_clifford_circuit,
-)
 
 #: Default trajectories per batch: large enough to amortize per-gate Python
 #: overhead, small enough that a 12-16 qubit batch stays cache-resident.
 DEFAULT_BATCH_SIZE = 25
 
-#: Trajectory plan modes accepted by :func:`build_trajectory_plan`.
-PLAN_MODES = ("auto", "statevector", "stabilizer", "sparse")
+#: Widest register the dense kernel simulates: one 24-qubit trajectory is
+#: 256 MiB of complex128 amplitudes, and a batch holds ``B`` of them.
+MAX_DENSE_QUBITS = 24
 
 #: Pauli kick operators, indexed by the noise model's (X, Y, Z) weights.
 #: The kick kernel itself uses fused coefficient arithmetic instead of these
@@ -95,16 +72,11 @@ class FusedOp:
     kick immediately after this op; fusing ``m`` noisy single-qubit gates
     combines their kick probabilities as ``1 - prod(1 - p_i)`` so fusion never
     changes the injected noise, only the number of matrix applications.
-
-    ``gates`` records the constituent library gates in application order
-    (their matrix product is ``matrix``); the stabilizer fast path conjugates
-    Pauli frames through these instead of multiplying dense matrices.
     """
 
     matrix: np.ndarray
     qubits: Tuple[int, ...]
     kick_probs: Tuple[float, ...]
-    gates: Tuple[Gate, ...] = ()
 
 
 def _combine_probs(prob_a: float, prob_b: float) -> float:
@@ -124,14 +96,14 @@ def fuse_circuit(circuit: QuantumCircuit, noise: Optional[NoiseModel] = None) ->
     gates use the qubit's rate, and multi-qubit gates split their coupler
     rate evenly over the involved qubits.
     """
-    pending: Dict[int, Tuple[np.ndarray, float, Tuple[Gate, ...]]] = {}
+    pending: Dict[int, Tuple[np.ndarray, float]] = {}
     ops: List[FusedOp] = []
 
     def flush(qubit: int) -> None:
         entry = pending.pop(qubit, None)
         if entry is not None:
-            matrix, prob, gates = entry
-            ops.append(FusedOp(matrix, (qubit,), (prob,), gates))
+            matrix, prob = entry
+            ops.append(FusedOp(matrix, (qubit,), (prob,)))
 
     for gate in circuit:
         if gate.is_single_qubit:
@@ -141,14 +113,10 @@ def fuse_circuit(circuit: QuantumCircuit, noise: Optional[NoiseModel] = None) ->
                 rate = noise.single_qubit_rate(qubit)
             matrix = gate_matrix(gate)
             if qubit in pending:
-                prev_matrix, prev_prob, prev_gates = pending[qubit]
-                pending[qubit] = (
-                    matrix @ prev_matrix,
-                    _combine_probs(prev_prob, rate),
-                    prev_gates + (gate,),
-                )
+                prev_matrix, prev_prob = pending[qubit]
+                pending[qubit] = (matrix @ prev_matrix, _combine_probs(prev_prob, rate))
             else:
-                pending[qubit] = (matrix, rate, (gate,))
+                pending[qubit] = (matrix, rate)
             continue
         for qubit in gate.qubits:
             flush(qubit)
@@ -164,7 +132,7 @@ def fuse_circuit(circuit: QuantumCircuit, noise: Optional[NoiseModel] = None) ->
             # of the whole gate is exactly 1 - rate.
             per_qubit = 1.0 - (1.0 - min(rate, 1.0)) ** (1.0 / gate.num_qubits)
             kick_probs = (per_qubit,) * gate.num_qubits
-        ops.append(FusedOp(gate_matrix(gate), gate.qubits, kick_probs, (gate,)))
+        ops.append(FusedOp(gate_matrix(gate), gate.qubits, kick_probs))
 
     for qubit in sorted(pending):
         flush(qubit)
@@ -194,103 +162,42 @@ class TrajectoryPlan:
     :func:`build_trajectory_plan` and shared by every batch of the run —
     serially, across pool workers (where its large arrays travel through
     shared memory, see :mod:`repro.simulation.engine`), and across repeats.
-
-    ``mode`` selects the kernel: ``"statevector"`` advances dense ``(B, 2**n)``
-    batches and scores them against ``ideal_state``; ``"stabilizer"`` advances
-    two-bit Pauli frames and scores them exactly with ``scorer`` (Clifford
-    circuits only); ``"sparse"`` advances sorted (index, amplitude) pairs and
-    scores them with ``sparse_scorer`` (see :mod:`repro.simulation.sparse`),
-    spilling a batch to the dense kernel when any trajectory's support
-    exceeds ``spill_nnz``.  Exactly one of ``ideal_state`` / ``scorer`` /
-    ``sparse_scorer`` is set.
+    Batches advance dense ``(B, 2**n)`` statevectors and score them against
+    ``ideal_state``.
     """
+
+    #: The kernel every plan runs; telemetry spans and tracers record it.
+    mode: ClassVar[str] = "statevector"
 
     num_qubits: int
     ops: Tuple[FusedOp, ...]
     kick_cumweights: np.ndarray
-    mode: str
-    ideal_state: Optional[np.ndarray] = None
-    scorer: Optional[StabilizerScorer] = None
-    sparse_program: Optional[SparseProgram] = None
-    sparse_scorer: Optional[SparseScorer] = None
-    spill_nnz: int = 0
+    ideal_state: np.ndarray
 
 
-def build_trajectory_plan(
-    circuit: QuantumCircuit,
-    noise: NoiseModel,
-    mode: str = "auto",
-    *,
-    sparse_spill_nnz: Optional[int] = None,
-) -> TrajectoryPlan:
-    """Fuse a circuit against a noise model and pick the fastest exact kernel.
+def build_trajectory_plan(circuit: QuantumCircuit, noise: NoiseModel) -> TrajectoryPlan:
+    """Fuse a circuit against a noise model and precompute its ideal state.
 
-    ``mode="auto"`` selects the stabilizer path exactly when every gate of
-    the circuit is Clifford; otherwise the sparse kernel when the static
-    branching-gate bound of :func:`repro.simulation.sparse.estimate_nnz_bound`
-    stays under the dense-equivalent budget of
-    :func:`~repro.simulation.sparse.sparse_auto_budget`; otherwise the dense
-    statevector kernel.  All three kernels consume the same kick-draw stream
-    and score exactly, so the choice never changes results — only speed and
-    the qubit ceiling.  ``"statevector"`` / ``"stabilizer"`` / ``"sparse"``
-    force a path; forcing ``"stabilizer"`` on a non-Clifford circuit raises
-    ``ValueError``, and a forced-sparse plan may spill to the dense kernel
-    mid-batch once a trajectory's support exceeds ``sparse_spill_nnz``
-    (default :func:`~repro.simulation.sparse.default_spill_nnz`).
+    Raises ``ValueError`` when the noise model does not cover the circuit's
+    register, or when the register is wider than :data:`MAX_DENSE_QUBITS`
+    (checked before any ``2**n`` array is allocated).
     """
-    if mode not in PLAN_MODES:
-        raise ValueError(f"mode must be one of {PLAN_MODES}, got {mode!r}")
+    if circuit.num_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"circuit has {circuit.num_qubits} qubits; the dense trajectory "
+            f"kernel simulates at most {MAX_DENSE_QUBITS}"
+        )
     if circuit.num_qubits != noise.num_qubits:
         raise ValueError(
             f"noise model covers {noise.num_qubits} qubits but the circuit "
             f"has {circuit.num_qubits}"
         )
-    if sparse_spill_nnz is not None and sparse_spill_nnz < 1:
-        raise ValueError("sparse_spill_nnz must be >= 1")
-    if mode == "auto" and is_clifford_circuit(circuit):
-        mode = "stabilizer"
-    elif mode == "stabilizer" and not is_clifford_circuit(circuit):
-        raise ValueError(
-            "mode='stabilizer' requires a Clifford-only circuit; "
-            "use mode='auto' to fall back to the statevector kernel"
-        )
     ops = tuple(fuse_circuit(circuit, noise))
-    cumweights = noise.kick_cumulative_weights()
-    if mode == "stabilizer":
-        return TrajectoryPlan(
-            num_qubits=circuit.num_qubits,
-            ops=ops,
-            kick_cumweights=cumweights,
-            mode=mode,
-            scorer=build_scorer(circuit),
-        )
-    if mode in ("auto", "sparse"):
-        program = compile_sparse_program(ops, circuit.num_qubits)
-        budget = sparse_auto_budget(circuit.num_qubits)
-        if mode == "auto":
-            sparse_wins = budget >= 1 and program.nnz_bound <= budget
-            mode = "sparse" if sparse_wins else "statevector"
-        if mode == "sparse":
-            spill = (
-                sparse_spill_nnz
-                if sparse_spill_nnz is not None
-                else default_spill_nnz(circuit.num_qubits)
-            )
-            return TrajectoryPlan(
-                num_qubits=circuit.num_qubits,
-                ops=ops,
-                kick_cumweights=cumweights,
-                mode=mode,
-                sparse_program=program,
-                sparse_scorer=build_sparse_scorer(program),
-                spill_nnz=spill,
-            )
     ideal = apply_fused_ops(zero_state(circuit.num_qubits), ops, circuit.num_qubits)
     return TrajectoryPlan(
         num_qubits=circuit.num_qubits,
         ops=ops,
-        kick_cumweights=cumweights,
-        mode=mode,
+        kick_cumweights=noise.kick_cumulative_weights(),
         ideal_state=ideal,
     )
 
@@ -313,9 +220,6 @@ class TrajectoryResult:
         ceiling for ``success_probability``.
     kicks:
         Total number of Pauli kicks injected across all trajectories.
-    nnz_peak:
-        Peak per-trajectory nonzero amplitudes observed by the sparse
-        kernel (0 for the dense and stabilizer kernels, which never count).
     """
 
     num_qubits: int
@@ -323,7 +227,6 @@ class TrajectoryResult:
     success_probs: Tuple[float, ...]
     ideal_success: float
     kicks: int
-    nnz_peak: int = 0
 
     @property
     def num_trajectories(self) -> int:
@@ -368,7 +271,6 @@ class TrajectoryResult:
             success_probs=tuple(p for part in parts for p in part.success_probs),
             ideal_success=first.ideal_success,
             kicks=sum(part.kicks for part in parts),
-            nnz_peak=max(part.nnz_peak for part in parts),
         )
 
 
@@ -854,53 +756,27 @@ def run_trajectory_batch(
     ``repro bench --fidelity`` reports.
     """
     start = time.perf_counter()
-    nnz_peak = 0
     with telemetry.span(
         "sim.batch", qubits=plan.num_qubits, batch=batch, mode=plan.mode
     ):
-        if plan.mode == "stabilizer":
-            frame_x, frame_z, kicks = advance_pauli_frames(
-                plan.ops, plan.num_qubits, batch, rng, plan.kick_cumweights
-            )
-        elif plan.mode == "sparse":
-            sparse_states, kicks, nnz_peak, spilled = advance_sparse_batch(
-                plan.sparse_program, batch, rng, plan.kick_cumweights,
-                plan.spill_nnz,
-            )
-        else:
-            states, kicks = advance_noisy_batch(
-                plan.ops, plan.num_qubits, batch, rng, plan.kick_cumweights
-            )
+        states, kicks = advance_noisy_batch(
+            plan.ops, plan.num_qubits, batch, rng, plan.kick_cumweights
+        )
     telemetry.histogram("sim.kernel_s").observe(time.perf_counter() - start)
     telemetry.counter("sim.batches").inc()
     telemetry.counter("sim.trajectories").inc(batch)
     telemetry.counter("sim.kicks").inc(kicks)
 
-    if plan.mode == "stabilizer":
-        fidelities, success = plan.scorer.score(frame_x, frame_z)
-        ideal_success = plan.scorer.ideal_success
-    elif plan.mode == "sparse":
-        telemetry.histogram("sim.nnz_peak").observe(nnz_peak)
-        if spilled:
-            telemetry.counter("sim.sparse_spills").inc()
-            fidelities, success = plan.sparse_scorer.score_dense(sparse_states)
-        else:
-            keys, amps = sparse_states
-            fidelities, success = plan.sparse_scorer.score(keys, amps, batch)
-        ideal_success = plan.sparse_scorer.ideal_success
-    else:
-        ideal_state = plan.ideal_state
-        fidelities = np.abs(states @ ideal_state.conj()) ** 2
-        dominant = int(np.argmax(np.abs(ideal_state) ** 2))
-        success = np.abs(states[:, dominant]) ** 2
-        ideal_success = float(np.abs(ideal_state[dominant]) ** 2)
+    ideal_state = plan.ideal_state
+    fidelities = np.abs(states @ ideal_state.conj()) ** 2
+    dominant = int(np.argmax(np.abs(ideal_state) ** 2))
+    success = np.abs(states[:, dominant]) ** 2
     return TrajectoryResult(
         num_qubits=plan.num_qubits,
         fidelities=tuple(float(f) for f in fidelities),
         success_probs=tuple(float(p) for p in success),
-        ideal_success=ideal_success,
+        ideal_success=float(np.abs(ideal_state[dominant]) ** 2),
         kicks=kicks,
-        nnz_peak=nnz_peak,
     )
 
 
@@ -920,7 +796,6 @@ def trajectory_batch_payloads(
     num_trajectories: int,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    mode: str = "auto",
 ) -> List[Tuple[TrajectoryPlan, int, np.random.SeedSequence]]:
     """The seeded per-batch work items of one trajectory run.
 
@@ -931,7 +806,7 @@ def trajectory_batch_payloads(
     :class:`TrajectoryPlan` object, so the engine can ship its large arrays
     to pool workers once (via shared memory) instead of once per batch.
     """
-    plan = build_trajectory_plan(circuit, noise, mode=mode)
+    plan = build_trajectory_plan(circuit, noise)
     sizes = batch_sizes(num_trajectories, batch_size)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     return [(plan, size, child) for size, child in zip(sizes, children)]
@@ -949,15 +824,13 @@ def noisy_trajectory_states(
     Shares the exact fusion + seeding + kick-draw scheme of
     :func:`repro.simulation.engine.run_trajectories`, so for a given
     ``(seed, num_trajectories, batch_size)`` triple the trajectory ``t``
-    returned here is the *same* noisy evolution that a statevector-mode
-    ``run_trajectories`` scored — an
-    expectation value averaged over these states is statistically consistent
-    with the fidelity columns the runtime reports for the same job.
+    returned here is the *same* noisy evolution that ``run_trajectories``
+    scored — an expectation value averaged over these states is
+    statistically consistent with the fidelity columns the runtime reports
+    for the same job.
 
     Returns a dense ``(num_trajectories, 2**n)`` array; callers are expected
-    to respect the statevector simulator's small-circuit limits.  The
-    statevector kernel is forced even for Clifford circuits, because the
-    caller wants the raw vectors.
+    to respect the statevector simulator's small-circuit limits.
     """
     batches = [
         advance_noisy_batch(
@@ -965,8 +838,7 @@ def noisy_trajectory_states(
             np.random.default_rng(child), plan.kick_cumweights,
         )[0]
         for plan, size, child in trajectory_batch_payloads(
-            circuit, noise, num_trajectories,
-            seed=seed, batch_size=batch_size, mode="statevector",
+            circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
         )
     ]
     return np.concatenate(batches, axis=0)

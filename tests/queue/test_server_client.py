@@ -8,11 +8,12 @@ from concurrent.futures import CancelledError
 import pytest
 
 from repro.queue.client import QueueClient, QueueServerError, discover_url
+from repro.queue.model import spec_payload
 from repro.queue.scheduler import QueueService
 from repro.queue.server import QueueHTTPServer
 from repro.queue.store import QueueStore
 from repro.runtime.jobs import job_key
-from repro.runtime.spec import ExperimentSpec
+from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.runtime.store import ResultStore, canonical_json
 
 
@@ -203,6 +204,15 @@ class TestErrors:
         assert code == 400 and "error" in payload
         code, payload = client._request("POST", "/jobs", {})
         assert code == 400
+
+    @pytest.mark.parametrize("mode", ["statevector", "stabilizer", "sparse"])
+    def test_retired_sim_mode_rejected(self, daemon, mode):
+        client, service = daemon
+        payload = spec_payload(make_spec(fidelity=FidelityOptions()))
+        payload["fidelity"]["mode"] = mode
+        code, body = client._request("POST", "/jobs", {"spec": payload})
+        assert code == 400 and "mode" in body["error"]
+        assert sum(service.store.depths().values()) == 0
 
     def test_result_pending_is_202(self, daemon):
         client, service = daemon

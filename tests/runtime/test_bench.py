@@ -256,68 +256,6 @@ class TestBenchMain:
         assert "within 90%" in capsys.readouterr().out
 
 
-class TestBenchSparse:
-    def test_rows_and_speedup(self):
-        from repro.runtime.bench import bench_sparse
-
-        rows = bench_sparse(
-            sparse_qubits=6, big_qubits=8, trajectories=10,
-            dense_trajectories=5, batch_size=5,
-        )
-        assert [row["benchmark"] for row in rows] == [
-            "ghz8-sparse", "ghz6-sparse", "ghz6-dense"
-        ]
-        assert [row["mode"] for row in rows] == ["sparse", "sparse", "statevector"]
-        big, sparse, dense = rows
-        assert big["trajectories"] == 10 and dense["trajectories"] == 5
-        # GHZ-phase keeps exactly two nonzeros on the sparse kernel; the
-        # dense rows report 0 (no sparse support tracking).
-        assert big["nnz_peak"] == 2 and sparse["nnz_peak"] == 2
-        assert dense["nnz_peak"] == 0
-        assert sparse["speedup_vs_dense"] == pytest.approx(
-            sparse["throughput_traj_per_s"] / dense["throughput_traj_per_s"]
-        )
-        assert "speedup_vs_dense" not in big
-        json.dumps(rows)
-
-    def test_run_bench_sparse_section_and_params(self):
-        from unittest import mock
-
-        from repro.runtime import bench as bench_module
-
-        tiny = [{"benchmark": "ghz8-sparse", "throughput_traj_per_s": 10.0}]
-        with mock.patch.object(
-            bench_module, "bench_sparse", return_value=tiny
-        ) as spy:
-            report = run_bench(benchmarks=("bv",), quick=True, sparse=True)
-        assert report["sim_sparse"] == tiny
-        assert report["params"]["sparse_qubits"] == QUICK_PROFILE["sparse_qubits"]
-        assert report["params"]["sparse_big_qubits"] == QUICK_PROFILE["sparse_big_qubits"]
-        spy.assert_called_once_with(
-            QUICK_PROFILE["sparse_qubits"],
-            QUICK_PROFILE["sparse_big_qubits"],
-            QUICK_PROFILE["sparse_trajectories"],
-            QUICK_PROFILE["sparse_dense_trajectories"],
-            QUICK_PROFILE["traj_batch"],
-        )
-
-    def test_sparse_stage_is_regression_gated(self):
-        def report(throughput):
-            return {
-                "schema": BENCH_SCHEMA,
-                "compile": [{"benchmark": "bv", "throughput_per_s": 100.0}],
-                "sim_sparse": [
-                    {"benchmark": "ghz28-sparse", "throughput_traj_per_s": throughput}
-                ],
-            }
-
-        failures = check_regression(report(50.0), report(100.0), tolerance=0.25)
-        assert len(failures) == 1
-        assert "sparse trajectory throughput" in failures[0]
-        assert failures[0].startswith("ghz28-sparse:")
-        assert check_regression(report(90.0), report(100.0)) == []
-
-
 class TestBaselineStageGaps:
     def _report(self, **sections):
         base = {"schema": BENCH_SCHEMA, "compile": [{"benchmark": "bv"}]}
@@ -327,16 +265,16 @@ class TestBaselineStageGaps:
     def test_new_stage_missing_from_baseline_warns(self):
         from repro.runtime.bench import baseline_stage_gaps
 
-        report = self._report(sim_sparse=[{"benchmark": "ghz28-sparse"}])
+        report = self._report(fidelity=[{"benchmark": "bv"}])
         gaps = baseline_stage_gaps(report, self._report())
         assert len(gaps) == 1
-        assert "sim_sparse" in gaps[0]
-        assert "sparse trajectory throughput" in gaps[0]
+        assert "'fidelity'" in gaps[0]
+        assert "trajectory throughput" in gaps[0]
 
     def test_shared_stages_produce_no_warnings(self):
         from repro.runtime.bench import baseline_stage_gaps
 
-        report = self._report(sim_sparse=[{"benchmark": "ghz28-sparse"}])
+        report = self._report(fidelity=[{"benchmark": "bv"}])
         assert baseline_stage_gaps(report, report) == []
 
     def test_stage_missing_from_report_is_not_a_gap(self):
@@ -347,9 +285,9 @@ class TestBaselineStageGaps:
 
     def test_check_regression_skips_gapped_stage(self):
         report = self._report(
-            sim_sparse=[{"benchmark": "ghz28-sparse", "throughput_traj_per_s": 1.0}]
+            fidelity=[{"benchmark": "bv", "throughput_traj_per_s": 1.0}]
         )
-        # The baseline has no sim_sparse rows at all: never a failure.
+        # The baseline has no fidelity rows at all: never a failure.
         assert check_regression(report, self._report()) == []
 
     def test_bench_main_prints_gap_warning_and_passes(self, tmp_path, capsys):

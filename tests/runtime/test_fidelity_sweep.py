@@ -10,6 +10,7 @@ from repro.runtime import (
     run_sweep,
 )
 from repro.runtime.spec import ExperimentSpec
+from repro.simulation import MAX_DENSE_QUBITS
 
 FIDELITY = FidelityOptions(trajectories=20, batch_size=8, noise_seed=1, max_qubits=12)
 
@@ -38,29 +39,18 @@ class TestFidelityOptions:
             FidelityOptions(batch_size=0)
         with pytest.raises(ValueError, match="max_qubits"):
             FidelityOptions(max_qubits=30)
+        with pytest.raises(ValueError, match="max_qubits"):
+            FidelityOptions(max_qubits=MAX_DENSE_QUBITS + 1)
+        assert FidelityOptions(max_qubits=MAX_DENSE_QUBITS).max_qubits == MAX_DENSE_QUBITS
         with pytest.raises(ValueError, match="mode"):
-            FidelityOptions(mode="tensor")
+            FidelityOptions.from_dict(dict(FIDELITY.as_dict(), mode="tensor"))
 
-    def test_mode_defaults_to_auto_and_round_trips(self):
-        assert FidelityOptions().mode == "auto"
-        forced = FidelityOptions(mode="sparse")
-        assert forced.as_dict()["mode"] == "sparse"
-        assert FidelityOptions.from_dict(forced.as_dict()) == forced
-        # Dicts persisted before the mode knob existed still deserialize.
-        legacy = {k: v for k, v in FIDELITY.as_dict().items() if k != "mode"}
-        assert FidelityOptions.from_dict(legacy) == FIDELITY
-
-    def test_mode_is_part_of_the_job_key(self):
-        keys = {
-            job_key(
-                ExperimentSpec(
-                    benchmark="bv", backend="opt8", num_qubits=8,
-                    fidelity=FidelityOptions(mode=mode),
-                )
-            )
-            for mode in ("auto", "statevector", "stabilizer")
-        }
-        assert len(keys) == 3
+    @pytest.mark.parametrize("mode", ["statevector", "stabilizer", "sparse"])
+    def test_persisted_retired_mode_is_rejected(self, mode):
+        """Only the dense kernel is left, so a stored dict that forced
+        another kernel (or forced this one by name) cannot be honoured."""
+        with pytest.raises(ValueError, match="mode"):
+            FidelityOptions.from_dict(dict(FIDELITY.as_dict(), mode=mode))
 
     def test_options_are_part_of_the_job_key(self):
         base = ExperimentSpec(benchmark="bv", backend="opt8", num_qubits=8)
@@ -111,22 +101,6 @@ class TestFidelitySweep:
             assert row["ideal_success"] is None
             assert row["state_fidelity"] is None
             assert row["trajectories"] == 0
-
-    def test_forced_mode_rows_match_auto(self, tmp_path):
-        # BV compiles to a Clifford-dressed circuit only when its phases are
-        # Clifford; either way, forcing the statevector kernel must not
-        # change a single fidelity column — only the kernel that computes it.
-        auto = run_sweep(small_grid(), store=ResultStore(tmp_path / "auto"))
-        forced = run_sweep(
-            small_grid(fidelity=FidelityOptions(
-                trajectories=20, batch_size=8, noise_seed=1, max_qubits=12,
-                mode="statevector",
-            )),
-            store=ResultStore(tmp_path / "forced"),
-        )
-        for row_auto, row_forced in zip(auto.rows, forced.rows):
-            assert row_auto["success_probability"] == row_forced["success_probability"]
-            assert row_auto["state_fidelity"] == row_forced["state_fidelity"]
 
     def test_spec_describe_includes_fidelity(self):
         spec = ExperimentSpec(

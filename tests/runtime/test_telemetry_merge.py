@@ -95,6 +95,9 @@ class TestParallelTelemetryEquivalence:
                 ]
                 assert len(schedules) == 1
                 assert schedules[0]["attrs"]["backend"] == job["attrs"]["backend"]
+        assert [tree_shape(root) for root in parallel_tree] == [
+            tree_shape(root) for root in serial_tree
+        ]
 
     def test_parallel_sweep_records_nothing_when_disabled(self, tmp_path):
         telemetry.reset()

@@ -79,11 +79,3 @@ class TestPooledRuns:
         pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=2)
         assert pooled == serial
         assert telemetry.counter("sim.shm_bytes").value == 0
-
-    def test_stabilizer_plans_skip_shared_memory(self):
-        circuit = build_benchmark("bv", num_qubits=6, seed=3)
-        noise = NoiseModel.uniform(6, 0.02, 0.05)
-        serial = run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=1)
-        pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=2)
-        assert pooled == serial
-        assert telemetry.counter("sim.shm_bytes").value == 0

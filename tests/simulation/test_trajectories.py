@@ -9,8 +9,10 @@ from repro.circuits.benchmarks import build_benchmark
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.simulator import simulate, zero_state
 from repro.simulation import (
+    MAX_DENSE_QUBITS,
     NoiseModel,
     TrajectoryResult,
+    build_trajectory_plan,
     fuse_circuit,
     ideal_final_state,
     run_trajectories,
@@ -104,6 +106,21 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="noise model covers"):
             run_trajectories(circuit, NoiseModel.uniform(circuit.num_qubits + 1), 5)
 
+    def test_rejects_registers_past_the_dense_ceiling(self):
+        """A 25-qubit batch would need ``B * 2**25`` amplitudes; the plan
+        refuses it before fusing or allocating anything."""
+        width = MAX_DENSE_QUBITS + 1
+        circuit = QuantumCircuit(width)
+        for qubit in range(width):
+            circuit.h(qubit)
+        noise = NoiseModel.uniform(width)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at most {MAX_DENSE_QUBITS}"):
+            build_trajectory_plan(circuit, noise)
+        with pytest.raises(ValueError, match=f"at most {MAX_DENSE_QUBITS}"):
+            run_trajectories(circuit, noise, 100, batch_size=25)
+        assert time.perf_counter() - start < 1.0
+
     def test_merge_rejects_mixed_widths(self):
         a = TrajectoryResult(2, (1.0,), (1.0,), 1.0, 0)
         b = TrajectoryResult(3, (1.0,), (1.0,), 1.0, 0)
@@ -111,11 +128,12 @@ class TestTrajectories:
             TrajectoryResult.merge([a, b])
 
     def test_engine_and_serial_reference_agree(self):
-        circuit = small_benchmark("ising")
-        noise = NoiseModel.uniform(circuit.num_qubits, 0.01, 0.02)
-        reference = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
-        engine = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
-        assert engine == reference
+        for name in ("ising", "bv"):
+            circuit = small_benchmark(name)
+            noise = NoiseModel.uniform(circuit.num_qubits, 0.01, 0.02)
+            reference = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
+            engine = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
+            assert engine == reference
 
 
 class TestBatchingSpeed:
