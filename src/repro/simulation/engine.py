@@ -193,7 +193,6 @@ def run_trajectories(
         trajectories=num_trajectories,
         batches=len(payloads),
         workers=workers,
-        mode=plan.mode,
     ) as run_span:
         if workers == 1 or len(payloads) == 1:
             # In-process batches record their own sim.batch kernel spans,

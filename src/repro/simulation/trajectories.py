@@ -750,15 +750,13 @@ def run_trajectory_batch(
     regardless of which trajectories are hit, so the generator's stream — and
     therefore the result — depends only on its seed and the batch size.
 
-    Each call is one ``sim.batch`` kernel span (tagged with the plan mode);
+    Each call is one ``sim.batch`` kernel span;
     the ``sim.kernel_s`` histogram and the ``sim.trajectories`` /
     ``sim.kicks`` / ``sim.batches`` counters accumulate the throughput story
     ``repro bench --fidelity`` reports.
     """
     start = time.perf_counter()
-    with telemetry.span(
-        "sim.batch", qubits=plan.num_qubits, batch=batch, mode=plan.mode
-    ):
+    with telemetry.span("sim.batch", qubits=plan.num_qubits, batch=batch):
         states, kicks = advance_noisy_batch(
             plan.ops, plan.num_qubits, batch, rng, plan.kick_cumweights
         )
