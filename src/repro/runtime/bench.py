@@ -1,10 +1,10 @@
 """``repro bench`` — the tracked Table IV benchmark harness.
 
 :func:`run_bench` times the paper's six benchmarks (:data:`TABLE_IV_NAMES`)
-through the real compile pipeline — and, with ``fidelity=True``, through the
-Monte-Carlo trajectory engine — inside a :func:`repro.telemetry.collecting`
-window, then folds the aggregated spans and the metrics delta into a
-schema-versioned report (:data:`BENCH_SCHEMA`).
+through the real compile pipeline — and, with ``fidelity=True``, runs each
+compiled circuit through the Monte-Carlo trajectory engine — inside a
+:func:`repro.telemetry.collecting` window, then folds the aggregated spans
+and the metrics delta into a schema-versioned report (:data:`BENCH_SCHEMA`).
 
 :func:`bench_main` (the ``repro bench`` subcommand) writes the report to
 ``BENCH_<rev>.json`` — ``rev`` defaults to the short git revision — and can
@@ -55,6 +55,9 @@ FULL_PROFILE = {
 QUICK_PROFILE = {
     "qubits": 8, "repeats": 7, "trajectories": 100, "traj_batch": 25, "sim_qubits": 6,
 }
+
+#: Least total time the trajectory stage spends timing one benchmark.
+FIDELITY_MIN_TIMED_S = 0.25
 
 
 def _metrics_delta(
@@ -122,18 +125,33 @@ def bench_compile(
 def bench_fidelity(
     name: str, sim_qubits: int, trajectories: int, batch_size: int
 ) -> Dict[str, object]:
-    """Trajectory throughput of one benchmark on the statevector engine."""
+    """Trajectory throughput of one benchmark's compiled circuit.
+
+    As in a ``--fidelity`` sweep job, the *physical* circuit the compiler
+    emits (routed onto the device, in the ``u3``/``cz`` basis) is what the
+    trajectory engine runs, here under a uniform noise model over the
+    device.  Only the simulation is timed; the compile is not.  A run
+    shorter than :data:`FIDELITY_MIN_TIMED_S` is repeated (same seed, same
+    result) until that much time is spent, and the fastest run counts — the
+    best-of convention of :func:`bench_compile`, so a 10 ms run is not gated
+    on a single noisy sample.
+    """
     circuit = build_benchmark(name, num_qubits=sim_qubits, seed=0)
-    noise = NoiseModel.uniform(circuit.num_qubits)
-    start = time.perf_counter()
-    result = run_trajectories(
-        circuit, noise, num_trajectories=trajectories, seed=0, batch_size=batch_size
-    )
-    wall = time.perf_counter() - start
+    physical = compile_circuit(circuit, seed=0).physical_circuit
+    noise = NoiseModel.uniform(physical.num_qubits)
+    times: List[float] = []
+    while sum(times) < FIDELITY_MIN_TIMED_S:
+        start = time.perf_counter()
+        result = run_trajectories(
+            physical, noise, num_trajectories=trajectories, seed=0, batch_size=batch_size
+        )
+        times.append(time.perf_counter() - start)
+    wall = min(times)
     return {
         "benchmark": name,
-        "qubits": circuit.num_qubits,
+        "qubits": physical.num_qubits,
         "trajectories": result.num_trajectories,
+        "repeats": len(times),
         "wall_s": wall,
         "throughput_traj_per_s": result.num_trajectories / wall if wall > 0 else None,
         "state_fidelity": result.state_fidelity,

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.circuits.benchmarks import build_benchmark
+from repro.compiler.pipeline import compile_circuit
 from repro.runtime.bench import (
     BENCH_SCHEMA,
     QUICK_PROFILE,
@@ -13,6 +15,7 @@ from repro.runtime.bench import (
     pass_time_table,
     run_bench,
 )
+from repro.simulation import NoiseModel, run_trajectories
 
 
 @pytest.fixture(autouse=True)
@@ -49,10 +52,27 @@ class TestRunBench:
         report = run_bench(benchmarks=("bv",), quick=True, fidelity=True)
         (row,) = report["fidelity"]
         assert row["trajectories"] == QUICK_PROFILE["trajectories"]
-        assert row["throughput_traj_per_s"] > 0
+        assert row["throughput_traj_per_s"] == pytest.approx(
+            row["trajectories"] / row["wall_s"]
+        )
+        # A few-millisecond bv run is repeated and timed best-of.
+        assert row["repeats"] >= 2
         assert 0.0 <= row["state_fidelity"] <= 1.0
         span_names = {entry["span"] for entry in report["telemetry"]["spans"]}
         assert {"sim.run", "sim.batch"} <= span_names
+        # The stage simulates what a --fidelity job simulates: the compiled
+        # physical circuit (logical bv would score exactly 1.0 here).
+        circuit = build_benchmark("bv", num_qubits=QUICK_PROFILE["sim_qubits"], seed=0)
+        physical = compile_circuit(circuit, seed=0).physical_circuit
+        expected = run_trajectories(
+            physical,
+            NoiseModel.uniform(physical.num_qubits),
+            num_trajectories=QUICK_PROFILE["trajectories"],
+            seed=0,
+            batch_size=QUICK_PROFILE["traj_batch"],
+        )
+        assert row["qubits"] == physical.num_qubits
+        assert row["state_fidelity"] == expected.state_fidelity < 1.0
 
     def test_compile_o2_rows_shared_when_already_at_o2(self):
         report = run_bench(benchmarks=("bv",), quick=True, opt_level=2)
