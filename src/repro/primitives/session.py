@@ -6,9 +6,11 @@ pool, and is the stateful submission door of the provider-style API:
 
 * **compilation reuse** — every submission is keyed by its
   :attr:`~repro.runtime.spec.ExperimentSpec.compile_group` (circuit content
-  x topology x compile options), so resubmitting the same circuit — alone,
-  with different shot counts, or under a different observable — compiles
-  exactly once per session;
+  x topology x compile options) in the session's
+  :class:`~repro.runtime.jobs.CompileMemo`, so resubmitting the same circuit
+  — alone, with different shot counts, or under a different observable —
+  compiles once while it is among the session's last
+  :data:`~repro.runtime.jobs.COMPILE_MEMO_SIZE` circuits;
 * **shared result cache** — jobs are executed through
   :func:`repro.runtime.jobs.execute_spec` and stored under the same
   content-addressed keys the sweep engine uses, so a session pointed at a
@@ -38,7 +40,7 @@ from ..backends import Backend, get_backend
 from ..circuits.circuit import QuantumCircuit
 from ..compiler.pipeline import CompiledCircuit
 from ..runtime.executor import default_worker_count
-from ..runtime.jobs import JobResult, compile_spec, execute_spec, job_key
+from ..runtime.jobs import CompileMemo, JobResult, execute_spec, job_key
 from ..runtime.spec import CompileOptions, ExperimentSpec, FidelityOptions
 from ..runtime.store import ResultStore
 from .job import JobHandle
@@ -93,12 +95,10 @@ class Session:
             raise ValueError("max_workers must be >= 1")
         self._max_workers = max_workers
         self._memory: Dict[str, JobResult] = {}
-        self._compiled: Dict[Tuple[object, ...], CompiledCircuit] = {}
+        self._compiled = CompileMemo()
         self._lock = threading.RLock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        self.compile_hits = 0
-        self.compile_misses = 0
 
     @staticmethod
     def _resolve_queue(queue):
@@ -164,6 +164,16 @@ class Session:
 
     # -- compilation reuse ----------------------------------------------------------
 
+    @property
+    def compile_hits(self) -> int:
+        """Compilations this session served from its memo."""
+        return self._compiled.hits
+
+    @property
+    def compile_misses(self) -> int:
+        """Compilations this session had to run."""
+        return self._compiled.misses
+
     def compiled_for(self, spec: ExperimentSpec) -> CompiledCircuit:
         """The (memoized) compilation of one spec's circuit.
 
@@ -172,19 +182,7 @@ class Session:
         topology and compile options shares one compilation — the session-
         level analogue of the sweep dispatcher's compile groups.
         """
-        group = spec.compile_group
-        with self._lock:
-            compiled = self._compiled.get(group)
-            if compiled is not None:
-                self.compile_hits += 1
-                telemetry.counter("session.compile.hit").inc()
-                return compiled
-            self.compile_misses += 1
-            telemetry.counter("session.compile.miss").inc()
-        compiled = compile_spec(spec)
-        with self._lock:
-            self._compiled.setdefault(group, compiled)
-        return compiled
+        return self._compiled.compiled(spec)
 
     # -- execution ------------------------------------------------------------------
 

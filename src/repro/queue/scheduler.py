@@ -27,7 +27,10 @@ completes cache-hit jobs instantly against the shared
 :class:`~repro.runtime.store.ResultStore`, admits what fits, and executes
 admitted jobs in worker *processes* of a
 :class:`~repro.runtime.executor.WorkerPool` — the pool pooled sweeps use —
-as one-job compile groups, one job thread per worker.
+as one-job compile groups, one job thread per worker.  Each worker runs its
+jobs through :func:`~repro.runtime.jobs.execute_queued_job`, which keeps that
+process's last few compilations, so a circuit served under several designs
+compiles once per worker; nothing is shared across workers or restarts.
 Admission, power accounting and every durable transition stay in the
 daemon.  Each terminal transition (finish, fail, cache-hit finish, cancel)
 notifies a condition that :meth:`QueueService.wait_settled` blocks on, with
@@ -46,7 +49,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from .. import telemetry
 from ..hardware.budget import FridgeBudget
 from ..runtime.executor import WorkerPool, merge_shipped_telemetry
-from ..runtime.jobs import execute_compile_group, group_payload
+from ..runtime.jobs import execute_queued_job, group_payload
 from ..runtime.store import ResultStore
 from .model import QueueJob, priority_rank
 from .store import QueueStore
@@ -121,7 +124,7 @@ class QueueService:
         observe scheduling without paying for real compilations; it runs
         in-process on the job thread.  ``None`` (production) executes the
         job's spec in a worker process through
-        :func:`repro.runtime.jobs.execute_compile_group`.
+        :func:`repro.runtime.jobs.execute_queued_job`.
     fair_share_weights:
         Optional per-session fair-share weights (see
         :func:`order_candidates`).
@@ -365,7 +368,7 @@ class QueueService:
                 self._workers = WorkerPool(self.max_workers)
             workers = self._workers
         payload = group_payload([job.to_spec()], [job.result_key])
-        shipped = workers.submit(execute_compile_group, payload).result()
+        shipped = workers.submit(execute_queued_job, payload).result()
         (result,) = merge_shipped_telemetry(
             shipped, None if parent is None else parent.span_id
         )

@@ -122,15 +122,9 @@ class SweepReport:
 
 
 def compute_job_keys(specs: Sequence[ExperimentSpec]) -> List[str]:
-    """Content keys for a list of jobs, building each source circuit once."""
-    circuits: Dict[Tuple[object, ...], object] = {}
-    keys = []
-    for spec in specs:
-        ident = (spec.benchmark, spec.num_qubits, spec.seed, id(spec.circuit))
-        if ident not in circuits:
-            circuits[ident] = spec.source_circuit()
-        keys.append(job_key(spec, circuit=circuits[ident]))
-    return keys
+    """Content keys for a list of jobs (each source circuit is built once per
+    process, see :mod:`repro.runtime.jobs`)."""
+    return [job_key(spec) for spec in specs]
 
 
 def _group_payloads(

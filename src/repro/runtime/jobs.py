@@ -16,12 +16,31 @@ and :func:`execute_compile_group` — the unit of work the sweep dispatcher
 and the queue daemon submit to a :class:`repro.runtime.executor.WorkerPool`
 — calls it once per backend after compiling the group's circuit a single
 time per device topology, which is what makes wide backend sweeps cheap.
+
+Two bounded, lock-guarded LRU memos keep repeated work out of the hot paths;
+neither changes an output:
+
+* **source circuits, per process** — :func:`job_key` and
+  :func:`compile_spec` build and fingerprint a generator circuit once per
+  ``(benchmark, num_qubits, seed)`` (at most :data:`SOURCE_MEMO_SIZE` kept),
+  so a sweep builds each circuit once and the daemon's HTTP threads key the
+  other designs of a circuit with one hash each.  User circuits are
+  fingerprinted per call and never memoized.
+* **compilations, per owner** — a :class:`CompileMemo` keeps at most
+  :data:`COMPILE_MEMO_SIZE` compilations by
+  :attr:`~repro.runtime.spec.ExperimentSpec.compile_group`.  Each daemon
+  worker process owns one (:func:`execute_queued_job`), so a served circuit
+  compiles once per worker however many designs it is scheduled under; each
+  :class:`repro.primitives.Session` owns one.  Sweeps take none: they
+  already compile each group exactly once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +56,11 @@ from .spec import (
     FidelityOptions,
 )
 from .store import RESULT_SCHEMA_VERSION, canonical_json
+
+#: Generator circuits (with fingerprints) the source memo keeps per process.
+SOURCE_MEMO_SIZE = 16
+#: Compilations one :class:`CompileMemo` keeps.
+COMPILE_MEMO_SIZE = 8
 
 #: Canonical column order of a result row.  Stored entries round-trip through
 #: sorted-key JSON, so presentation order is re-imposed from this list.
@@ -70,6 +94,58 @@ def ordered_row(row: Dict[str, object]) -> Dict[str, object]:
     return known
 
 
+class _LRU:
+    """A bounded, lock-guarded mapping that evicts its least recently used
+    entry and counts its lookups' hits and misses."""
+
+    def __init__(self, size: int):
+        self._size = size
+        self._entries: "OrderedDict[object, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: object) -> Optional[object]:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: object, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._size:
+                self._entries.popitem(last=False)
+
+
+_SOURCES = _LRU(SOURCE_MEMO_SIZE)
+
+
+def _source(spec: ExperimentSpec) -> Tuple[QuantumCircuit, str]:
+    """The spec's logical circuit and its fingerprint, built once per process.
+
+    Generator circuits are memoized by ``(benchmark, num_qubits, seed)``,
+    which fully determines them; user circuits are fingerprinted as given.
+    """
+    if spec.circuit is not None:
+        return spec.circuit, circuit_fingerprint(spec.circuit)
+    ident = (spec.benchmark, spec.num_qubits, spec.seed)
+    entry = _SOURCES.get(ident)
+    if entry is None:
+        circuit = spec.source_circuit()
+        entry = (circuit, circuit_fingerprint(circuit))
+        _SOURCES.put(ident, entry)
+    return entry
+
+
 def job_key(spec: ExperimentSpec, circuit: Optional[QuantumCircuit] = None) -> str:
     """Content hash identifying one job's result.
 
@@ -79,11 +155,10 @@ def job_key(spec: ExperimentSpec, circuit: Optional[QuantumCircuit] = None) -> s
     generator, the compiler knobs, or a device parameter produces a fresh
     key and a clean recompute instead of a stale cache hit.
     """
-    if circuit is None:
-        circuit = spec.source_circuit()
+    fingerprint = _source(spec)[1] if circuit is None else circuit_fingerprint(circuit)
     payload = {
         "schema": RESULT_SCHEMA_VERSION,
-        "circuit": circuit_fingerprint(circuit),
+        "circuit": fingerprint,
         "compile": spec.compile_options.as_dict(),
         "compile_seed": spec.seed,
         "backend": spec.backend.identity_dict(),
@@ -196,7 +271,7 @@ def compile_spec(spec: ExperimentSpec) -> CompiledCircuit:
     The device is the spec's backend target, sized to the circuit — the
     paper's "smallest grid that fits" behaviour, generalised per topology.
     """
-    circuit = spec.source_circuit()
+    circuit, _ = _source(spec)
     options = spec.compile_options
     return compile_circuit(
         circuit,
@@ -208,6 +283,31 @@ def compile_spec(spec: ExperimentSpec) -> CompiledCircuit:
         pipeline=options.pipeline,
         routing_seed=options.routing_seed,
     )
+
+
+class CompileMemo(_LRU):
+    """The compilations one owner reuses, keyed by compile group.
+
+    At most :data:`COMPILE_MEMO_SIZE` are kept, least recently used first
+    out.  The compile runs outside the lock, so two racing misses of one
+    group may both compile; compilation is deterministic, so either result
+    serves.  Every lookup bumps ``compile.memo.hit`` or ``compile.memo.miss``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(COMPILE_MEMO_SIZE)
+
+    def compiled(self, spec: ExperimentSpec) -> CompiledCircuit:
+        """The compilation of ``spec``'s circuit, compiled on a miss."""
+        group = spec.compile_group
+        compiled = self.get(group)
+        if compiled is not None:
+            telemetry.counter("compile.memo.hit").inc()
+            return compiled
+        telemetry.counter("compile.memo.miss").inc()
+        compiled = compile_spec(spec)
+        self.put(group, compiled)
+        return compiled
 
 
 def execute_spec(
@@ -290,7 +390,9 @@ def group_payload(
     }
 
 
-def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]:
+def execute_compile_group(
+    payload: Dict[str, object], memo: Optional[CompileMemo] = None
+) -> List[Dict[str, object]]:
     """Execute all jobs of one compile group; the pooled unit of work.
 
     ``payload`` is plain JSON-able data (it must cross a process boundary)::
@@ -307,6 +409,8 @@ def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]
     backend.  An optional ``"sim_workers"`` entry (set by the dispatcher when
     it runs the group in-process) grants each job's trajectory run a worker
     pool of its own; pooled groups leave it at 1 so pools never nest.
+    ``memo`` (the queue worker's, see :func:`execute_queued_job`) reuses a
+    compilation of the group made by an earlier payload; sweeps pass none.
     Returns the stored-form result dicts in the payload's job order.
     """
     options = CompileOptions(**payload["compile"])
@@ -331,7 +435,8 @@ def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]
         jobs=len(payload["jobs"]),
     ):
         start = time.perf_counter()
-        compiled = compile_spec(group_spec(payload["jobs"][0]))
+        first = group_spec(payload["jobs"][0])
+        compiled = compile_spec(first) if memo is None else memo.compiled(first)
         compile_elapsed = time.perf_counter() - start
 
         sim_workers = int(payload.get("sim_workers", 1))
@@ -349,3 +454,18 @@ def execute_compile_group(payload: Dict[str, object]) -> List[Dict[str, object]]
                 )
             results.append(result.as_dict())
     return results
+
+
+#: This process's compilations of served jobs (see :func:`execute_queued_job`).
+_QUEUE_COMPILES = CompileMemo()
+
+
+def execute_queued_job(payload: Dict[str, object]) -> List[Dict[str, object]]:
+    """Execute one queue daemon payload in a worker process.
+
+    :func:`execute_compile_group` through this process's
+    :class:`CompileMemo`, so each worker compiles a circuit once across the
+    designs it is served under.  Nothing is shared between workers or
+    survives a worker's restart.
+    """
+    return execute_compile_group(payload, memo=_QUEUE_COMPILES)

@@ -121,6 +121,21 @@ class TestSessionCompilationReuse:
         assert first.metadata["job_keys"] == second.metadata["job_keys"]
         assert session.compile_misses == 1
 
+    def test_memo_holds_a_bounded_number_of_compilations(self):
+        from repro.runtime.jobs import COMPILE_MEMO_SIZE, execute_spec
+
+        seeds = range(COMPILE_MEMO_SIZE + 2)
+        with Session("digiq-opt8") as session:
+            rows = [
+                session.run("bv", num_qubits=5, seed=seed).result(timeout=300)[0].row
+                for seed in seeds
+            ]
+            assert len(session._compiled) == COMPILE_MEMO_SIZE
+        assert session.compile_misses == len(seeds)
+        for seed, row in zip(seeds, rows):
+            spec = session.make_specs("bv", num_qubits=5, seed=seed)[0]
+            assert canonical_json(row) == canonical_json(execute_spec(spec).row)
+
     def test_mismatched_backend_spec_rejected(self):
         from repro.runtime import ExperimentSpec
 

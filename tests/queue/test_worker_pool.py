@@ -7,6 +7,7 @@ pooled path shares; its unit tests live here next to the daemon's.
 import os
 import signal
 import time
+from functools import partial
 
 import pytest
 
@@ -22,9 +23,13 @@ from test_crash_recovery import (
 
 from repro import telemetry
 from repro.queue.client import QueueClient, QueueServerError
+from repro.queue.model import build_job
+from repro.queue.scheduler import QueueService
+from repro.queue.store import QueueStore
 from repro.runtime.executor import WorkerDiedError, WorkerPool
-from repro.runtime.jobs import execute_compile_group, group_payload, job_key
+from repro.runtime.jobs import execute_compile_group, execute_spec, group_payload, job_key
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
+from repro.runtime.store import ResultStore, canonical_json
 
 
 def timed_nap(seconds):
@@ -83,6 +88,65 @@ class TestWorkerDeath:
             assert stats["power_in_flight_w"] == 0.0
         finally:
             stop_daemon(daemon)
+
+
+def memo_counts():
+    return tuple(
+        telemetry.counter(f"compile.memo.{kind}").value for kind in ("miss", "hit")
+    )
+
+
+def serve(service, spec):
+    """Queue ``spec``, admit it and wait until it settles; returns its record."""
+    job = service.store.submit(partial(build_job, spec))
+    assert [admitted.job_id for admitted in service.tick()] == [job.job_id]
+    return service.wait_settled(job.job_id, timeout_s=120.0)
+
+
+class TestServedCompileReuse:
+    def test_a_worker_compiles_a_circuit_once_across_designs(self, tmp_path):
+        service = QueueService(
+            QueueStore(tmp_path / "queue"), ResultStore(tmp_path / "cache"), max_workers=1
+        )
+        try:
+            specs = [
+                ExperimentSpec(benchmark="qgan", backend=backend, num_qubits=8)
+                for backend in ("digiq-opt8", "digiq-opt16", "digiq-min2")
+            ]
+            before = memo_counts()
+            with telemetry.collecting():
+                records = [serve(service, spec) for spec in specs]
+                spans = telemetry.snapshot_spans()
+            assert [record.state for record in records] == ["done"] * 3
+            misses, hits = (now - then for now, then in zip(memo_counts(), before))
+            assert (misses, hits) == (1, 2)
+            for spec, record in zip(specs, records):
+                stored = service.results.get(record.result_key)["row"]
+                assert canonical_json(stored) == canonical_json(execute_spec(spec).row)
+
+            (worker,) = {span["pid"] for span in spans if span["name"] == "job.execute"}
+            doomed = service.store.submit(partial(build_job, long_fidelity_spec()))
+            service.tick()
+            time.sleep(0.5)
+            os.kill(worker, signal.SIGKILL)
+            failed = service.wait_settled(doomed.job_id, timeout_s=60.0)
+            assert failed.state == "failed"
+            assert failed.error.startswith("WorkerDiedError: ")
+
+            # the same compile group (a new key): the fresh worker compiles again
+            again = ExperimentSpec(
+                benchmark="qgan", num_qubits=8, fidelity=FidelityOptions(trajectories=4)
+            )
+            assert again.compile_group == specs[0].compile_group
+            before = memo_counts()
+            record = serve(service, again)
+            assert record.state == "done"
+            assert tuple(now - then for now, then in zip(memo_counts(), before)) == (1, 0)
+            stored = service.results.get(record.result_key)["row"]
+            assert canonical_json(stored) == canonical_json(execute_spec(again).row)
+        finally:
+            service.stop()
+            service.drain()
 
 
 class TestWorkerPool:

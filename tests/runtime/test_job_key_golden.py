@@ -14,12 +14,15 @@ To regenerate after an intentional key change::
 
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro.circuits.benchmarks import TABLE_IV_NAMES
-from repro.runtime import FidelityOptions, job_key
+from repro.runtime import FidelityOptions, job_key, jobs
 from repro.runtime.spec import ExperimentSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "job_keys.json"
@@ -50,18 +53,49 @@ def spec_for(name, backend, qubits, fidelity):
     )
 
 
-def test_job_keys_match_golden():
-    keys = {
+def grid_keys():
+    return {
         case_id(*case): job_key(spec_for(*case[:3], FIDELITY[case[3]]))
         for case in CASES
     }
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        GOLDEN_PATH.write_text(json.dumps(keys, indent=2, sort_keys=True) + "\n")
-        pytest.skip("job key golden regenerated")
+
+
+def test_job_keys_match_golden(monkeypatch):
+    # An empty source memo: the first pass builds every circuit, the second
+    # keys every case from the memo.
+    monkeypatch.setattr(jobs, "_SOURCES", jobs._LRU(jobs.SOURCE_MEMO_SIZE))
+    for _memo in ("cold", "warm"):
+        keys = grid_keys()
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN_PATH.write_text(json.dumps(keys, indent=2, sort_keys=True) + "\n")
+            pytest.skip("job key golden regenerated")
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert sorted(golden) == sorted(keys)
+        drifted = [case for case, key in keys.items() if golden[case] != key]
+        assert not drifted, f"job keys drifted from the golden: {drifted}"
+    # each circuit was built once, for its first key
+    assert jobs._SOURCES.misses == len({(name, qubits) for name, _, qubits, _ in CASES})
+
+
+def test_concurrent_keying_matches_golden(monkeypatch):
+    """The daemon's handler threads share one source memo: eight threads
+    keying the grid at once, from an empty memo, all reproduce the golden."""
+    monkeypatch.setattr(jobs, "_SOURCES", jobs._LRU(jobs.SOURCE_MEMO_SIZE))
+    start = threading.Barrier(8)
+
+    def keyed(_thread):
+        start.wait(timeout=60)
+        return grid_keys()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(keyed, range(8), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert sorted(golden) == sorted(keys)
-    drifted = [case for case, key in keys.items() if golden[case] != key]
-    assert not drifted, f"job keys drifted from the golden: {drifted}"
+    assert all(keys == golden for keys in results)
 
 
 @pytest.mark.parametrize("label", sorted(FIDELITY))
