@@ -6,25 +6,33 @@ evaluation ultimately cares about — instead of per-gate errors:
 1. the circuit is *fused*: runs of adjacent single-qubit gates on one qubit
    collapse into a single 2x2 matrix (their kick probabilities combine), so
    the hot loop applies far fewer matrices than the raw gate count;
-2. ``B`` trajectories advance in lockstep as one ``(B, 2**n)`` batched
-   statevector (see :func:`repro.circuits.simulator.apply_matrix`);
+2. a batch of ``B`` trajectories advances one statevector row per
+   *distinct* trajectory: every trajectory no kick has hit yet shares row 0,
+   and a trajectory gets its own row, a copy of row 0, at its first kick
+   (see :func:`advance_noisy_batch`).  A noisy batch typically ends with a
+   few rows, not ``B``; one gather expands them to ``(B, 2**n)`` at the end;
 3. after each fused op, every involved qubit suffers a random Pauli kick
    (X, Y or Z, weighted by the noise model) with the probability the
-   :class:`~repro.simulation.channels.NoiseModel` assigns it — injected by a
-   single vectorized per-trajectory 2x2 update on the batch, not a masked
-   gather/scatter per Pauli;
+   :class:`~repro.simulation.channels.NoiseModel` assigns it.  A batch
+   draws all its kicks in one call before it starts, and only the sites
+   where some trajectory is hit are visited: each is a single vectorized
+   per-row 2x2 update, not a masked gather/scatter per Pauli;
 4. each trajectory's final state is scored against the noiseless final state
    (state fidelity) and against the noiseless dominant measurement outcome
    (success probability).
 
-This dense kernel is the only trajectory kernel.  A batch holds
+This dense kernel is the only trajectory kernel.  A batch holds up to
 ``B * 2**n`` complex amplitudes, so :func:`build_trajectory_plan` refuses
 circuits wider than :data:`MAX_DENSE_QUBITS` before it allocates anything.
 
-All randomness flows from one ``numpy`` generator seeded by the caller, and
-kick draws are consumed in a fixed order independent of which trajectories
-are actually kicked, so a (seed, trajectory-count, batch-size) triple pins
-the result bit-for-bit — serially and across worker processes.
+All randomness flows from one ``numpy`` generator seeded by the caller.  A
+batch's one ``rng.random((sites, 2, B))`` call yields, site by site in
+circuit order, ``B`` hit draws and then ``B`` Pauli-pick draws: the same
+numbers in the same order as one ``rng.random(B)`` call per draw, because
+the generator fills an array from its stream in C order.  The draws do not
+depend on which trajectories are actually kicked, so a (seed,
+trajectory-count, batch-size) triple pins the result bit-for-bit — serially
+and across worker processes.
 """
 
 from __future__ import annotations
@@ -46,8 +54,11 @@ from ..circuits.simulator import (
 )
 from .channels import NoiseModel
 
-#: Default trajectories per batch: large enough to amortize per-gate Python
-#: overhead, small enough that a 12-16 qubit batch stays cache-resident.
+#: Default trajectories per batch.  A batch pays the program's per-op Python
+#: overhead and its one kick draw once for all its trajectories, and advances
+#: at most one row per trajectory (usually far fewer: one per distinct
+#: trajectory), so a 12-16 qubit batch stays cache-resident.  The batch size
+#: is part of the seeding scheme: changing it changes every result.
 DEFAULT_BATCH_SIZE = 25
 
 #: Widest register the dense kernel simulates: one 24-qubit trajectory is
@@ -439,7 +450,7 @@ def _compose(
 
 @dataclass(frozen=True)
 class _SegEntry:
-    """One composable op inside a segment: its spec, sites, and prefix.
+    """One composable op inside a segment: its spec, targets, and prefix.
 
     ``snapshot`` (prefix from the segment start through this op) is only
     stored for site-carrying entries within the snapshot budget; otherwise
@@ -448,7 +459,6 @@ class _SegEntry:
 
     spec: Tuple[str, Optional[np.ndarray], np.ndarray]
     targets: Tuple[int, ...]
-    sites: Tuple[Tuple[int, float], ...]
     snapshot: Optional[Tuple[np.ndarray, Optional[np.ndarray]]]
 
 
@@ -467,15 +477,24 @@ class _DenseStep:
 
     matrix: np.ndarray
     targets: Tuple[int, ...]
-    sites: Tuple[Tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
 class _Program:
-    """Precompiled trajectory program for one (ops, num_qubits) pair."""
+    """Precompiled trajectory program for one (ops, num_qubits) pair.
+
+    Its kick sites, flattened in circuit order, form the site table: site
+    ``k`` kicks qubit ``site_qubits[k]`` with probability ``site_probs[k]``
+    after entry ``site_entries[k]`` of its segment (``-1`` after a dense
+    step), and ``site_stops[i]`` is one past the last site of ``items[i]``.
+    """
 
     num_qubits: int
     items: Tuple[object, ...]
+    site_probs: np.ndarray
+    site_qubits: Tuple[int, ...]
+    site_entries: Tuple[int, ...]
+    site_stops: Tuple[int, ...]
 
 
 def _relabel_positions(
@@ -548,13 +567,24 @@ def _build_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
     cur_idx: Optional[np.ndarray] = None
     cur_pexp: Optional[np.ndarray] = None
     entries: List[_SegEntry] = []
+    site_probs: List[float] = []
+    site_qubits: List[int] = []
+    site_entries: List[int] = []
+    site_stops: List[int] = []
 
     def close_segment() -> None:
         nonlocal cur_idx, cur_pexp, entries
         if entries or cur_idx is not None or cur_pexp is not None:
             final_idx = cur_idx if cur_idx is not None else np.arange(dim, dtype=np.intp)
             items.append(_Segment(tuple(entries), final_idx, cur_pexp))
+            site_stops.append(len(site_probs))
         cur_idx, cur_pexp, entries = None, None, []
+
+    def add_sites(sites: Sequence[Tuple[int, float]], position: int) -> None:
+        for qubit, prob in sites:
+            site_qubits.append(qubit)
+            site_probs.append(prob)
+            site_entries.append(position)
 
     for op, spec in zip(ops, specs):
         targets = tuple(phys(q) for q in op.qubits)
@@ -563,7 +593,9 @@ def _build_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
         )
         if spec is None:
             close_segment()
-            items.append(_DenseStep(np.asarray(op.matrix, dtype=complex), targets, sites))
+            items.append(_DenseStep(np.asarray(op.matrix, dtype=complex), targets))
+            add_sites(sites, -1)
+            site_stops.append(len(site_probs))
             continue
         op_idx, op_pexp = _map_for(spec, targets, num_qubits)
         cur_idx, cur_pexp = _compose(cur_idx, cur_pexp, op_idx, op_pexp)
@@ -573,13 +605,21 @@ def _build_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
                 cur_idx if cur_idx is not None else np.arange(dim, dtype=np.intp)
             ).astype(np.int32)
             snapshot = (snap_idx, cur_pexp)
-        entries.append(_SegEntry(spec, targets, sites, snapshot))
+        add_sites(sites, len(entries))
+        entries.append(_SegEntry(spec, targets, snapshot))
     if positions is not None:
         cur_idx, cur_pexp = _compose(
             cur_idx, cur_pexp, _restore_map(positions, num_qubits), None
         )
     close_segment()
-    return _Program(num_qubits=num_qubits, items=tuple(items))
+    return _Program(
+        num_qubits=num_qubits,
+        items=tuple(items),
+        site_probs=np.asarray(site_probs, dtype=float),
+        site_qubits=tuple(site_qubits),
+        site_entries=tuple(site_entries),
+        site_stops=tuple(site_stops),
+    )
 
 
 def _segment_prefix(
@@ -672,6 +712,101 @@ def _trajectory_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
     return _build_program(tuple(ops), num_qubits)
 
 
+def _split_rows(
+    states: np.ndarray,
+    row_of: np.ndarray,
+    hit: np.ndarray,
+    pick: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map one site's per-trajectory hits and picks onto distinct rows.
+
+    Row 0 is shared by the trajectories no kick has hit yet.  A hit
+    trajectory that shares row 0 with an unhit one moves to a row of its
+    own, a copy of row 0: the first spare row of ``states`` (rows past the
+    last claimed one advance as copies of row 0), else one appended to it.
+    When every trajectory left on row 0 is hit, the first keeps the row.
+    ``row_of`` is updated in place, so afterwards every hit trajectory is
+    alone on its row.  Returns ``(states, row_hit, row_pick)``.
+    """
+    shared = row_of == 0
+    movers = hit & shared
+    if np.array_equal(movers, shared):
+        movers[np.argmax(movers)] = False
+    count = int(np.count_nonzero(movers))
+    if count:
+        claimed = int(row_of.max()) + 1
+        row_of[movers] = np.arange(claimed, claimed + count)
+        rows = states.shape[0]
+        if claimed + count > rows:
+            # A fresh C-ordered array: the in-place kernels need C-contiguous rows.
+            grown = np.empty((claimed + count, states.shape[1]), dtype=complex)
+            grown[:rows] = states
+            grown[rows:] = states[0]
+            states = grown
+    hit_rows = row_of[hit]
+    row_hit = np.zeros(states.shape[0], dtype=bool)
+    row_hit[hit_rows] = True
+    row_pick = np.zeros(states.shape[0], dtype=np.intp)
+    row_pick[hit_rows] = pick[hit]
+    return states, row_hit, row_pick
+
+
+def _advance_rows(
+    ops: Sequence[FusedOp],
+    num_qubits: int,
+    batch: int,
+    rng: np.random.Generator,
+    kick_cumweights: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """:func:`advance_noisy_batch` before the final gather to trajectories.
+
+    Returns ``(states, row_of, kicks)``: trajectory ``t`` ends in
+    ``states[row_of[t]]``.  Row 0 may be shared, every other row belongs to
+    at most one trajectory, and there are never more rows than trajectories.
+    """
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    program = _trajectory_program(ops, num_qubits)
+    draws = rng.random((len(program.site_qubits), 2, batch))
+    hits = draws[:, 0, :] < program.site_probs[:, None]
+    picks = np.minimum(np.searchsorted(kick_cumweights, draws[:, 1, :]), 2)
+    hit_sites = np.flatnonzero(hits.any(axis=1)).tolist()
+
+    # numpy rounds a one-row array differently from a taller one (a
+    # one-element strided multiply takes its scalar loop, a one-row matmul
+    # BLAS gemv), so a batch of two or more never runs on fewer than two
+    # rows: row 1 starts as a spare copy of row 0 that the first hit claims.
+    states = np.zeros((min(batch, 2), 1 << num_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    row_of = np.zeros(batch, dtype=np.intp)
+    kicks = 0
+    next_hit = 0
+    for item, stop in zip(program.items, program.site_stops):
+        segment = isinstance(item, _Segment)
+        if segment:
+            cursor = _Cursor()
+            materialized_at = -1
+        else:
+            states = apply_matrix_inplace(states, item.matrix, item.targets, num_qubits)
+        while next_hit < len(hit_sites) and hit_sites[next_hit] < stop:
+            site = hit_sites[next_hit]
+            next_hit += 1
+            position = program.site_entries[site]
+            if segment and materialized_at != position:
+                prefix_idx, prefix_pexp = _segment_prefix(item, position, num_qubits)
+                states = cursor.advance(states, prefix_idx, prefix_pexp)
+                materialized_at = position
+            states, row_hit, row_pick = _split_rows(
+                states, row_of, hits[site], picks[site]
+            )
+            kicks += _inject_kicks(
+                states, num_qubits, program.site_qubits[site], row_hit, row_pick
+            )
+        if segment:
+            states = cursor.advance(states, item.final_idx, item.final_pexp)
+    return states, row_of, kicks
+
+
 def advance_noisy_batch(
     ops: Sequence[FusedOp],
     num_qubits: int,
@@ -679,15 +814,30 @@ def advance_noisy_batch(
     rng: np.random.Generator,
     kick_cumweights: np.ndarray,
 ) -> Tuple[np.ndarray, int]:
-    """Advance ``batch`` noisy trajectories in lockstep from ``|0...0>``.
+    """Advance ``batch`` noisy trajectories from ``|0...0>``.
 
     Returns the ``(batch, 2**num_qubits)`` array of final statevectors and
-    the total number of Pauli kicks injected.  The kick draws for every
-    (op, qubit) site are consumed in circuit order regardless of which
-    trajectories are hit, so the generator's stream — and therefore the
-    states — depends only on its seed and the batch size.  Picks are clipped
-    into the Pauli table so a cumulative-weight array whose last entry sits a
-    few ulp below 1.0 cannot silently drop kicks.
+    the total number of Pauli kicks injected.
+
+    The kernel advances one row per *distinct* trajectory, not one per
+    trajectory.  Row 0 is shared by the trajectories no kick has hit yet; a
+    trajectory gets its own row, copied from row 0, at its first hit, and
+    ``row_of`` maps trajectories to rows.  One gather at the end expands the
+    rows into the per-trajectory array.  Each row takes exactly the
+    arithmetic its trajectory took when all ``batch`` trajectories advanced
+    as ``batch`` rows, so the states are bit-for-bit the same; that is also
+    why a batch of two or more keeps at least two rows (see
+    :func:`_advance_rows`).
+
+    All kick draws of the batch come from one ``rng.random((sites, 2,
+    batch))`` call: per (op, qubit) site in circuit order, ``batch`` hit
+    draws then ``batch`` Pauli-pick draws.  That is the generator's stream in
+    the order one ``rng.random(batch)`` per draw consumed it, and it does not
+    depend on which trajectories are hit, so the states depend only on the
+    seed and the batch size.  Only sites where some trajectory is hit are
+    visited.  Picks are clipped into the Pauli table so a cumulative-weight
+    array whose last entry sits a few ulp below 1.0 cannot silently drop
+    kicks.
 
     The kernel runs the circuit's precompiled :func:`_build_program`: maximal
     runs of permutation/diagonal ops collapse into single gathers, the state
@@ -700,43 +850,10 @@ def advance_noisy_batch(
     to callers that need the raw vectors (e.g. ``repro.primitives.Estimator``
     expectation values).
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    program = _trajectory_program(ops, num_qubits)
-    states = np.zeros((batch, 1 << num_qubits), dtype=complex)
-    states[:, 0] = 1.0
-    kicks = 0
-    for item in program.items:
-        if isinstance(item, _DenseStep):
-            states = apply_matrix_inplace(states, item.matrix, item.targets, num_qubits)
-            for qubit, prob in item.sites:
-                hit = rng.random(batch) < prob
-                pauli_pick = np.minimum(
-                    np.searchsorted(kick_cumweights, rng.random(batch)), 2
-                )
-                if not hit.any():
-                    continue
-                kicks += _inject_kicks(states, num_qubits, qubit, hit, pauli_pick)
-            continue
-        cursor = _Cursor()
-        materialized_at = -1
-        for position, entry in enumerate(item.entries):
-            for qubit, prob in entry.sites:
-                hit = rng.random(batch) < prob
-                pauli_pick = np.minimum(
-                    np.searchsorted(kick_cumweights, rng.random(batch)), 2
-                )
-                if not hit.any():
-                    continue
-                if materialized_at != position:
-                    prefix_idx, prefix_pexp = _segment_prefix(
-                        item, position, num_qubits
-                    )
-                    states = cursor.advance(states, prefix_idx, prefix_pexp)
-                    materialized_at = position
-                kicks += _inject_kicks(states, num_qubits, qubit, hit, pauli_pick)
-        states = cursor.advance(states, item.final_idx, item.final_pexp)
-    return states, kicks
+    states, row_of, kicks = _advance_rows(
+        ops, num_qubits, batch, rng, kick_cumweights
+    )
+    return states.take(row_of, axis=0), kicks
 
 
 def run_trajectory_batch(
@@ -744,7 +861,7 @@ def run_trajectory_batch(
     batch: int,
     rng: np.random.Generator,
 ) -> TrajectoryResult:
-    """Advance ``batch`` trajectories of a plan in lockstep and score them.
+    """Advance ``batch`` trajectories of a plan and score them.
 
     The kick draws for every (op, qubit) site are consumed in circuit order
     regardless of which trajectories are hit, so the generator's stream — and
@@ -752,17 +869,21 @@ def run_trajectory_batch(
 
     Each call is one ``sim.batch`` kernel span;
     the ``sim.kernel_s`` histogram and the ``sim.trajectories`` /
-    ``sim.kicks`` / ``sim.batches`` counters accumulate the throughput story
-    ``repro bench --fidelity`` reports.
+    ``sim.rows`` / ``sim.kicks`` / ``sim.batches`` counters accumulate the
+    throughput story ``repro bench --fidelity`` reports.  ``sim.rows`` counts
+    the distinct statevectors each batch ended with (see
+    :func:`advance_noisy_batch`).
     """
     start = time.perf_counter()
     with telemetry.span("sim.batch", qubits=plan.num_qubits, batch=batch):
-        states, kicks = advance_noisy_batch(
+        rows, row_of, kicks = _advance_rows(
             plan.ops, plan.num_qubits, batch, rng, plan.kick_cumweights
         )
+        states = rows.take(row_of, axis=0)
     telemetry.histogram("sim.kernel_s").observe(time.perf_counter() - start)
     telemetry.counter("sim.batches").inc()
     telemetry.counter("sim.trajectories").inc(batch)
+    telemetry.counter("sim.rows").inc(int(np.unique(row_of).size))
     telemetry.counter("sim.kicks").inc(kicks)
 
     ideal_state = plan.ideal_state

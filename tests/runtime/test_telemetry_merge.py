@@ -130,10 +130,21 @@ class TestPooledTrajectoryTelemetry:
         pooled = sweep_counters(2, tmp_path / "pooled")
         assert serial["sim.trajectories"] == 40
         assert serial["sim.batches"] == 4
+        # each batch ends with at least one and at most 10 distinct rows
+        assert 4 <= serial["sim.rows"] <= 40
+        assert pooled["sim.rows"] == serial["sim.rows"]
         # only a pooled run ships its plan through shared memory
         assert pooled.pop("sim.shm_bytes") > 0
         assert "sim.shm_bytes" not in serial
         assert pooled == serial
+
+    def test_zero_noise_counts_one_row_per_batch(self):
+        circuit = build_benchmark("qgan", num_qubits=6, seed=3)
+        telemetry.reset()
+        run_trajectories(circuit, NoiseModel.uniform(6, 0.0, 0.0), 40, seed=7, batch_size=10)
+        counters = telemetry.snapshot_metrics()["counters"]
+        assert counters["sim.batches"] == 4
+        assert counters["sim.rows"] == 4
 
     def test_pooled_batches_nest_under_sim_run(self):
         circuit = build_benchmark("qgan", num_qubits=6, seed=3)

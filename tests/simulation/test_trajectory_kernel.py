@@ -8,12 +8,18 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.simulator import apply_matrix, apply_matrix_inplace
 from repro.simulation import NoiseModel
+from repro.runtime.jobs import compile_spec
+from repro.runtime.spec import ExperimentSpec
 from repro.simulation.trajectories import (
     _PAULIS,
+    _advance_rows,
     _build_program,
+    _Cursor,
     _inject_kicks,
     _Segment,
+    _segment_prefix,
     advance_noisy_batch,
+    build_trajectory_plan,
     fuse_circuit,
 )
 
@@ -198,6 +204,137 @@ class TestProgramKernel:
         rng_b = np.random.default_rng(2)
         advance_noisy_batch(loud, 3, 4, rng_b, cw_loud)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def compiled_plan(name, num_qubits, backend, noise=None):
+    """The trajectory plan a ``--fidelity`` sweep job runs: the physical
+    circuit ``compile_spec`` emits, under the backend's noise model unless
+    ``noise`` (a function of the register width) replaces it."""
+    spec = ExperimentSpec(benchmark=name, backend=backend, num_qubits=num_qubits)
+    physical = compile_spec(spec).physical_circuit
+    if noise is None:
+        model = spec.backend.noise_model(
+            physical.num_qubits, couplers=sorted(physical.two_qubit_pairs()), seed=0
+        )
+    else:
+        model = noise(physical.num_qubits)
+    return build_trajectory_plan(physical, model)
+
+
+def lockstep_program_advance(ops, num_qubits, batch, rng, cumweights):
+    """The compiled program run in lockstep: one row per trajectory, and two
+    ``rng.random(batch)`` draws per kick site, hit or not."""
+    program = _build_program(tuple(ops), num_qubits)
+    states = np.zeros((batch, 1 << num_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    kicks = 0
+    start = 0
+    for item, stop in zip(program.items, program.site_stops):
+        segment = isinstance(item, _Segment)
+        if segment:
+            cursor = _Cursor()
+            materialized_at = -1
+        else:
+            states = apply_matrix_inplace(states, item.matrix, item.targets, num_qubits)
+        for site in range(start, stop):
+            hit = rng.random(batch) < program.site_probs[site]
+            pick = np.minimum(np.searchsorted(cumweights, rng.random(batch)), 2)
+            if not hit.any():
+                continue
+            position = program.site_entries[site]
+            if segment and materialized_at != position:
+                states = cursor.advance(states, *_segment_prefix(item, position, num_qubits))
+                materialized_at = position
+            kicks += _inject_kicks(states, num_qubits, program.site_qubits[site], hit, pick)
+        if segment:
+            states = cursor.advance(states, item.final_idx, item.final_pexp)
+        start = stop
+    return states, kicks
+
+
+def assert_matches_reference(plan, batch, seed=11):
+    """The distinct-row kernel against lockstep evolution of the same batch.
+
+    Against the lockstep program, kicks, generator end state and amplitudes
+    are equal.  Against op-by-op evolution they are equal too below 10
+    qubits; from 10 qubits the program relabels qubits, which changes the
+    strides dense gates run at, so amplitudes agree to rounding (as they did
+    before rows were shared).  Returns the rows and ``row_of``."""
+    n, cumweights = plan.num_qubits, plan.kick_cumweights
+    rng = np.random.default_rng(seed)
+    rows, row_of, kicks = _advance_rows(plan.ops, n, batch, rng, cumweights)
+    got = rows.take(row_of, axis=0)
+    rng_lockstep = np.random.default_rng(seed)
+    lockstep, kicks_lockstep = lockstep_program_advance(
+        plan.ops, n, batch, rng_lockstep, cumweights
+    )
+    assert kicks == kicks_lockstep
+    assert rng.bit_generator.state == rng_lockstep.bit_generator.state
+    assert np.array_equal(got, lockstep)
+    rng_ref = np.random.default_rng(seed)
+    want, kicks_want = reference_advance(
+        plan.ops, n, batch, rng_ref, cumweights, inplace=True
+    )
+    assert kicks == kicks_want
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    if n < 10:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    return rows, row_of
+
+
+#: Table IV benchmarks at logical sizes whose compiled circuits span 6-12
+#: physical qubits: (benchmark, logical qubits) -> physical qubits.
+COMPILED_CASES = [
+    ("qgan", 6),   # 6
+    ("qgan", 10),  # 12
+    ("ising", 8),  # 9
+    ("ising", 12),  # 12
+    ("bv", 12),    # 12
+    ("add1", 10),  # 6
+    ("add2", 6),   # 6
+]
+
+
+class TestCompiledCircuitOracle:
+    """On the circuits sweep jobs simulate, one row per distinct trajectory
+    reproduces the lockstep batch bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["digiq-opt8", "cryo-cmos-grid"])
+    @pytest.mark.parametrize("name,num_qubits", COMPILED_CASES)
+    def test_matches_lockstep_reference(self, name, num_qubits, backend):
+        plan = compiled_plan(name, num_qubits, backend)
+        assert 6 <= plan.num_qubits <= 12
+        for batch in (1, 7, 25):
+            _, row_of = assert_matches_reference(plan, batch)
+            assert np.unique(row_of).size <= batch
+
+    def test_zero_noise_keeps_one_row(self):
+        plan = compiled_plan(
+            "ising", 8, "digiq-opt8", noise=lambda n: NoiseModel.uniform(n, 0.0, 0.0)
+        )
+        for batch in (1, 7, 25):
+            rows, row_of = assert_matches_reference(plan, batch)
+            assert not row_of.any()
+            assert rows.shape[0] == min(batch, 2)
+
+    def test_heavy_noise_gives_every_trajectory_its_own_row(self):
+        plan = compiled_plan(
+            "ising", 8, "digiq-opt8", noise=lambda n: NoiseModel.uniform(n, 0.4, 0.4)
+        )
+        for batch in (1, 7, 25):
+            rows, row_of = assert_matches_reference(plan, batch)
+            assert sorted(row_of.tolist()) == list(range(batch))
+            assert rows.shape[0] == batch
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", ["digiq-opt8", "cryo-cmos-grid"])
+    def test_widest_register_sqrt(self, backend):
+        plan = compiled_plan("sqrt", 8, backend)
+        assert plan.num_qubits == 16
+        for batch in (1, 7):
+            assert_matches_reference(plan, batch)
 
 
 class TestKickWeights:
