@@ -7,9 +7,9 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.simulator import apply_matrix, apply_matrix_inplace
-from repro.simulation import NoiseModel
 from repro.runtime.jobs import compile_spec
 from repro.runtime.spec import ExperimentSpec
+from repro.simulation import NoiseModel
 from repro.simulation.trajectories import (
     _PAULIS,
     _advance_rows,
