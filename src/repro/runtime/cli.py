@@ -7,10 +7,10 @@ the on-disk store so the next invocation is pure cache hits.  Sweeping more
 than one backend also prints the cross-backend comparison table.
 
 The ``cache`` subcommand inspects and trims the content-addressed result
-store shared by sweeps and ``repro.primitives`` sessions.  ``bench`` runs
-the tracked Table IV benchmark harness (see :mod:`repro.runtime.bench`),
-and ``telemetry summarize`` renders a ``--trace`` / ``REPRO_TELEMETRY``
-JSONL trace file as span and metric tables.
+store shared by sweeps and ``repro.primitives`` sessions, and ``telemetry
+summarize`` renders a ``--trace`` / ``REPRO_TELEMETRY`` JSONL trace file as
+span and metric tables.  Timing the pipeline is ``perfbench/run.py``'s job
+(see ``perfbench/README.md``).
 
 Examples::
 
@@ -26,7 +26,6 @@ Examples::
     python -m repro.runtime --trace sweep-trace.jsonl
     python -m repro.runtime cache stats
     python -m repro.runtime cache prune --max-entries 1000 --max-bytes 50000000
-    python -m repro.runtime bench --quick --fidelity
     python -m repro.runtime telemetry summarize sweep-trace.jsonl
 """
 
@@ -378,10 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "cache":
         return cache_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from .bench import bench_main  # deferred: pulls in the simulation stack
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "telemetry":
         return telemetry_main(argv[1:])
     if argv and argv[0] == "serve":

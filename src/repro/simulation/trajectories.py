@@ -870,7 +870,7 @@ def run_trajectory_batch(
     Each call is one ``sim.batch`` kernel span;
     the ``sim.kernel_s`` histogram and the ``sim.trajectories`` /
     ``sim.rows`` / ``sim.kicks`` / ``sim.batches`` counters accumulate the
-    throughput story ``repro bench --fidelity`` reports.  ``sim.rows`` counts
+    throughput story ``repro telemetry summarize`` reports.  ``sim.rows`` counts
     the distinct statevectors each batch ended with (see
     :func:`advance_noisy_batch`).
     """

@@ -10,7 +10,7 @@ where the wall-clock went.  The API is a plain context manager::
 
 Spans are recorded only while telemetry is *enabled* — a JSONL sink is
 configured (``REPRO_TELEMETRY`` / ``--trace``) or a collection window is
-open (:func:`collecting`, used by ``repro bench`` and tests).  When
+open (:func:`collecting`, used by pooled workers and tests).  When
 disabled, ``span(...)`` is a no-op whose cost is a single attribute check,
 which is what keeps the instrumented hot paths within the <2% overhead
 budget the benchmark suite asserts.

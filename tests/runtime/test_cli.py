@@ -62,6 +62,17 @@ class TestMain:
             main(["--qubits", "1", "--cache-dir", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    def test_removed_bench_subcommand_errors_cleanly(self, tmp_path, capsys, monkeypatch):
+        # timing lives in perfbench/run.py; "bench" is no subcommand, so
+        # argparse rejects it before any sweep runs or any store is written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: bench --quick" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fidelity_knobs_require_fidelity_flag(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(CLI_ARGS + ["--trajectories", "500", "--cache-dir", str(tmp_path)])
