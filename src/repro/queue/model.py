@@ -53,8 +53,8 @@ def priority_rank(priority: str) -> int:
 def spec_payload(spec: ExperimentSpec) -> Dict[str, object]:
     """JSON-able payload reconstructing one spec in another process.
 
-    The same shape :func:`repro.runtime.jobs.execute_compile_group` ships to
-    pooled workers: benchmark identity (or a serialized user circuit), the
+    The form a queued job's spec takes in its job file and in a client's
+    HTTP submission: benchmark identity (or a serialized user circuit), the
     compile options, the full backend description and the fidelity options.
     """
     return {

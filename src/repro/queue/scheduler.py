@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from .. import telemetry
 from ..hardware.budget import FridgeBudget
 from ..runtime.executor import WorkerPool, merge_shipped_telemetry
-from ..runtime.jobs import execute_queued_job, group_payload
+from ..runtime.jobs import execute_queued_job
 from ..runtime.store import ResultStore
 from .model import QueueJob, priority_rank
 from .store import QueueStore
@@ -367,12 +367,13 @@ class QueueService:
             if self._workers is None:
                 self._workers = WorkerPool(self.max_workers)
             workers = self._workers
-        payload = group_payload([job.to_spec()], [job.result_key])
-        shipped = workers.submit(execute_queued_job, payload).result()
+        shipped = workers.submit(
+            execute_queued_job, [job.to_spec()], [job.result_key]
+        ).result()
         (result,) = merge_shipped_telemetry(
             shipped, None if parent is None else parent.span_id
         )
-        return result
+        return result.as_dict()
 
     # -- daemon loop ----------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import uuid
 from contextlib import contextmanager
@@ -38,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from .. import telemetry
-from ..runtime.store import canonical_json
+from ..runtime.store import atomic_write, canonical_json
 from .model import JOB_STATES, QueueJob
 
 try:  # pragma: no cover - always present on POSIX
@@ -135,18 +134,7 @@ class QueueStore:
         """Atomically (re)write one job file in a state directory."""
         path = self.path_for(job.job_id, state if state is not None else job.state)
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(canonical_json(job.as_dict()))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return atomic_write(path, canonical_json(job.as_dict()))
 
     def _read(self, path: Path) -> Optional[QueueJob]:
         try:
@@ -184,17 +172,7 @@ class QueueStore:
         except (FileNotFoundError, ValueError):
             current = 0
         value = current + 1
-        handle, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(str(value))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, str(value))
         return value
 
     # -- reads ----------------------------------------------------------------------
@@ -350,12 +328,7 @@ class QueueStore:
     def write_daemon(self, info: Dict[str, object]) -> Path:
         """Advertise a live daemon (pid + URL) for clients and the CLI."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.daemon_path()
-        handle, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            tmp.write(canonical_json(info))
-        os.replace(tmp_name, path)
-        return path
+        return atomic_write(self.daemon_path(), canonical_json(info))
 
     def read_daemon(self) -> Optional[Dict[str, object]]:
         """The advertised daemon descriptor, or None if absent/stale/dead."""

@@ -18,10 +18,7 @@ from .spec import (
     ExperimentSpec,
     FidelityOptions,
     SweepGrid,
-    config_from_dict,
-    config_to_dict,
     parse_config,
-    resolve_backend,
 )
 from .store import ResultStore, canonical_json
 
@@ -37,12 +34,9 @@ __all__ = [
     "SweepReport",
     "canonical_json",
     "circuit_fingerprint",
-    "config_from_dict",
-    "config_to_dict",
     "default_worker_count",
     "execute_spec",
     "job_key",
     "parse_config",
-    "resolve_backend",
     "run_sweep",
 ]

@@ -45,7 +45,7 @@ from ..analysis.report import (
     summarize_fidelity,
     summarize_passes,
 )
-from ..backends import Backend, list_backends
+from ..backends import Backend, get_backend, list_backends
 from ..circuits.benchmarks import BENCHMARK_NAMES
 from ..compiler.layout import LAYOUT_STRATEGIES
 from ..compiler.pipeline import DEFAULT_OPT_LEVEL, OPT_LEVELS, PIPELINE_NAMES
@@ -58,7 +58,6 @@ from .spec import (
     CompileOptions,
     FidelityOptions,
     SweepGrid,
-    resolve_backend,
 )
 from .store import DEFAULT_STORE_DIR, ResultStore
 
@@ -412,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         backend_specs = list(args.configs or []) + list(args.backends or [])
         if not backend_specs:
             backend_specs = list(DEFAULT_BACKEND_NAMES)
-        backends = tuple(resolve_backend(spec) for spec in backend_specs)
+        backends = tuple(get_backend(spec) for spec in backend_specs)
         fidelity = None
         if args.fidelity:
             fidelity = FidelityOptions(

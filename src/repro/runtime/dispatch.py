@@ -23,13 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from .executor import WorkerPool, merge_shipped_telemetry
-from .jobs import (
-    JobResult,
-    execute_compile_group,
-    group_payload,
-    job_key,
-    ordered_row,
-)
+from .jobs import JobResult, execute_compile_group, job_key, ordered_row
 from .spec import ExperimentSpec, SweepGrid
 from .store import ResultStore, canonical_json
 
@@ -127,17 +121,16 @@ def compute_job_keys(specs: Sequence[ExperimentSpec]) -> List[str]:
     return [job_key(spec) for spec in specs]
 
 
-def _group_payloads(
+def _compile_groups(
     specs: Sequence[ExperimentSpec], keys: Sequence[str], missing: Sequence[int]
-) -> List[Dict[str, object]]:
-    """Batch cache-missing jobs into per-compile-group worker payloads."""
-    groups: Dict[Tuple[object, ...], List[int]] = {}
+) -> List[Tuple[List[ExperimentSpec], List[str]]]:
+    """Batch cache-missing jobs by compile group: ``(specs, keys)`` per group."""
+    groups: Dict[Tuple[object, ...], Tuple[List[ExperimentSpec], List[str]]] = {}
     for index in missing:
-        groups.setdefault(specs[index].compile_group, []).append(index)
-    return [
-        group_payload([specs[i] for i in members], [keys[i] for i in members])
-        for members in groups.values()
-    ]
+        group_specs, group_keys = groups.setdefault(specs[index].compile_group, ([], []))
+        group_specs.append(specs[index])
+        group_keys.append(keys[index])
+    return list(groups.values())
 
 
 def run_sweep(
@@ -185,18 +178,15 @@ def run_sweep(
             else:
                 missing_indices.append(index)
 
-        payloads = _group_payloads(specs, keys, missing_indices)
+        groups = _compile_groups(specs, keys, missing_indices)
         # A sweep that collapses to one compile group (or runs serially with a
         # worker budget) hands its workers down to the group's own trajectory
         # batches instead of leaving them idle; pooled groups keep their
         # simulations in-process so process pools never nest.
-        in_process = workers == 1 or len(payloads) <= 1
-        for payload in payloads:
-            payload["sim_workers"] = workers if in_process else 1
+        in_process = workers == 1 or len(groups) <= 1
 
-        def persist(batch: Sequence[Dict[str, object]]) -> None:
-            for result_dict in batch:
-                result = JobResult.from_dict(result_dict)
+        def persist(batch: Sequence[JobResult]) -> None:
+            for result in batch:
                 store.put(result.key, result.as_dict())
                 by_key[result.key] = result
 
@@ -204,12 +194,17 @@ def run_sweep(
         # so an interrupted sweep keeps every completed group and a resumed
         # run only recomputes the remainder.
         if in_process:
-            for payload in payloads:
-                persist(execute_compile_group(payload))
+            for group_specs, group_keys in groups:
+                persist(
+                    execute_compile_group(group_specs, group_keys, sim_workers=workers)
+                )
         else:
             parent_id = sweep_span.span_id if sweep_span is not None else None
-            with WorkerPool(min(workers, len(payloads))) as pool:
-                futures = [pool.submit(execute_compile_group, p) for p in payloads]
+            with WorkerPool(min(workers, len(groups))) as pool:
+                futures = [
+                    pool.submit(execute_compile_group, group_specs, group_keys)
+                    for group_specs, group_keys in groups
+                ]
                 for future in as_completed(futures):
                     persist(future.result()["result"])
             # Worker telemetry is merged in *submission* order (not completion
@@ -219,7 +214,7 @@ def run_sweep(
             for future in futures:
                 merge_shipped_telemetry(future.result(), parent_id)
         # Deterministic accounting order regardless of worker completion order.
-        computed_keys = [job["key"] for payload in payloads for job in payload["jobs"]]
+        computed_keys = [key for _specs, group_keys in groups for key in group_keys]
 
         telemetry.counter("sweep.jobs").inc(len(keys))
         telemetry.counter("sweep.computed").inc(len(computed_keys))

@@ -5,9 +5,10 @@ trajectory batches (:func:`repro.simulation.engine.run_trajectories` with
 ``workers > 1``) and the ``repro serve`` daemon
 (:class:`repro.queue.scheduler.QueueService`) all fan work out through a
 :class:`WorkerPool`: :meth:`WorkerPool.submit` takes a module-level function
-and one picklable argument and returns a :class:`~concurrent.futures.Future`
-of what the worker *shipped back* — the function's result plus the worker's
-span and metric snapshots.  The caller adopts those with
+and its arguments — the Python objects the caller already holds, pickled as
+they are — and returns a :class:`~concurrent.futures.Future` of what the
+worker *shipped back*: the function's result plus the worker's span and
+metric snapshots.  The caller adopts those with
 :func:`merge_shipped_telemetry` under the span that dispatched the task, in
 submission order, which is how a pooled run reports the same span tree
 (modulo timings) and exactly the same counters as a serial one.
@@ -42,7 +43,7 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 
@@ -96,7 +97,7 @@ def _exit_with_parent(lifeline: Connection) -> None:
 
 
 def _run_task(
-    fn: Callable[[Any], Any], arg: Any, collect_spans: bool
+    fn: Callable[..., Any], args: Tuple[Any, ...], collect_spans: bool
 ) -> Dict[str, object]:
     """Worker-side wrapper: run one task and ship back its telemetry.
 
@@ -107,9 +108,9 @@ def _run_task(
     telemetry.reset()
     if collect_spans:
         with telemetry.collecting():
-            result = fn(arg)
+            result = fn(*args)
     else:
-        result = fn(arg)
+        result = fn(*args)
     return {
         "result": result,
         "spans": telemetry.snapshot_spans() if collect_spans else [],
@@ -166,12 +167,13 @@ class WorkerPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    def submit(self, fn: Callable[[Any], Any], arg: Any) -> Future:
-        """Queue ``fn(arg)`` for a worker; returns a future of what it shipped.
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Queue ``fn(*args)`` for a worker; returns a future of what it shipped.
 
         ``fn`` must be importable by name in a worker (a module-level
-        function).  The future resolves to ``{"result", "spans", "metrics"}``
-        (see :func:`merge_shipped_telemetry`), fails with the task's own
+        function) and ``args`` picklable.  The future resolves to
+        ``{"result", "spans", "metrics"}`` (see
+        :func:`merge_shipped_telemetry`), fails with the task's own
         exception, or with :class:`WorkerDiedError` when the worker process
         dies mid-task; that slot gets a fresh process for its next task.
         """
@@ -179,7 +181,7 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a shut-down WorkerPool")
-            self._tasks.put((future, fn, arg, telemetry.enabled()))
+            self._tasks.put((future, fn, args, telemetry.enabled()))
         return future
 
     def _new_executor(self) -> ProcessPoolExecutor:
@@ -197,13 +199,13 @@ class WorkerPool:
                 task = self._tasks.get()
                 if task is None:
                     return
-                future, fn, arg, collect_spans = task
+                future, fn, args, collect_spans = task
                 if not future.set_running_or_notify_cancel():
                     continue
                 try:
                     if executor is None:
                         executor = self._new_executor()
-                    shipped = executor.submit(_run_task, fn, arg, collect_spans).result()
+                    shipped = executor.submit(_run_task, fn, args, collect_spans).result()
                 except BrokenProcessPool:
                     executor.shutdown(wait=False)
                     executor = None

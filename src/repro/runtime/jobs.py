@@ -13,9 +13,11 @@ same entries as the equivalent ``--fidelity`` sweep.
 :func:`execute_spec` runs exactly one job and is the execution door every
 client shares: :class:`repro.primitives.Session` calls it per submission,
 and :func:`execute_compile_group` — the unit of work the sweep dispatcher
-and the queue daemon submit to a :class:`repro.runtime.executor.WorkerPool`
-— calls it once per backend after compiling the group's circuit a single
-time per device topology, which is what makes wide backend sweeps cheap.
+and the queue daemon hand a :class:`repro.runtime.executor.WorkerPool`, as
+the :class:`~repro.runtime.spec.ExperimentSpec` objects and keys they
+already hold — calls it once per backend after compiling the group's
+circuit a single time per device topology, which is what makes wide
+backend sweeps cheap.
 
 Two bounded, lock-guarded LRU memos keep repeated work out of the hot paths;
 neither changes an output:
@@ -45,16 +47,11 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..backends import Backend
 from ..circuits.circuit import QuantumCircuit, circuit_fingerprint
 from ..compiler.pipeline import CompiledCircuit, compile_circuit
 from ..core.execution import normalized_execution_time
 from ..simulation.engine import run_trajectories
-from .spec import (
-    CompileOptions,
-    ExperimentSpec,
-    FidelityOptions,
-)
+from .spec import ExperimentSpec
 from .store import RESULT_SCHEMA_VERSION, canonical_json
 
 #: Generator circuits (with fingerprints) the source memo keeps per process.
@@ -361,98 +358,43 @@ def execute_spec(
     )
 
 
-def group_payload(
-    specs: Sequence[ExperimentSpec], keys: Sequence[str]
-) -> Dict[str, object]:
-    """The worker payload of one compile group (see :func:`execute_compile_group`).
-
-    ``specs`` must all share one :attr:`ExperimentSpec.compile_group` (the
-    circuit instance, compile options and device topology); ``keys`` are
-    their content keys, in the same order.  The sweep dispatcher batches
-    every cache-missing job of a group into one payload; the queue daemon
-    sends each admitted job as a one-job payload.
-    """
-    first = specs[0]
-    return {
-        "benchmark": first.benchmark,
-        "num_qubits": first.num_qubits,
-        "seed": first.seed,
-        "circuit": None if first.circuit is None else first.circuit.as_dict(),
-        "compile": first.compile_options.as_dict(),
-        "jobs": [
-            {
-                "key": key,
-                "backend": spec.backend.to_dict(),
-                "fidelity": spec.fidelity.as_dict() if spec.fidelity is not None else None,
-            }
-            for spec, key in zip(specs, keys)
-        ],
-    }
-
-
 def execute_compile_group(
-    payload: Dict[str, object], memo: Optional[CompileMemo] = None
-) -> List[Dict[str, object]]:
+    specs: Sequence[ExperimentSpec],
+    keys: Sequence[str],
+    memo: Optional[CompileMemo] = None,
+    sim_workers: int = 1,
+) -> List[JobResult]:
     """Execute all jobs of one compile group; the pooled unit of work.
 
-    ``payload`` is plain JSON-able data (it must cross a process boundary)::
-
-        {"benchmark": ..., "num_qubits": ..., "seed": ...,
-         "circuit": <serialized user circuit or None>,
-         "compile": {"layout_strategy": ..., "routing_trials": ...},
-         "jobs": [{"key": ..., "backend": <backend dict>,
-                   "fidelity": <options dict or None>}, ...]}
-
-    All jobs of one group share a device topology (the dispatcher groups by
-    :attr:`Backend.compile_key`), so the circuit is built and compiled
+    ``specs`` must all share one :attr:`ExperimentSpec.compile_group` (the
+    circuit instance, compile options and device topology) and ``keys`` are
+    their content keys, in the same order.  The sweep dispatcher batches
+    every cache-missing job of a group into one call; the queue daemon sends
+    each admitted job as a one-job group.  The circuit is built and compiled
     exactly once; each job then only pays for SIMD scheduling under its own
-    backend.  An optional ``"sim_workers"`` entry (set by the dispatcher when
-    it runs the group in-process) grants each job's trajectory run a worker
-    pool of its own; pooled groups leave it at 1 so pools never nest.
-    ``memo`` (the queue worker's, see :func:`execute_queued_job`) reuses a
-    compilation of the group made by an earlier payload; sweeps pass none.
-    Returns the stored-form result dicts in the payload's job order.
+    backend.  ``sim_workers`` grants each job's trajectory run a worker pool
+    of its own; the dispatcher passes more than 1 only when it runs the
+    group in-process, so pools never nest.  ``memo`` (the queue worker's,
+    see :func:`execute_queued_job`) reuses a compilation of the group made by
+    an earlier call; sweeps pass none.  Returns the results in job order.
     """
-    options = CompileOptions(**payload["compile"])
-    circuit_data = payload.get("circuit")
-    circuit = None if circuit_data is None else QuantumCircuit.from_dict(circuit_data)
-
-    def group_spec(job: Dict[str, object]) -> ExperimentSpec:
-        return ExperimentSpec(
-            benchmark=payload["benchmark"],
-            backend=Backend.from_dict(job["backend"]),
-            num_qubits=payload["num_qubits"],
-            seed=payload["seed"],
-            compile_options=options,
-            fidelity=FidelityOptions.from_dict(job.get("fidelity")),
-            circuit=circuit,
-        )
-
+    first = specs[0]
     with telemetry.span(
-        "sweep.group",
-        benchmark=payload["benchmark"],
-        seed=payload["seed"],
-        jobs=len(payload["jobs"]),
+        "sweep.group", benchmark=first.benchmark, seed=first.seed, jobs=len(specs)
     ):
         start = time.perf_counter()
-        first = group_spec(payload["jobs"][0])
         compiled = compile_spec(first) if memo is None else memo.compiled(first)
         compile_elapsed = time.perf_counter() - start
 
-        sim_workers = int(payload.get("sim_workers", 1))
-        results: List[Dict[str, object]] = []
-        for index, job in enumerate(payload["jobs"]):
-            result = execute_spec(
-                group_spec(job), key=job["key"], compiled=compiled,
-                sim_workers=sim_workers,
-            )
-            # Attribute the shared compile cost to the group's first job so the
-            # summed elapsed time of a sweep reflects real work done.
-            if index == 0:
-                result = replace(
-                    result, elapsed_s=round(result.elapsed_s + compile_elapsed, 6)
-                )
-            results.append(result.as_dict())
+        results = [
+            execute_spec(spec, key=key, compiled=compiled, sim_workers=sim_workers)
+            for spec, key in zip(specs, keys)
+        ]
+    # Attribute the shared compile cost to the group's first job so the summed
+    # elapsed time of a sweep reflects real work done.
+    results[0] = replace(
+        results[0], elapsed_s=round(results[0].elapsed_s + compile_elapsed, 6)
+    )
     return results
 
 
@@ -460,12 +402,14 @@ def execute_compile_group(
 _QUEUE_COMPILES = CompileMemo()
 
 
-def execute_queued_job(payload: Dict[str, object]) -> List[Dict[str, object]]:
-    """Execute one queue daemon payload in a worker process.
+def execute_queued_job(
+    specs: Sequence[ExperimentSpec], keys: Sequence[str]
+) -> List[JobResult]:
+    """Execute one queue daemon job group in a worker process.
 
     :func:`execute_compile_group` through this process's
     :class:`CompileMemo`, so each worker compiles a circuit once across the
     designs it is served under.  Nothing is shared between workers or
     survives a worker's restart.
     """
-    return execute_compile_group(payload, memo=_QUEUE_COMPILES)
+    return execute_compile_group(specs, keys, memo=_QUEUE_COMPILES)

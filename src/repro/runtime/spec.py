@@ -37,7 +37,7 @@ DEFAULT_BACKEND_NAMES: Tuple[str, ...] = ("digiq-opt8", "digiq-opt16", "digiq-mi
 
 _CONFIG_SPEC_RE = re.compile(r"^(opt|min)(\d+)(?:@g(\d+))?$")
 
-#: Anything :func:`resolve_backend` accepts.
+#: Anything :func:`~repro.backends.get_backend` accepts.
 BackendLike = Union[str, Backend, DigiQConfig]
 
 
@@ -71,21 +71,6 @@ def parse_config(spec: Union[str, DigiQConfig]) -> DigiQConfig:
             )
         kwargs["groups"] = int(groups)
     return DigiQConfig.opt(**kwargs) if variant == "opt" else DigiQConfig.minimal(**kwargs)
-
-
-def resolve_backend(spec: BackendLike) -> Backend:
-    """Resolve a backend name, legacy config spec, config, or Backend."""
-    return get_backend(spec)
-
-
-def config_to_dict(config: DigiQConfig) -> Dict[str, object]:
-    """Canonical JSON-ready dict form of a configuration (stable key order)."""
-    return config.as_dict()
-
-
-def config_from_dict(data: Dict[str, object]) -> DigiQConfig:
-    """Inverse of :func:`config_to_dict`."""
-    return DigiQConfig.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -225,7 +210,7 @@ class ExperimentSpec:
             object.__setattr__(self, "benchmark", name)
             if self.num_qubits < 2:
                 raise ValueError("num_qubits must be >= 2")
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
+        object.__setattr__(self, "backend", get_backend(self.backend))
 
     @property
     def config(self) -> DigiQConfig:
@@ -304,7 +289,7 @@ class SweepGrid:
         if not self.backends:
             raise ValueError("a sweep needs at least one backend")
         object.__setattr__(
-            self, "backends", tuple(resolve_backend(b) for b in self.backends)
+            self, "backends", tuple(get_backend(b) for b in self.backends)
         )
         benchmarks = tuple(b.lower() for b in self.benchmarks)
         for name in benchmarks:

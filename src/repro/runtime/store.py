@@ -5,7 +5,8 @@ named ``<first two key hex chars>/<key>.json`` (sharded so huge sweeps do
 not create million-entry directories).  Because filenames are content
 hashes, a store can be shared by unrelated sweeps, resumed after an
 interrupted run, or copied between machines; writers use write-to-temp +
-atomic rename so a crashed worker never leaves a torn entry behind.
+atomic rename (:func:`atomic_write`) so a crashed worker never leaves a torn
+entry behind.
 """
 
 from __future__ import annotations
@@ -42,6 +43,26 @@ logger = logging.getLogger(__name__)
 def canonical_json(data: Dict[str, object]) -> str:
     """The canonical serialized form: sorted keys, minimal separators."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def atomic_write(path: Path, text: str) -> Path:
+    """Replace ``path`` with ``text`` through a temp file and an atomic rename.
+
+    Readers see the old file or the new one, never a torn one; the temp file
+    (``*.tmp`` beside ``path``) is removed when the write or rename fails.
+    """
+    handle, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
+            tmp.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def _mislabeled(entry: object, key: str) -> bool:
@@ -252,18 +273,7 @@ class ResultStore:
         telemetry.counter("store.put").inc()
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(canonical_json(result))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return atomic_write(path, canonical_json(result))
 
     def discard(self, key: str) -> bool:
         """Remove one entry; returns whether it existed."""

@@ -10,20 +10,15 @@ result is bit-identical for any worker count — the parallel/serial-identical
 guarantee the determinism tests pin down — and the workers' ``sim.batch``
 spans and counters merge back under the run's ``sim.run`` span.
 
-The plan's large arrays — the ideal ``(2**n,)`` statevector and every
-fused-op matrix — are shipped to the pool through one
-``multiprocessing.shared_memory`` block instead of being pickled into every
-batch payload: workers attach once per process, rebuild the plan as
-zero-copy views, and cache it for subsequent batches.  Payloads shrink to a
-name plus per-batch seeds, which is what keeps ``workers > 1`` profitable
-for the register sizes where re-pickling ``2**n`` complex amplitudes per
-batch used to eat the speedup.
+A pooled run splits its batches into one contiguous chunk per worker and
+submits each chunk as one task.  The chunk's batches share one plan object,
+which pickles once per chunk; each worker therefore rebuilds the plan, and
+compiles its trajectory program, once per run rather than once per batch.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,116 +27,22 @@ from ..circuits.circuit import QuantumCircuit
 from .channels import NoiseModel
 from .trajectories import (
     DEFAULT_BATCH_SIZE,
-    FusedOp,
     TrajectoryPlan,
     TrajectoryResult,
     run_trajectory_batch,
     trajectory_batch_payloads,
 )
 
-#: Byte alignment of arrays inside the shared block (complex128 itemsize).
-_SHM_ALIGN = 16
+#: One seeded batch: the shared plan, the batch size and the batch's seed.
+BatchPayload = Tuple[TrajectoryPlan, int, np.random.SeedSequence]
 
 
-def _run_batch(
-    payload: Tuple[TrajectoryPlan, int, np.random.SeedSequence],
-) -> TrajectoryResult:
-    """Worker-process entry point: one seeded trajectory batch."""
-    plan, size, child_seed = payload
-    return run_trajectory_batch(plan, size, np.random.default_rng(child_seed))
-
-
-def _pack_shared_plan(
-    plan: TrajectoryPlan,
-) -> Tuple[shared_memory.SharedMemory, Dict[str, object]]:
-    """Copy a plan's arrays into one shared-memory block.
-
-    Returns the block (caller owns close+unlink) and a small picklable spec
-    from which :func:`_plan_from_shared` rebuilds the plan as zero-copy views.
-    """
-    arrays: List[np.ndarray] = [plan.ideal_state, plan.kick_cumweights]
-    arrays += [op.matrix for op in plan.ops]
-
-    offsets: List[int] = []
-    total = 0
-    for array in arrays:
-        total = (total + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-        offsets.append(total)
-        total += array.nbytes
-    block = shared_memory.SharedMemory(create=True, size=max(total, 1))
-
-    def place(array: np.ndarray, offset: int) -> Tuple[int, str, Tuple[int, ...]]:
-        destination = np.frombuffer(
-            block.buf, dtype=array.dtype, count=array.size, offset=offset
-        ).reshape(array.shape)
-        destination[...] = array
-        return (offset, array.dtype.str, array.shape)
-
-    try:
-        placed = [place(array, offset) for array, offset in zip(arrays, offsets)]
-        spec: Dict[str, object] = {
-            "num_qubits": plan.num_qubits,
-            "ideal": placed[0],
-            "cumweights": placed[1],
-            "ops": [
-                (op.qubits, op.kick_probs, matrix_spec)
-                for op, matrix_spec in zip(plan.ops, placed[2:])
-            ],
-        }
-    except Exception:
-        block.close()
-        block.unlink()
-        raise
-    return block, spec
-
-
-def _plan_from_shared(
-    block: shared_memory.SharedMemory, spec: Dict[str, object]
-) -> TrajectoryPlan:
-    """Rebuild a plan as zero-copy views into a shared block."""
-
-    def view(array_spec: Tuple[int, str, Tuple[int, ...]]) -> np.ndarray:
-        offset, dtype, shape = array_spec
-        count = int(np.prod(shape)) if shape else 1
-        return np.frombuffer(
-            block.buf, dtype=np.dtype(dtype), count=count, offset=offset
-        ).reshape(shape)
-
-    ops = tuple(
-        FusedOp(view(matrix_spec), tuple(qubits), tuple(kick_probs))
-        for qubits, kick_probs, matrix_spec in spec["ops"]
-    )
-    return TrajectoryPlan(
-        num_qubits=spec["num_qubits"],
-        ops=ops,
-        kick_cumweights=view(spec["cumweights"]),
-        ideal_state=view(spec["ideal"]),
-    )
-
-
-#: Per-worker-process cache of attached shared plans, keyed by block name.
-#: Pool workers run many batches of the same plan; attaching and rebuilding
-#: once per process (instead of once per batch) keeps the payload overhead at
-#: a dictionary lookup.  Blocks stay mapped until the worker exits, which is
-#: bounded by the pool's lifetime; the parent owns unlinking.
-_ATTACHED_PLANS: Dict[str, Tuple[shared_memory.SharedMemory, TrajectoryPlan]] = {}
-
-
-def _run_batch_shared(
-    payload: Tuple[str, Dict[str, object], int, np.random.SeedSequence],
-) -> TrajectoryResult:
-    """Worker-process entry point: one batch against a shared-memory plan."""
-    name, spec, size, child_seed = payload
-    cached = _ATTACHED_PLANS.get(name)
-    if cached is None:
-        # Fork-server workers share the parent's resource tracker, whose
-        # registry is a set: attaching re-registers the block as a no-op, and
-        # the parent's unlink unregisters it once.
-        block = shared_memory.SharedMemory(name=name)
-        cached = (block, _plan_from_shared(block, spec))
-        _ATTACHED_PLANS[name] = cached
-    _block, plan = cached
-    return run_trajectory_batch(plan, size, np.random.default_rng(child_seed))
+def _run_batches(payloads: Sequence[BatchPayload]) -> List[TrajectoryResult]:
+    """Run seeded trajectory batches in order; also the pooled task."""
+    return [
+        run_trajectory_batch(plan, size, np.random.default_rng(child))
+        for plan, size, child in payloads
+    ]
 
 
 def run_trajectories(
@@ -175,16 +76,14 @@ def run_trajectories(
         Trajectories advanced in lockstep per batch.
     workers:
         ``1`` runs batches serially in-process; ``> 1`` fans them out over a
-        :class:`~repro.runtime.executor.WorkerPool` of that size (the plan
-        travels once through shared memory instead of being pickled per
-        batch).
+        :class:`~repro.runtime.executor.WorkerPool` of up to that size, one
+        contiguous chunk of batches per worker.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     payloads = trajectory_batch_payloads(
         circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
     )
-    plan = payloads[0][0]
 
     parts: List[TrajectoryResult]
     with telemetry.span(
@@ -197,46 +96,33 @@ def run_trajectories(
         if workers == 1 or len(payloads) == 1:
             # In-process batches record their own sim.batch kernel spans,
             # nested under this one (the path fidelity sweep jobs take).
-            parts = [_run_batch(payload) for payload in payloads]
+            parts = _run_batches(payloads)
         else:
             parent_id = run_span.span_id if run_span is not None else None
-            parts = _run_pooled(plan, payloads, workers, parent_id)
+            parts = _run_pooled(payloads, workers, parent_id)
     return TrajectoryResult.merge(parts)
 
 
 def _run_pooled(
-    plan: TrajectoryPlan,
-    payloads: Sequence[Tuple[TrajectoryPlan, int, np.random.SeedSequence]],
-    workers: int,
-    parent_id: Optional[str],
+    payloads: Sequence[BatchPayload], workers: int, parent_id: Optional[str]
 ) -> List[TrajectoryResult]:
-    """Fan batches out over a worker pool, sharing the plan when it pays.
+    """Fan batches out over a worker pool, one contiguous chunk per worker.
 
-    Shipped results and telemetry are adopted in submission order, under
+    Shipped results and telemetry are adopted in chunk order, under
     ``parent_id``, so the merge sees batches exactly as the serial path would.
     """
     # Deferred: repro.runtime imports this module through its job runner.
     from ..runtime.executor import WorkerPool, merge_shipped_telemetry
 
-    block: Optional[shared_memory.SharedMemory] = None
-    try:
-        block, spec = _pack_shared_plan(plan)
-    except Exception:
-        # Shared memory can be unavailable (e.g. /dev/shm restrictions);
-        # fall back to pickling the plan into every payload.
-        block = None
-    try:
-        if block is not None:
-            telemetry.counter("sim.shm_bytes").inc(block.size)
-            task, args = _run_batch_shared, [
-                (block.name, spec, size, child) for _plan, size, child in payloads
-            ]
-        else:
-            task, args = _run_batch, list(payloads)
-        with WorkerPool(min(workers, len(args))) as pool:
-            futures = [pool.submit(task, arg) for arg in args]
-            return [merge_shipped_telemetry(f.result(), parent_id) for f in futures]
-    finally:
-        if block is not None:
-            block.close()
-            block.unlink()
+    count = min(workers, len(payloads))
+    bounds = [len(payloads) * chunk // count for chunk in range(count + 1)]
+    with WorkerPool(count) as pool:
+        futures = [
+            pool.submit(_run_batches, payloads[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        return [
+            part
+            for future in futures
+            for part in merge_shipped_telemetry(future.result(), parent_id)
+        ]

@@ -171,8 +171,8 @@ class TrajectoryPlan:
 
     A plan is built once per (circuit, noise) pair by
     :func:`build_trajectory_plan` and shared by every batch of the run —
-    serially, across pool workers (where its large arrays travel through
-    shared memory, see :mod:`repro.simulation.engine`), and across repeats.
+    serially, across pool workers (pickled once per worker's chunk of
+    batches, see :mod:`repro.simulation.engine`), and across repeats.
     Batches advance dense ``(B, 2**n)`` statevectors and score them against
     ``ideal_state``.
     """
@@ -690,8 +690,8 @@ class _Cursor:
 
 
 #: Identity-keyed program cache: plans reuse one fused-op tuple across every
-#: batch (and every pool worker attaches a persistent plan), so the program
-#: is compiled once per plan.  Entries pin their ops tuple, which keeps the
+#: batch (a pool worker unpickles one plan per chunk of batches), so the
+#: program is compiled once per plan.  Entries pin their ops tuple, which keeps the
 #: ``is`` key valid for the cache's lifetime.
 _PROGRAM_CACHE: List[Tuple[Tuple[FusedOp, ...], int, _Program]] = []
 _PROGRAM_CACHE_MAX = 8
@@ -922,8 +922,8 @@ def trajectory_batch_payloads(
     :func:`repro.simulation.engine.run_trajectories` executes exactly these
     payloads in order, in-process or on a worker pool, which is what makes
     its results bit-identical for any worker count.  Every payload shares one
-    :class:`TrajectoryPlan` object, so the engine can ship its large arrays
-    to pool workers once (via shared memory) instead of once per batch.
+    :class:`TrajectoryPlan` object, so a chunk of payloads pickled together
+    carries the plan's arrays once.
     """
     plan = build_trajectory_plan(circuit, noise)
     sizes = batch_sizes(num_trajectories, batch_size)

@@ -161,6 +161,13 @@ class TestDaemonDescriptor:
         store.clear_daemon()
         store.clear_daemon()  # idempotent
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        store = QueueStore(tmp_path)
+        with pytest.raises(TypeError):
+            store.write_daemon({"pid": object()})  # not JSON-serializable
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert store.read_daemon() is None
+
 
 class TestLock:
     def test_lock_is_reacquirable(self, tmp_path):

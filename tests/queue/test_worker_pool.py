@@ -27,7 +27,7 @@ from repro.queue.model import build_job
 from repro.queue.scheduler import QueueService
 from repro.queue.store import QueueStore
 from repro.runtime.executor import WorkerDiedError, WorkerPool
-from repro.runtime.jobs import execute_compile_group, execute_spec, group_payload, job_key
+from repro.runtime.jobs import execute_compile_group, execute_spec, job_key
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.runtime.store import ResultStore, canonical_json
 
@@ -39,9 +39,8 @@ def timed_nap(seconds):
     return os.getpid(), start, time.monotonic()
 
 
-def nap_after_reporting(args):
+def nap_after_reporting(path, seconds):
     """Pool task: write this worker's pid to ``path``, then sleep."""
-    path, seconds = args
     with open(path, "w") as handle:
         handle.write(str(os.getpid()))
     time.sleep(seconds)
@@ -152,27 +151,26 @@ class TestServedCompileReuse:
 class TestWorkerPool:
     def test_runs_payloads_in_another_process_and_ships_telemetry(self):
         spec = make_spec(seed=22)
-        payload = group_payload([spec], [job_key(spec)])
         pool = WorkerPool(1)
         try:
             with telemetry.collecting():  # the pool collects what its caller does
-                shipped = pool.submit(execute_compile_group, payload).result()
+                shipped = pool.submit(
+                    execute_compile_group, [spec], [job_key(spec)]
+                ).result()
         finally:
             pool.shutdown()
         (result,) = shipped["result"]
-        assert result["key"] == job_key(spec)
+        assert result.key == job_key(spec)
         spans = {span["name"]: span for span in shipped["spans"]}
         assert spans["job.execute"]["pid"] != os.getpid()
         assert spans["job.execute"]["parent_id"] == spans["sweep.group"]["span_id"]
         assert shipped["metrics"]["counters"]
 
     def test_job_errors_propagate_unchanged(self):
-        payload = group_payload([make_spec(seed=23)], ["ab" + "0" * 62])
-        payload["compile"]["opt_level"] = 99  # rejected inside the worker
         pool = WorkerPool(1)
         try:
-            with pytest.raises(ValueError):
-                pool.submit(execute_compile_group, payload).result()
+            with pytest.raises(ValueError, match="invalid literal"):
+                pool.submit(int, "x").result()  # raised inside the worker
         finally:
             pool.shutdown()
 
@@ -201,7 +199,7 @@ class TestWorkerPool:
     def test_killed_worker_fails_only_its_own_task(self, tmp_path):
         pid_file = tmp_path / "doomed.pid"
         with WorkerPool(2) as pool:
-            doomed = pool.submit(nap_after_reporting, (str(pid_file), 60.0))
+            doomed = pool.submit(nap_after_reporting, str(pid_file), 60.0)
             sibling = pool.submit(timed_nap, 1.0)
             queued = [pool.submit(timed_nap, 0.05) for _ in range(3)]
             deadline = time.monotonic() + 30.0

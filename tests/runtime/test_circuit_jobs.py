@@ -1,5 +1,7 @@
 """Circuit-level jobs (schema v5): user circuits through the runtime layer."""
 
+import pickle
+
 import pytest
 
 from repro.circuits import QuantumCircuit, circuit_fingerprint
@@ -60,32 +62,21 @@ class TestCircuitSpecs:
 
 class TestWorkerPayloadPath:
     def test_compile_group_payload_carries_and_rebuilds_the_circuit(self):
-        """The dispatcher's JSON payload round-trips a user circuit exactly."""
+        """A user-circuit spec crosses the pool boundary as a pickle, exactly."""
         circuit = ghz(4)
         spec = ExperimentSpec(backend="digiq-opt8", circuit=circuit)
         key = job_key(spec)
-        payload = {
-            "benchmark": spec.benchmark,
-            "num_qubits": spec.num_qubits,
-            "seed": spec.seed,
-            "circuit": circuit.as_dict(),
-            "compile": spec.compile_options.as_dict(),
-            "jobs": [{"key": key, "backend": spec.backend.to_dict(), "fidelity": None}],
-        }
-        # Simulate the process boundary: the payload must survive JSON.
-        import json
-
-        payload = json.loads(json.dumps(payload))
-        (result_dict,) = execute_compile_group(payload)
+        shipped = pickle.loads(pickle.dumps(spec))
+        assert shipped.circuit.gates == circuit.gates
+        (result,) = execute_compile_group([shipped], [key])
         direct = execute_spec(spec)
-        assert result_dict["key"] == key == direct.key
-        assert canonical_json(result_dict["row"]) == canonical_json(direct.row)
-        assert result_dict["spec"]["circuit"] == circuit_fingerprint(circuit)
+        assert result.key == key == direct.key
+        assert canonical_json(result.row) == canonical_json(direct.row)
+        assert result.spec["circuit"] == circuit_fingerprint(circuit)
 
     def test_benchmark_payloads_still_omit_the_circuit(self):
         spec = ExperimentSpec(benchmark="bv", backend="digiq-opt8", num_qubits=8)
-        from repro.runtime.dispatch import _group_payloads, compute_job_keys
-
-        keys = compute_job_keys([spec])
-        (payload,) = _group_payloads([spec], keys, [0])
-        assert payload["circuit"] is None
+        shipped = pickle.loads(pickle.dumps(spec))
+        assert shipped.circuit is None  # rebuilt from its generator, not shipped
+        assert shipped == spec
+        assert job_key(shipped) == job_key(spec)

@@ -70,11 +70,11 @@ class TestCaching:
         real_execute = dispatch_module.execute_compile_group
         calls = []
 
-        def flaky(payload):
-            calls.append(payload["benchmark"])
+        def flaky(specs, keys, **kwargs):
+            calls.append(specs[0].benchmark)
             if len(calls) == 2:
                 raise RuntimeError("worker died")
-            return real_execute(payload)
+            return real_execute(specs, keys, **kwargs)
 
         monkeypatch.setattr(dispatch_module, "execute_compile_group", flaky)
         store = ResultStore(tmp_path)

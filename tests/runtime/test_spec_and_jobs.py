@@ -9,8 +9,6 @@ from repro.runtime.spec import (
     CompileOptions,
     ExperimentSpec,
     SweepGrid,
-    config_from_dict,
-    config_to_dict,
     parse_config,
 )
 
@@ -47,10 +45,10 @@ class TestParseConfig:
 class TestConfigDictRoundtrip:
     def test_roundtrip_preserves_equality(self):
         config = DigiQConfig.minimal(groups=4, bitstreams=2)
-        assert config_from_dict(config_to_dict(config)) == config
+        assert DigiQConfig.from_dict(config.as_dict()) == config
 
     def test_dict_keys_are_sorted(self):
-        keys = list(config_to_dict(DigiQConfig.opt()).keys())
+        keys = list(DigiQConfig.opt().as_dict().keys())
         assert keys == sorted(keys)
 
 

@@ -6,7 +6,12 @@ import pytest
 
 from repro.runtime.dispatch import run_sweep
 from repro.runtime.spec import SweepGrid
-from repro.runtime.store import RESULT_SCHEMA_VERSION, ResultStore, canonical_json
+from repro.runtime.store import (
+    RESULT_SCHEMA_VERSION,
+    ResultStore,
+    atomic_write,
+    canonical_json,
+)
 
 KEY_A = "ab" + "0" * 62
 KEY_B = "cd" + "1" * 62
@@ -95,6 +100,14 @@ class TestResultStore:
         assert store.get(KEY_A) == {"x": 2}
         # no stray temp files left behind
         assert all(not p.name.endswith(".tmp") for p in tmp_path.rglob("*"))
+
+    def test_atomic_write_removes_its_temp_file_when_the_rename_fails(self, tmp_path):
+        (tmp_path / "occupied").mkdir()  # a file cannot replace a directory
+        with pytest.raises(OSError):
+            atomic_write(tmp_path / "occupied", "text")
+        assert list(tmp_path.glob("*.tmp")) == []
+        atomic_write(tmp_path / "entry", "text")
+        assert (tmp_path / "entry").read_text() == "text"
 
     @pytest.mark.parametrize("bad", ["", "xy", "ZZ" + "0" * 62, "../escape"])
     def test_malformed_keys_rejected(self, tmp_path, bad):

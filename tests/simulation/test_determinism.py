@@ -71,6 +71,13 @@ class TestTrajectoryDeterminism:
         parallel = run_trajectories(circuit, noise, 48, seed=7, batch_size=12, workers=2)
         assert serial == parallel
 
+    def test_more_batches_than_workers_match_serial_exactly(self):
+        circuit = _bv()
+        noise = NoiseModel.uniform(circuit.num_qubits, 0.02, 0.05)
+        serial = run_trajectories(circuit, noise, 40, seed=7, batch_size=4, workers=1)
+        pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=4, workers=2)
+        assert pooled == serial
+
     def test_uneven_final_batch_is_handled(self):
         circuit = _bv()
         noise = NoiseModel.uniform(circuit.num_qubits, 0.02, 0.05)
