@@ -24,18 +24,19 @@ deferrable job is *parked* instead — skipped, counted in the
 
 :class:`QueueService` drives the policy: each :meth:`~QueueService.tick`
 completes cache-hit jobs instantly against the shared
-:class:`~repro.runtime.store.ResultStore`, admits what fits, and executes
-admitted jobs in worker *processes* of a
+:class:`~repro.runtime.store.ResultStore`, admits what fits, and submits
+each admitted job straight to a worker *process* of a
 :class:`~repro.runtime.executor.WorkerPool` — the pool pooled sweeps use —
-as one-job compile groups, one job thread per worker.  Each worker runs its
-jobs through :func:`~repro.runtime.jobs.execute_queued_job`, which keeps that
-process's last few compilations, so a circuit served under several designs
-compiles once per worker; nothing is shared across workers or restarts.
-Admission, power accounting and every durable transition stay in the
-daemon.  Each terminal transition (finish, fail, cache-hit finish, cancel)
-notifies a condition that :meth:`QueueService.wait_settled` blocks on, with
-the job's terminal record in hand, which is how the HTTP API answers a
-long-poll the moment its job settles without re-reading the queue.
+as a one-job compile group; with no job threads, a done-callback on the
+pool thread that ran the job settles it.  Each worker runs its jobs through
+:func:`~repro.runtime.jobs.execute_queued_job`, which keeps that process's
+last few compilations, so a circuit served under several designs compiles
+once per worker; nothing is shared across workers or restarts.  Admission,
+power accounting and every durable transition stay in the daemon.  Each
+terminal transition (finish, fail, cache-hit finish, cancel) notifies a
+condition that :meth:`QueueService.wait_settled` blocks on, with the job's
+terminal record in hand, which is how the HTTP API answers a long-poll the
+moment its job settles without re-reading the queue.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from concurrent.futures import Future
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..hardware.budget import FridgeBudget
@@ -58,17 +60,6 @@ logger = logging.getLogger(__name__)
 
 #: Default worker processes executing admitted jobs.
 DEFAULT_QUEUE_WORKERS = 2
-
-
-def _report_escape(future) -> None:
-    """Log what ended a job thread besides the job's own outcome.
-
-    ``_run_job`` settles every ``Exception``; an interrupt or exit passes
-    through and leaves the job ``running`` for crash recovery to requeue.
-    """
-    error = future.exception()
-    if error is not None:
-        logger.warning("a job thread stopped on %s", type(error).__name__)
 
 
 def order_candidates(
@@ -118,13 +109,9 @@ class QueueService:
         paper's 10 W).
     max_workers:
         Concurrent job executions (worker processes, also the admission
-        concurrency cap).
-    runner:
-        Execution hook ``(job) -> result_dict-or-None`` used by tests to
-        observe scheduling without paying for real compilations; it runs
-        in-process on the job thread.  ``None`` (production) executes the
-        job's spec in a worker process through
-        :func:`repro.runtime.jobs.execute_queued_job`.
+        concurrency cap).  Every admitted job runs in a worker process
+        through :func:`repro.runtime.jobs.execute_queued_job` and is settled
+        by a callback on the pool thread that ran it.
     fair_share_weights:
         Optional per-session fair-share weights (see
         :func:`order_candidates`).
@@ -136,7 +123,6 @@ class QueueService:
         results: ResultStore,
         budget: Optional[FridgeBudget] = None,
         max_workers: int = DEFAULT_QUEUE_WORKERS,
-        runner: Optional[Callable[[QueueJob], Optional[Dict[str, object]]]] = None,
         fair_share_weights: Optional[Mapping[str, float]] = None,
     ):
         if max_workers < 1:
@@ -145,13 +131,12 @@ class QueueService:
         self.results = results
         self.budget = budget if budget is not None else FridgeBudget()
         self.max_workers = max_workers
-        self._runner = runner
         self.fair_share_weights = dict(fair_share_weights or {})
         self._lock = threading.Lock()
         self._inflight: Dict[str, float] = {}
+        self._idle = threading.Condition(self._lock)  # notified when _inflight empties
         self._usage: Dict[str, float] = {}
         self.peak_power_w = 0.0
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: Optional[WorkerPool] = None
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -182,6 +167,8 @@ class QueueService:
         with self._lock:
             self._inflight.pop(job_id, None)
             total = sum(self._inflight.values())
+            if not self._inflight:
+                self._idle.notify_all()
         telemetry.gauge("queue.power_in_flight").set(total)
 
     # -- admission ------------------------------------------------------------------
@@ -312,39 +299,53 @@ class QueueService:
     # -- execution ------------------------------------------------------------------
 
     def _submit(self, job: QueueJob) -> None:
-        if self._runner is not None and self._executor is None and self.max_workers == 1:
-            # Inline mode (tests): run synchronously for determinism.
-            self._run_job(job)
-            return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-queue"
-            )
-        self._executor.submit(self._run_job, job).add_done_callback(_report_escape)
+        """Hand a claimed job to a worker process; :meth:`_settle` ends it."""
+        execute = telemetry.span(
+            "queue.execute",
+            job_id=job.job_id,
+            benchmark=job.benchmark,
+            priority=job.priority,
+            session=job.session,
+            power_w=job.power_w,
+        )
+        opened = execute.open()  # off this thread's stack: _settle closes it
+        parent_id = None if opened is None else opened.span_id
+        try:
+            with self._lock:
+                if self._workers is None:
+                    self._workers = WorkerPool(self.max_workers)
+                workers = self._workers
+            future = workers.submit(execute_queued_job, [job.to_spec()], [job.result_key])
+        except Exception as error:  # noqa: BLE001 - settled as the job's failure
+            future = Future()
+            future.set_exception(error)
+        future.add_done_callback(partial(self._settle, job, execute, parent_id))
 
-    def _run_job(self, job: QueueJob) -> None:
-        """Execute one claimed job and record its terminal state."""
+    def _settle(
+        self, job: QueueJob, execute: telemetry.span, parent_id: Optional[str], future: Future
+    ) -> None:
+        """Done-callback recording a job's terminal state and releasing its power.
+
+        Runs on the pool thread that resolved ``future``.  Adopts the worker's
+        spans under ``parent_id`` (the job's ``queue.execute`` span); a worker
+        interrupt or exit leaves the job ``running`` for crash recovery.
+        """
         settled: Optional[QueueJob] = None
         try:
             try:
-                with telemetry.span(
-                    "queue.execute",
-                    job_id=job.job_id,
-                    benchmark=job.benchmark,
-                    priority=job.priority,
-                    session=job.session,
-                    power_w=job.power_w,
-                ) as execute_span:
-                    if self._runner is not None:
-                        result = self._runner(job)
-                    else:
-                        result = self._execute(job, execute_span)
-                    if result is not None:
-                        self.results.put(job.result_key, result)
+                (result,) = merge_shipped_telemetry(future.result(), parent_id)
+                self.results.put(job.result_key, result.as_dict())
             except Exception as error:  # noqa: BLE001 - daemon must survive any job
+                execute.close(type(error))
                 telemetry.counter("queue.failed").inc()
                 settled = self.store.fail(job, f"{type(error).__name__}: {error}")
+            except BaseException as error:  # the worker's interrupt or exit, not this thread's
+                execute.close(type(error))
+                logger.warning(
+                    "job %s stopped on %s; left running", job.job_id, type(error).__name__
+                )
             else:
+                execute.close()
                 settled = self.store.finish(job)
                 telemetry.counter("queue.completed").inc()
         except LookupError:
@@ -354,26 +355,6 @@ class QueueService:
             if settled is not None:  # before the loop: a client is waiting on it
                 self._notify_settled(settled)
             self._wake.set()
-
-    def _execute(
-        self, job: QueueJob, parent: Optional[telemetry.Span]
-    ) -> Dict[str, object]:
-        """Run one job in a worker process; returns its stored-form result.
-
-        The worker's spans are adopted under ``parent`` (this job's
-        ``queue.execute`` span) and its metrics merged into the daemon's.
-        """
-        with self._lock:
-            if self._workers is None:
-                self._workers = WorkerPool(self.max_workers)
-            workers = self._workers
-        shipped = workers.submit(
-            execute_queued_job, [job.to_spec()], [job.result_key]
-        ).result()
-        (result,) = merge_shipped_telemetry(
-            shipped, None if parent is None else parent.span_id
-        )
-        return result.as_dict()
 
     # -- daemon loop ----------------------------------------------------------------
 
@@ -401,15 +382,17 @@ class QueueService:
             self._wake.clear()
         self.drain()
 
-    def drain(self, wait: bool = True) -> None:
-        """Let started jobs finish, then stop the job threads and processes."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
+    def drain(self) -> None:
+        """Let every admitted job run and settle, then stop the worker processes.
+
+        Waiting first keeps the pool shutdown from cancelling a job's task
+        that is still queued for a slot.
+        """
         with self._lock:
+            self._idle.wait_for(lambda: not self._inflight)
             workers, self._workers = self._workers, None
         if workers is not None:
-            workers.shutdown(wait=wait)
+            workers.shutdown()
 
     # -- reporting ------------------------------------------------------------------
 

@@ -244,7 +244,6 @@ def serve(
     budget_w: Optional[float] = None,
     workers: int = DEFAULT_QUEUE_WORKERS,
     poll_interval_s: float = 0.5,
-    runner=None,
     install_signal_handlers: bool = True,
 ) -> int:
     """Run the daemon until shut down; returns the process exit code.
@@ -259,9 +258,7 @@ def serve(
     store = QueueStore(root)
     results = ResultStore(cache_dir)
     budget = FridgeBudget() if budget_w is None else FridgeBudget(power_w=float(budget_w))
-    service = QueueService(
-        store, results, budget=budget, max_workers=workers, runner=runner
-    )
+    service = QueueService(store, results, budget=budget, max_workers=workers)
     httpd = QueueHTTPServer((host, port), service)
     bound_host, bound_port = httpd.server_address[0], httpd.server_address[1]
     url = f"http://{bound_host}:{bound_port}"

@@ -16,7 +16,8 @@ submission order, which is how a pooled run reports the same span tree
 Three choices shape the pool:
 
 * **forkserver start method.**  Callers may be multi-threaded (the daemon's
-  HTTP handlers, scheduler loop and job threads; a primitives session), so
+  HTTP handlers, its scheduler loop and the slot threads that settle its
+  jobs; a primitives session), so
   ``fork`` could copy a lock another thread holds.  The fork server is a
   single-threaded process that imports :data:`PRELOAD_MODULES` once, so every
   worker it forks starts warm.  It also re-imports a script's main module,
@@ -135,7 +136,8 @@ class WorkerPool:
     """``size`` worker processes fed from one FIFO task queue.
 
     Each slot is a thread that takes the next queued task, runs it on the
-    slot's own single-process executor and resolves the task's future.
+    slot's own single-process executor and resolves the task's future; the
+    future's done-callbacks run on that slot thread.
     Processes start on a slot's first task, not when the pool is built.
     Usable as a context manager (leaving it calls :meth:`shutdown`).
     """
@@ -223,10 +225,11 @@ class WorkerPool:
             if executor is not None:
                 executor.shutdown(wait=True)
 
-    def shutdown(self, wait: bool = True) -> None:
+    def shutdown(self) -> None:
         """Stop the pool: queued tasks are cancelled, running ones finish.
 
-        ``wait`` blocks until every worker process has exited.
+        Returns once every slot has resolved its last future (and run that
+        future's done-callbacks) and every worker process has exited.
         """
         with self._lock:
             if self._closed:
@@ -241,8 +244,7 @@ class WorkerPool:
                 task[0].cancel()
         for _ in self._slots:
             self._tasks.put(None)
-        if wait:  # closing the writer sooner would end workers mid-task
-            for thread in self._slots:
-                thread.join()
-            self._lifeline.close()
-            self._lifeline_writer.close()
+        for thread in self._slots:  # closing the writer sooner ends workers mid-task
+            thread.join()
+        self._lifeline.close()
+        self._lifeline_writer.close()

@@ -104,7 +104,8 @@ class span:
 
     ``attrs`` are free-form JSON-able annotations (benchmark name, batch
     size, ...).  Nesting is tracked per thread; the innermost open span is
-    the parent of any span opened beneath it.
+    the parent of any span opened beneath it.  Work that ends on another
+    thread uses :meth:`open` and :meth:`close` instead of ``with``.
     """
 
     __slots__ = ("name", "attrs", "_entry")
@@ -130,6 +131,17 @@ class span:
             if _SINK is not None:
                 _SINK.write_span(entry.as_dict())
         return False
+
+    def open(self) -> Optional[Span]:
+        """Start the span off this thread's stack: later spans do not nest under it."""
+        if _SINK is None and not _COLLECTOR.active:
+            return None
+        self._entry = _COLLECTOR.open_span(self.name, dict(self.attrs), detached=True)
+        return self._entry
+
+    def close(self, error: Optional[type] = None) -> None:
+        """End a span from any thread; ``error`` is the type of what ended its work."""
+        self.__exit__(error, None, None)
 
 
 def current_span() -> Optional[Span]:

@@ -136,7 +136,8 @@ class SpanCollector:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def open_span(self, name: str, attrs: Dict[str, object]) -> Span:
+    def open_span(self, name: str, attrs: Dict[str, object], detached: bool = False) -> Span:
+        """Start a span under this thread's innermost one (off its stack if ``detached``)."""
         parent = self.current()
         entry = Span(
             name=name,
@@ -145,7 +146,8 @@ class SpanCollector:
             start_s=time.perf_counter(),
             attrs=attrs,
         )
-        self._stack().append(entry)
+        if not detached:
+            self._stack().append(entry)
         return entry
 
     def close_span(self, entry: Span) -> Span:

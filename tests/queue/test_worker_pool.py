@@ -148,6 +148,27 @@ class TestServedCompileReuse:
             service.drain()
 
 
+class TestDrain:
+    def test_drain_returns_once_the_running_job_has_settled(self, tmp_path):
+        service = QueueService(
+            QueueStore(tmp_path / "queue"), ResultStore(tmp_path / "cache"), max_workers=1
+        )
+        spec = ExperimentSpec(
+            benchmark="ising", num_qubits=12, seed=5,
+            fidelity=FidelityOptions(trajectories=200),  # about 1 s of simulation
+        )
+        job = service.store.submit(partial(build_job, spec))
+        try:
+            assert [admitted.job_id for admitted in service.tick()] == [job.job_id]
+            assert service.store.get(job.job_id).state == "running"
+        finally:
+            service.stop()
+            service.drain()  # the job's callback runs before the slots are joined
+        assert service.store.get(job.job_id).state == "done"
+        assert service.results.get(job.result_key) is not None
+        assert service.power_in_flight() == 0.0
+
+
 class TestWorkerPool:
     def test_runs_payloads_in_another_process_and_ships_telemetry(self):
         spec = make_spec(seed=22)

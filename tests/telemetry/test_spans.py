@@ -28,6 +28,12 @@ class TestDisabled:
             with telemetry.span("work"):
                 raise KeyError("boom")
 
+    def test_open_is_a_noop_while_disabled(self):
+        work = telemetry.span("work")
+        assert work.open() is None
+        work.close()
+        assert telemetry.snapshot_spans() == []
+
 
 class TestCollecting:
     def test_nested_spans_record_parent_edges(self):
@@ -95,6 +101,24 @@ class TestCollecting:
         for label in ("a", "b"):
             # Each child is parented to its own thread's root, never across.
             assert by_name[f"child.{label}"]["parent_id"] == by_name[f"root.{label}"]["span_id"]
+
+    def test_opened_span_stays_off_the_stack_and_closes_from_any_thread(self):
+        with telemetry.collecting():
+            with telemetry.span("caller") as caller:
+                work = telemetry.span("work", job=1)
+                opened = work.open()
+                assert opened.parent_id == caller.span_id
+                assert telemetry.current_span() is caller
+            with telemetry.span("later") as later:
+                assert later.parent_id is None  # not nested under the open span
+            closer = threading.Thread(target=work.close, args=(RuntimeError,))
+            closer.start()
+            closer.join()
+            work.close()  # a second close is a no-op
+        spans = telemetry.snapshot_spans()
+        assert [s["name"] for s in spans] == ["caller", "later", "work"]
+        assert spans[2]["attrs"] == {"job": 1, "error": "RuntimeError"}
+        assert spans[2]["end_s"] is not None
 
 
 class TestSink:
