@@ -1,53 +1,1 @@
 """Experiment drivers that regenerate every table and figure of the paper."""
-
-from .figures import (
-    default_fig9_configs,
-    fig4_current_waveform,
-    fig7_cz_error_vs_drift,
-    fig8_hardware_cost,
-    fig8_same_bsg_comparison,
-    fig9_execution_time,
-    fig10_gate_errors,
-    scalability_summary,
-)
-from .report import (
-    comparison_row,
-    format_series,
-    format_table,
-    render_comparisons,
-    summarize_backends,
-    summarize_fidelity,
-    summarize_passes,
-    summarize_primitive_results,
-)
-from .tables import (
-    BENCHMARK_DESCRIPTIONS,
-    benchmark_table,
-    cell_library_table,
-    design_space_table,
-    parking_frequency_table_rows,
-)
-
-__all__ = [
-    "BENCHMARK_DESCRIPTIONS",
-    "benchmark_table",
-    "cell_library_table",
-    "comparison_row",
-    "default_fig9_configs",
-    "design_space_table",
-    "fig10_gate_errors",
-    "fig4_current_waveform",
-    "fig7_cz_error_vs_drift",
-    "fig8_hardware_cost",
-    "fig8_same_bsg_comparison",
-    "fig9_execution_time",
-    "format_series",
-    "format_table",
-    "parking_frequency_table_rows",
-    "render_comparisons",
-    "scalability_summary",
-    "summarize_backends",
-    "summarize_fidelity",
-    "summarize_passes",
-    "summarize_primitive_results",
-]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 
@@ -254,16 +253,6 @@ class CouplingMap:
         if len(order) != self.num_qubits:
             raise ValueError("coupling map is disconnected")
         return order
-
-    # -- graph view ---------------------------------------------------------------
-
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """The coupling map as a networkx graph (nodes are qubit indices)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        graph.add_edges_from(self.couplers())
-        return graph
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.num_qubits))

@@ -15,143 +15,3 @@ This package ties the substrates together into the system of the paper:
 * :mod:`repro.core.controller` — cycle-level functional model of the Fig. 5
   datapath.
 """
-
-from .architecture import (
-    CZ_GATE_TIME_NS,
-    DESIGN_SPACE_TABLE,
-    DigiQConfig,
-    OPT_CONTROLLER_CYCLE_NS,
-    design_space_table,
-    single_qubit_gate_time_ns,
-)
-from .bitstream import (
-    SFQBitstream,
-    cached_ry_half_pi_bitstream,
-    find_rz_bitstream,
-    find_ry_half_pi_bitstream,
-)
-from .calibration import DeviceCalibration, GroupBitstreams, build_group_bitstreams
-from .controller import ControlWord, CycleOutput, DigiQController, IDLE_SELECT, idle_control_word
-from .decomposition import (
-    MinBasis,
-    MinDecomposition,
-    OptBasis,
-    OptDecomposition,
-    decompose_min,
-    decompose_opt,
-    decompose_opt_alternatives,
-    gate_error,
-    optimal_virtual_rz,
-)
-from .errors import (
-    CouplerErrorReport,
-    SingleQubitErrorReport,
-    circuit_error,
-    cz_errors_per_coupler,
-    default_gate_sample,
-    estimate_circuit_error,
-    gate_targets_from_circuit,
-    median_single_qubit_errors,
-)
-from .execution import (
-    ExecutionEstimate,
-    execution_report,
-    execution_time_ns,
-    impossible_mimd_time_ns,
-    normalized_execution_time,
-)
-from .rz_delay import (
-    ParkingFrequency,
-    best_delay_for_phase,
-    delay_phase,
-    drift_tolerance,
-    find_parking_frequencies,
-    parking_frequency_table,
-    phase_error_to_gate_error,
-    reachable_phases,
-    worst_case_phase_error,
-    worst_case_rz_error,
-)
-from .scheduler import (
-    GateRequirement,
-    MomentCost,
-    SIMDScheduler,
-    SIMDScheduleResult,
-)
-from .two_qubit import (
-    FluxPulseDesign,
-    TransmonPairSpec,
-    calibrate_flux_pulse,
-    cz_echo_error,
-    cz_error_grid,
-    decomposed_cz_error,
-    optimize_echo_sequence,
-    simulate_pair,
-    uncalibrated_cz_error,
-)
-
-__all__ = [
-    "CZ_GATE_TIME_NS",
-    "ControlWord",
-    "CouplerErrorReport",
-    "CycleOutput",
-    "DESIGN_SPACE_TABLE",
-    "DeviceCalibration",
-    "DigiQConfig",
-    "DigiQController",
-    "ExecutionEstimate",
-    "FluxPulseDesign",
-    "GateRequirement",
-    "GroupBitstreams",
-    "IDLE_SELECT",
-    "MinBasis",
-    "MinDecomposition",
-    "MomentCost",
-    "OPT_CONTROLLER_CYCLE_NS",
-    "OptBasis",
-    "OptDecomposition",
-    "ParkingFrequency",
-    "SFQBitstream",
-    "SIMDScheduleResult",
-    "SIMDScheduler",
-    "SingleQubitErrorReport",
-    "TransmonPairSpec",
-    "best_delay_for_phase",
-    "build_group_bitstreams",
-    "cached_ry_half_pi_bitstream",
-    "calibrate_flux_pulse",
-    "circuit_error",
-    "cz_echo_error",
-    "cz_error_grid",
-    "cz_errors_per_coupler",
-    "decompose_min",
-    "decompose_opt",
-    "decompose_opt_alternatives",
-    "decomposed_cz_error",
-    "default_gate_sample",
-    "delay_phase",
-    "design_space_table",
-    "drift_tolerance",
-    "estimate_circuit_error",
-    "execution_report",
-    "execution_time_ns",
-    "find_parking_frequencies",
-    "find_rz_bitstream",
-    "find_ry_half_pi_bitstream",
-    "gate_error",
-    "gate_targets_from_circuit",
-    "idle_control_word",
-    "impossible_mimd_time_ns",
-    "median_single_qubit_errors",
-    "normalized_execution_time",
-    "optimal_virtual_rz",
-    "optimize_echo_sequence",
-    "parking_frequency_table",
-    "phase_error_to_gate_error",
-    "reachable_phases",
-    "simulate_pair",
-    "single_qubit_gate_time_ns",
-    "uncalibrated_cz_error",
-    "worst_case_phase_error",
-    "worst_case_rz_error",
-]

@@ -1,10 +1,8 @@
 """Behavioural model of the DigiQ controller datapath (Fig. 5, Sec. IV-B).
 
 This module is a cycle-level functional model of the on-chip control flow —
-the piece the paper implements in Verilog.  It is used for functional
-verification (tests check that the emitted per-qubit pulse streams equal the
-stored bitstream delayed/selected as commanded) and by the examples to show
-the full program execution flow of Sec. IV-B:
+the piece the paper implements in Verilog.  No test, example or pipeline
+stage calls it yet; it spells out the program execution flow of Sec. IV-B:
 
 1. ``Load`` — the shared SFQ bitstreams are shifted into the per-group
    storage registers, offline.

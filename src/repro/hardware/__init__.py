@@ -7,108 +7,3 @@ balancing, splitter insertion, area/power/delay), the SFQ/DC current
 generator of Fig. 4, the controller design-space costs of Fig. 8, and the
 fridge-budget scalability analysis of Sec. VI-A.3.
 """
-
-from .budget import (
-    CRYO_CMOS_POWER_PER_QUBIT_MW,
-    DEFAULT_CHIP_AREA_MM2,
-    DEFAULT_POWER_BUDGET_W,
-    FridgeBudget,
-    ScalabilityResult,
-    chips_needed,
-    cryo_cmos_max_qubits,
-    max_qubits_within_budget,
-    scalability_report,
-)
-from .cells import (
-    CELL_LIBRARY,
-    DEFAULT_CLOCK_GHZ,
-    STATIC_POWER_PER_JJ_UW,
-    TABLE3_CELLS,
-    WIRING_AREA_OVERHEAD,
-    Cell,
-    get_cell,
-    table3_rows,
-)
-from .components import (
-    bitstream_generator,
-    broadcast_tree,
-    control_buffer,
-    cycle_counter,
-    programmable_delay_unit,
-    qubit_controller,
-    sfqdc_array,
-    storage_register,
-)
-from .controller_designs import (
-    BITSTREAM_BITS,
-    CABLE_RATE_GBPS,
-    ControllerDesign,
-    DesignCost,
-    cable_count,
-    design_space,
-    evaluate_design,
-    evaluate_design_space,
-    storage_bits,
-)
-from .current_generator import (
-    CurrentGeneratorDesign,
-    CurrentWaveform,
-    cz_pulse_waveform,
-    simulate_waveform,
-)
-from .netlist import INPUT, OUTPUT, Netlist, Node
-from .synthesis import (
-    SynthesisReport,
-    insert_path_balancing_dffs,
-    insert_splitters,
-    synthesize,
-)
-
-__all__ = [
-    "BITSTREAM_BITS",
-    "CABLE_RATE_GBPS",
-    "CELL_LIBRARY",
-    "CRYO_CMOS_POWER_PER_QUBIT_MW",
-    "Cell",
-    "ControllerDesign",
-    "CurrentGeneratorDesign",
-    "CurrentWaveform",
-    "DEFAULT_CHIP_AREA_MM2",
-    "DEFAULT_CLOCK_GHZ",
-    "DEFAULT_POWER_BUDGET_W",
-    "DesignCost",
-    "FridgeBudget",
-    "INPUT",
-    "Netlist",
-    "Node",
-    "OUTPUT",
-    "STATIC_POWER_PER_JJ_UW",
-    "ScalabilityResult",
-    "SynthesisReport",
-    "TABLE3_CELLS",
-    "WIRING_AREA_OVERHEAD",
-    "bitstream_generator",
-    "broadcast_tree",
-    "cable_count",
-    "chips_needed",
-    "control_buffer",
-    "cryo_cmos_max_qubits",
-    "cycle_counter",
-    "cz_pulse_waveform",
-    "design_space",
-    "evaluate_design",
-    "evaluate_design_space",
-    "get_cell",
-    "insert_path_balancing_dffs",
-    "insert_splitters",
-    "max_qubits_within_budget",
-    "programmable_delay_unit",
-    "qubit_controller",
-    "scalability_report",
-    "sfqdc_array",
-    "simulate_waveform",
-    "storage_bits",
-    "storage_register",
-    "synthesize",
-    "table3_rows",
-]

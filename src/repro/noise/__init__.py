@@ -1,17 +1,1 @@
 """Variability and drift models (Sec. VI-B of the paper)."""
-
-from .variability import (
-    DEFAULT_CURRENT_SIGMA,
-    DEFAULT_EJ_SIGMA,
-    QubitSample,
-    VariabilityModel,
-    expected_frequency_fluctuation,
-)
-
-__all__ = [
-    "DEFAULT_CURRENT_SIGMA",
-    "DEFAULT_EJ_SIGMA",
-    "QubitSample",
-    "VariabilityModel",
-    "expected_frequency_fluctuation",
-]

@@ -5,119 +5,3 @@ SFQ pulse trains and flux pulses: operator/rotation utilities, single- and
 two-transmon Hamiltonian models, bitstream propagation, and the fidelity
 measures used throughout the paper's evaluation.
 """
-
-from .constants import (
-    DEFAULT_ANHARMONICITY_GHZ,
-    DEFAULT_COUPLING_GHZ,
-    DEFAULT_SFQ_CLOCK_PERIOD_NS,
-    PAPER_PARKING_DRIFT_TOLERANCE_GHZ,
-    PAPER_PARKING_FREQUENCIES_GHZ,
-    PHI0_MV_PS,
-    angular,
-    period_ns,
-)
-from .coupled import (
-    CZ_TARGET,
-    FluxPulseCalibration,
-    TwoTransmonSystem,
-    cz_target,
-    embed_single_qubit_pair,
-    project_two_qubit,
-    simulate_uqq,
-)
-from .fidelity import (
-    average_gate_error,
-    average_gate_fidelity,
-    leakage,
-    leakage_projected_error,
-    leakage_projected_fidelity,
-    phase_corrected_two_qubit_error,
-    state_fidelity,
-)
-from .operators import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    basis_state,
-    create,
-    destroy,
-    embed_qubit_operator,
-    is_hermitian,
-    is_unitary,
-    kron,
-    number,
-    project_to_qubit,
-    projector,
-)
-from .rotations import (
-    bloch_vector,
-    circular_distance,
-    equivalent_up_to_phase,
-    global_phase_aligned,
-    rotation,
-    rx,
-    ry,
-    rz,
-    su2_distance,
-    u3,
-    wrap_angle,
-    zyz_angles,
-)
-from .sfq_pulse import SFQPulseModel, coherent_bitstream, pulse_model_for
-from .transmon import AsymmetricTransmon, Transmon, TransmonPairParameters
-
-__all__ = [
-    "AsymmetricTransmon",
-    "CZ_TARGET",
-    "DEFAULT_ANHARMONICITY_GHZ",
-    "DEFAULT_COUPLING_GHZ",
-    "DEFAULT_SFQ_CLOCK_PERIOD_NS",
-    "FluxPulseCalibration",
-    "PAPER_PARKING_DRIFT_TOLERANCE_GHZ",
-    "PAPER_PARKING_FREQUENCIES_GHZ",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PHI0_MV_PS",
-    "SFQPulseModel",
-    "Transmon",
-    "TransmonPairParameters",
-    "TwoTransmonSystem",
-    "angular",
-    "average_gate_error",
-    "average_gate_fidelity",
-    "basis_state",
-    "bloch_vector",
-    "circular_distance",
-    "coherent_bitstream",
-    "create",
-    "cz_target",
-    "destroy",
-    "embed_qubit_operator",
-    "embed_single_qubit_pair",
-    "equivalent_up_to_phase",
-    "global_phase_aligned",
-    "is_hermitian",
-    "is_unitary",
-    "kron",
-    "leakage",
-    "leakage_projected_error",
-    "leakage_projected_fidelity",
-    "number",
-    "period_ns",
-    "phase_corrected_two_qubit_error",
-    "project_to_qubit",
-    "project_two_qubit",
-    "projector",
-    "pulse_model_for",
-    "rotation",
-    "rx",
-    "ry",
-    "rz",
-    "simulate_uqq",
-    "state_fidelity",
-    "su2_distance",
-    "u3",
-    "wrap_angle",
-    "zyz_angles",
-]

@@ -14,8 +14,10 @@ in-process threads to a multi-client daemon:
   :class:`RemoteJobHandle`, the local-handle contract over HTTP;
 * :mod:`repro.queue.cli` — ``repro serve`` and ``repro queue`` shells.
 
-The server and client are intentionally import-light: importing this
-package pulls in neither the HTTP stack nor the execution stack.
+Importing this package loads :mod:`~repro.queue.model`, which prices jobs
+and keys them through :mod:`repro.runtime.jobs`, so numpy and the compile
+stack come with it.  The HTTP client and the scheduler load on first
+touch of :class:`QueueClient` or :class:`QueueService`.
 """
 
 from .model import PRIORITIES, QueueJob, build_job, job_power_w, spec_payload

@@ -267,13 +267,19 @@ class QueueService:
                 self._settled_jobs[job.job_id] = job
                 self._settled.notify_all()
 
+    def _running(self, job_id: str) -> bool:
+        with self._lock:
+            return job_id in self._inflight
+
     def wait_settled(self, job_id: str, timeout_s: float) -> Optional[QueueJob]:
         """A job's record once it is terminal, or after ``timeout_s`` seconds.
 
-        Returns early, with the job still pending, when the service stops;
-        ``None`` for an unknown job.  Terminal transitions made by this
-        service wake the wait at once; one made by another process sharing
-        the queue root is seen by the caller's next request.
+        Returns early, with the job still pending, when the service stops and
+        the job is not running here (a running job settles before the drain
+        ends, so its wait holds); ``None`` for an unknown job.  Terminal
+        transitions made by this service wake the wait at once; one made by
+        another process sharing the queue root is seen by the caller's next
+        request.
         """
         with self._settled:
             self._awaited[job_id] = self._awaited.get(job_id, 0) + 1
@@ -285,7 +291,7 @@ class QueueService:
             with self._settled:
                 while job_id not in self._settled_jobs:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self.stopping:
+                    if remaining <= 0 or (self.stopping and not self._running(job_id)):
                         return job
                     self._settled.wait(remaining)
                 return self._settled_jobs[job_id]
@@ -351,9 +357,9 @@ class QueueService:
         except LookupError:
             logger.warning("job %s lost its running entry; dropping", job.job_id)
         finally:
-            self._power_remove(job.job_id)
-            if settled is not None:  # before the loop: a client is waiting on it
+            if settled is not None:  # first: a client is waiting on it
                 self._notify_settled(settled)
+            self._power_remove(job.job_id)
             self._wake.set()
 
     # -- daemon loop ----------------------------------------------------------------

@@ -124,9 +124,6 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
             elif self.path == "/shutdown":
                 self._send(200, {"ok": True, "stopping": True})
                 self.service.stop()
-                threading.Thread(
-                    target=self.server.shutdown, daemon=True  # type: ignore[attr-defined]
-                ).start()
             else:
                 self._send(404, {"error": f"no such endpoint: POST {self.path}"})
         except Exception as error:  # noqa: BLE001 - report, never kill the daemon
@@ -244,13 +241,15 @@ def serve(
     budget_w: Optional[float] = None,
     workers: int = DEFAULT_QUEUE_WORKERS,
     poll_interval_s: float = 0.5,
-    install_signal_handlers: bool = True,
 ) -> int:
     """Run the daemon until shut down; returns the process exit code.
 
     Binds first (``port=0`` picks a free port), then advertises itself in
     the queue root's ``daemon.json`` so clients and the ``repro queue`` CLI
     can discover the URL, then runs crash recovery and the scheduling loop.
+    ``POST /shutdown``, SIGTERM and SIGINT only stop the loop: HTTP keeps
+    answering, and ``daemon.json`` stays, until every admitted job has
+    settled and the worker processes are gone.
     """
     # The daemon's threads only coordinate (jobs run in worker processes), so
     # hand the GIL to a woken request thread sooner than the 5 ms default.
@@ -276,17 +275,20 @@ def serve(
 
     def _terminate(signum, frame):  # noqa: ANN001 - signal signature
         service.stop()
-        threading.Thread(target=httpd.shutdown, daemon=True).start()
 
-    if install_signal_handlers:
-        signal.signal(signal.SIGTERM, _terminate)
-        signal.signal(signal.SIGINT, _terminate)
+    # The handler runs on the main thread, which only ever runs serve_forever
+    # and so never holds a service lock the handler needs.
+    signal.signal(signal.SIGTERM, _terminate)
+    signal.signal(signal.SIGINT, _terminate)
+
+    def _schedule() -> None:
+        try:
+            service.serve_loop(poll_interval_s=poll_interval_s)
+        finally:
+            httpd.shutdown()  # only once the drain has ended
 
     scheduler_thread = threading.Thread(
-        target=service.serve_loop,
-        kwargs={"poll_interval_s": poll_interval_s},
-        name="repro-queue-scheduler",
-        daemon=True,
+        target=_schedule, name="repro-queue-scheduler", daemon=True
     )
     scheduler_thread.start()
     logger.info("repro serve listening on %s (queue root %s)", url, store.root)
@@ -295,7 +297,7 @@ def serve(
         httpd.serve_forever(poll_interval=0.2)
     finally:
         service.stop()
-        scheduler_thread.join(timeout=30.0)
+        scheduler_thread.join()
         httpd.server_close()
         store.clear_daemon()
         telemetry.flush_metrics()

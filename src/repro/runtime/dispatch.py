@@ -25,7 +25,7 @@ from .. import telemetry
 from .executor import WorkerPool, merge_shipped_telemetry
 from .jobs import JobResult, execute_compile_group, job_key, ordered_row
 from .spec import ExperimentSpec, SweepGrid
-from .store import ResultStore, canonical_json
+from .store import ResultStore
 
 
 @dataclass
@@ -83,26 +83,17 @@ class SweepReport:
     def pass_traces(self) -> List[Dict[str, object]]:
         """Per-pass compile metrics, one entry per compile group in grid order.
 
-        All backends of one compiled benchmark that share a topology share
-        the same trace, so each group contributes a single entry (results
-        computed before schema v3 carry no trace and are skipped).
+        All jobs of one :attr:`~repro.runtime.spec.ExperimentSpec.compile_group`
+        share the same trace, so each group contributes a single entry
+        (results computed before schema v3 carry no trace and are skipped).
         """
         seen = set()
         traces: List[Dict[str, object]] = []
-        for result in self.results:
-            if not result.trace:
+        for job, result in zip(self.grid.expand(), self.results):
+            if not result.trace or job.compile_group in seen:
                 continue
+            seen.add(job.compile_group)
             spec = result.spec
-            ident = (
-                spec.get("benchmark"),
-                spec.get("num_qubits"),
-                spec.get("seed"),
-                spec.get("backend", {}).get("topology"),
-                canonical_json(spec.get("compile", {})),
-            )
-            if ident in seen:
-                continue
-            seen.add(ident)
             traces.append(
                 {
                     "benchmark": spec.get("benchmark"),

@@ -40,8 +40,9 @@ class TestGridCouplingMap:
 
     def test_graph_matches_couplers(self):
         grid = GridCouplingMap(4, 4)
-        assert grid.graph.number_of_edges() == grid.num_couplers
-        assert nx.is_connected(grid.graph)
+        graph = nx.Graph(grid.couplers())
+        assert graph.number_of_edges() == grid.num_couplers
+        assert nx.is_connected(graph)
 
     def test_coupler_neighbors_share_a_qubit_or_touch(self):
         grid = GridCouplingMap(4, 4)

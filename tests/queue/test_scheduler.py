@@ -498,6 +498,23 @@ class TestWaitSettled:
         assert not waiter.is_alive()
         assert got[0].state == "queued"
 
+    def test_stop_holds_waits_on_running_jobs_until_they_settle(self, tmp_path, monkeypatch):
+        release = threading.Event()
+        pool = FakePool(lambda key: release.wait(10.0) and {"row": {}, "key": key}, threaded=True)
+        svc = service(tmp_path, monkeypatch, pool=pool)
+        job = enqueue(svc.store)
+        assert svc.tick()  # admitted and running on the pool
+        got = []
+        waiter = wait_in_thread(svc, job.job_id, got)
+        svc.stop()
+        waiter.join(timeout=0.3)
+        assert waiter.is_alive()  # the drain will settle it: the wait holds
+        release.set()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert got[0].state == "done"
+        svc.drain()
+
 
 class TestConcurrentBudget:
     def test_power_in_flight_gauge_never_exceeds_budget(self, tmp_path, monkeypatch):

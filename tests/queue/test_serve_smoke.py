@@ -1,13 +1,18 @@
-"""End-to-end `repro serve --trace` smoke: queue.* spans render in summarize,
-and the job's worker-process spans nest under the daemon's ``queue.execute``."""
+"""End-to-end `repro serve` smokes: with ``--trace``, queue.* spans render in
+summarize and the job's worker-process spans nest under the daemon's
+``queue.execute``; on shutdown, HTTP answers until the running job settles."""
 
-import json
 import subprocess
 import sys
+import threading
+import time
 
 from test_crash_recovery import start_daemon, stop_daemon, sub_env
 
+from repro.primitives.job import JobStatus
 from repro.queue.client import QueueClient
+from repro.queue.store import QueueStore
+from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.telemetry import read_trace, split_trace, summarize_trace_file
 
 
@@ -71,3 +76,39 @@ class TestServeTraceSmoke:
         out = summarized.stdout.decode()
         for name in ("queue.submit", "queue.admit", "queue.execute"):
             assert name in out
+
+
+class TestShutdownDrain:
+    def test_http_answers_until_the_running_job_settles(self, tmp_path):
+        daemon, url = start_daemon(tmp_path)
+        try:
+            client = QueueClient(url=url)
+            spec = ExperimentSpec(  # about 3 s on a 2-core host
+                benchmark="ising", num_qubits=12, seed=3,
+                fidelity=FidelityOptions(trajectories=1000),
+            )
+            handle = client.submit(spec)
+            deadline = time.monotonic() + 60.0
+            while handle.status() is not JobStatus.RUNNING:
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.05)
+            collected = {}
+
+            def collect():
+                try:
+                    collected["row"] = handle.result(timeout=120.0)
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    collected["error"] = error
+
+            collector = threading.Thread(target=collect)
+            collector.start()
+            client.shutdown()
+            collector.join(timeout=150.0)
+            daemon.wait(timeout=30.0)
+            assert "error" not in collected, collected["error"]
+            assert collected["row"].key == handle.job.result_key
+            assert collected["row"].row["trajectories"] == 1000
+            assert daemon.returncode == 0
+            assert QueueStore(tmp_path / "queue").read_daemon() is None
+        finally:
+            stop_daemon(daemon)

@@ -112,6 +112,7 @@ class TestServedCompileReuse:
                 ExperimentSpec(benchmark="qgan", backend=backend, num_qubits=8)
                 for backend in ("digiq-opt8", "digiq-opt16", "digiq-min2")
             ]
+            telemetry.reset()  # the spans below are this test's alone
             before = memo_counts()
             with telemetry.collecting():
                 records = [serve(service, spec) for spec in specs]
