@@ -360,6 +360,9 @@ class QueueService:
             if settled is not None:  # first: a client is waiting on it
                 self._notify_settled(settled)
             self._power_remove(job.job_id)
+            if settled is None:  # no longer running here: a stopping wait may end
+                with self._settled:
+                    self._settled.notify_all()
             self._wake.set()
 
     # -- daemon loop ----------------------------------------------------------------

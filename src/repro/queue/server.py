@@ -77,6 +77,9 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-queue/1"
     protocol_version = "HTTP/1.1"
+    # An idle keep-alive connection ends after this long, so closing the
+    # server (which joins every request thread) never waits on one for good.
+    timeout = MAX_RESULT_WAIT_S
 
     # The ThreadingHTTPServer instance carries these (see serve()).
     @property
@@ -224,9 +227,13 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
 
 
 class QueueHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service for its handlers."""
+    """ThreadingHTTPServer carrying the service for its handlers.
 
-    daemon_threads = True
+    Its request threads are joined on close, so a response under way when
+    the drain ends (a long-poll woken by the last job) is written in full.
+    """
+
+    daemon_threads = False
 
     def __init__(self, address: Tuple[str, int], service: QueueService):
         super().__init__(address, QueueRequestHandler)
@@ -281,9 +288,14 @@ def serve(
     signal.signal(signal.SIGTERM, _terminate)
     signal.signal(signal.SIGINT, _terminate)
 
+    crashed = []
+
     def _schedule() -> None:
         try:
             service.serve_loop(poll_interval_s=poll_interval_s)
+        except BaseException:
+            crashed.append(True)  # died rather than drained: exit non-zero
+            raise
         finally:
             httpd.shutdown()  # only once the drain has ended
 
@@ -302,4 +314,4 @@ def serve(
         store.clear_daemon()
         telemetry.flush_metrics()
         telemetry.close_sink()
-    return 0
+    return 1 if crashed else 0

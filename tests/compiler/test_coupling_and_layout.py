@@ -41,6 +41,8 @@ class TestGridCouplingMap:
     def test_graph_matches_couplers(self):
         grid = GridCouplingMap(4, 4)
         graph = nx.Graph(grid.couplers())
+        graph.add_nodes_from(range(grid.num_qubits))
+        assert graph.number_of_nodes() == grid.num_qubits
         assert graph.number_of_edges() == grid.num_couplers
         assert nx.is_connected(graph)
 

@@ -36,7 +36,9 @@ def test_torus_distance_matches_networkx(dims, data):
         return
     a = data.draw(st.integers(0, torus.num_qubits - 1))
     b = data.draw(st.integers(0, torus.num_qubits - 1))
-    expected = nx.shortest_path_length(nx.Graph(torus.couplers()), a, b)
+    graph = nx.Graph(torus.couplers())
+    graph.add_nodes_from(range(torus.num_qubits))
+    expected = nx.shortest_path_length(graph, a, b)
     assert torus.distance(a, b) == expected
 
 

@@ -515,6 +515,27 @@ class TestWaitSettled:
         assert got[0].state == "done"
         svc.drain()
 
+    def test_stop_releases_waits_on_a_job_its_worker_left_running(self, tmp_path, monkeypatch):
+        release = threading.Event()
+
+        def interrupted(key):
+            release.wait(10.0)
+            raise KeyboardInterrupt
+
+        svc = service(tmp_path, monkeypatch, pool=FakePool(interrupted, threaded=True))
+        job = enqueue(svc.store)
+        assert svc.tick()
+        got = []
+        waiter = wait_in_thread(svc, job.job_id, got)
+        svc.stop()
+        waiter.join(timeout=0.3)
+        assert waiter.is_alive()  # still running here: the wait holds
+        release.set()  # the worker stops: the job stays 'running' for recovery
+        waiter.join(timeout=5.0)  # well inside the wait's own 30 s
+        assert not waiter.is_alive()
+        assert got[0].state == "running"
+        svc.drain()
+
 
 class TestConcurrentBudget:
     def test_power_in_flight_gauge_never_exceeds_budget(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """End-to-end `repro serve` smokes: with ``--trace``, queue.* spans render in
 summarize and the job's worker-process spans nest under the daemon's
-``queue.execute``; on shutdown, HTTP answers until the running job settles."""
+``queue.execute``; on shutdown, HTTP answers until the running job settles,
+and a scheduler loop that dies rather than drains makes the exit code non-zero."""
 
 import subprocess
 import sys
@@ -9,8 +10,12 @@ import time
 
 from test_crash_recovery import start_daemon, stop_daemon, sub_env
 
+import pytest
+
 from repro.primitives.job import JobStatus
+from repro.queue import server
 from repro.queue.client import QueueClient
+from repro.queue.scheduler import QueueService
 from repro.queue.store import QueueStore
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.telemetry import read_trace, split_trace, summarize_trace_file
@@ -112,3 +117,18 @@ class TestShutdownDrain:
             assert QueueStore(tmp_path / "queue").read_daemon() is None
         finally:
             stop_daemon(daemon)
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_dead_scheduler_loop_exits_non_zero(self, tmp_path, monkeypatch):
+        def crash(self, poll_interval_s):
+            raise OSError("queue root unreadable")
+
+        monkeypatch.setattr(QueueService, "serve_loop", crash)
+        monkeypatch.setattr(server.signal, "signal", lambda signum, handler: None)
+        interval = sys.getswitchinterval()
+        try:
+            code = server.serve(root=tmp_path / "queue", cache_dir=tmp_path / "cache")
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 1
+        assert QueueStore(tmp_path / "queue").read_daemon() is None
