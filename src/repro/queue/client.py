@@ -16,6 +16,7 @@ same canonical row) to running the spec locally.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -101,6 +102,12 @@ class QueueClient:
         except urllib.error.URLError as error:
             raise QueueServerError(
                 f"cannot reach repro serve at {self.url}: {error.reason}"
+            ) from None
+        except (OSError, http.client.HTTPException) as error:
+            # A reset, a read timeout or a connection closed without an
+            # answer: urllib raises these raw once the request is sent.
+            raise QueueServerError(
+                f"cannot reach repro serve at {self.url}: {error!r}"
             ) from None
 
     @staticmethod

@@ -18,7 +18,6 @@ from .spec import (
     ExperimentSpec,
     FidelityOptions,
     SweepGrid,
-    parse_config,
 )
 from .store import ResultStore, canonical_json
 
@@ -37,6 +36,5 @@ __all__ = [
     "default_worker_count",
     "execute_spec",
     "job_key",
-    "parse_config",
     "run_sweep",
 ]

@@ -11,14 +11,11 @@ Backends are referred to by registry name (``"digiq-opt8"``,
 ``"cryo-cmos-grid"``), by legacy config spec (``"opt8"``, ``"min2"``,
 ``"opt16@g4"`` — these resolve to the matching DigiQ grid backend), as
 :class:`~repro.core.architecture.DigiQConfig` objects, or directly as
-:class:`~repro.backends.Backend` instances.  :func:`parse_config` keeps the
-historical spec-string-to-config conversion for callers that only need the
-architectural parameters.
+:class:`~repro.backends.Backend` instances.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -32,45 +29,10 @@ from ..simulation.trajectories import DEFAULT_BATCH_SIZE, MAX_DENSE_QUBITS
 
 #: Default sweep axes used by ``python -m repro.runtime`` with no arguments.
 DEFAULT_BENCHMARKS: Tuple[str, ...] = ("qgan", "ising", "bv")
-DEFAULT_CONFIG_SPECS: Tuple[str, ...] = ("opt8", "opt16", "min2")
 DEFAULT_BACKEND_NAMES: Tuple[str, ...] = ("digiq-opt8", "digiq-opt16", "digiq-min2")
-
-_CONFIG_SPEC_RE = re.compile(r"^(opt|min)(\d+)(?:@g(\d+))?$")
 
 #: Anything :func:`~repro.backends.get_backend` accepts.
 BackendLike = Union[str, Backend, DigiQConfig]
-
-
-def parse_config(spec: Union[str, DigiQConfig]) -> DigiQConfig:
-    """Build a :class:`DigiQConfig` from a short spec string.
-
-    The grammar is ``<variant><BS>[@g<G>]``: ``"opt8"`` is DigiQ_opt with
-    BS=8, ``"min2"`` DigiQ_min with BS=2, ``"opt16@g4"`` DigiQ_opt with
-    BS=16 and 4 SIMD groups.  Both counts must be at least 1 — ``opt0`` and
-    ``@g0`` are rejected.  A :class:`DigiQConfig` passes through.
-    """
-    if isinstance(spec, DigiQConfig):
-        return spec
-    match = _CONFIG_SPEC_RE.match(spec.strip().lower())
-    if not match:
-        raise ValueError(
-            f"bad config spec '{spec}'; expected e.g. 'opt8', 'min2', 'opt16@g4'"
-        )
-    variant, bitstreams, groups = match.group(1), int(match.group(2)), match.group(3)
-    if bitstreams < 1:
-        raise ValueError(
-            f"bad config spec '{spec}': the bitstream count must be >= 1 "
-            f"(got {bitstreams})"
-        )
-    kwargs = {"bitstreams": bitstreams}
-    if groups is not None:
-        if int(groups) < 1:
-            raise ValueError(
-                f"bad config spec '{spec}': the SIMD group count must be >= 1 "
-                f"(got {int(groups)})"
-            )
-        kwargs["groups"] = int(groups)
-    return DigiQConfig.opt(**kwargs) if variant == "opt" else DigiQConfig.minimal(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ spans and counters merge back under the run's ``sim.run`` span.
 
 A pooled run splits its batches into one contiguous chunk per worker and
 submits each chunk as one task.  The chunk's batches share one plan object,
-which pickles once per chunk; each worker therefore rebuilds the plan, and
-compiles its trajectory program, once per run rather than once per batch.
+which pickles once per chunk and carries its trajectory program; each worker
+therefore unpickles the plan once per run rather than once per batch, and
+builds nothing itself.
 """
 
 from __future__ import annotations

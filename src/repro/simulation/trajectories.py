@@ -6,18 +6,22 @@ evaluation ultimately cares about — instead of per-gate errors:
 1. the circuit is *fused*: runs of adjacent single-qubit gates on one qubit
    collapse into a single 2x2 matrix (their kick probabilities combine), so
    the hot loop applies far fewer matrices than the raw gate count;
-2. a batch of ``B`` trajectories advances one statevector row per
+2. each fused op is applied in place to the batch, one op at a time.  From
+   10 qubits the register is relabeled so the qubits dense ops touch most
+   sit at long strides; one gather per batch restores the standard qubit
+   order at the end;
+3. a batch of ``B`` trajectories advances one statevector row per
    *distinct* trajectory: every trajectory no kick has hit yet shares row 0,
    and a trajectory gets its own row, a copy of row 0, at its first kick
    (see :func:`advance_noisy_batch`).  A noisy batch typically ends with a
    few rows, not ``B``; one gather expands them to ``(B, 2**n)`` at the end;
-3. after each fused op, every involved qubit suffers a random Pauli kick
+4. after each fused op, every involved qubit suffers a random Pauli kick
    (X, Y or Z, weighted by the noise model) with the probability the
    :class:`~repro.simulation.channels.NoiseModel` assigns it.  A batch
    draws all its kicks in one call before it starts, and only the sites
    where some trajectory is hit are visited: each is a single vectorized
    per-row 2x2 update, not a masked gather/scatter per Pauli;
-4. each trajectory's final state is scored against the noiseless final state
+5. each trajectory's final state is scored against the noiseless final state
    (state fidelity) and against the noiseless dominant measurement outcome
    (success probability).
 
@@ -54,11 +58,12 @@ from ..circuits.simulator import (
 )
 from .channels import NoiseModel
 
-#: Default trajectories per batch.  A batch pays the program's per-op Python
-#: overhead and its one kick draw once for all its trajectories, and advances
-#: at most one row per trajectory (usually far fewer: one per distinct
-#: trajectory), so a 12-16 qubit batch stays cache-resident.  The batch size
-#: is part of the seeding scheme: changing it changes every result.
+#: Default trajectories per batch.  A batch pays the per-op Python overhead
+#: of its in-place applications and its one kick draw once for all its
+#: trajectories, and advances at most one row per trajectory (usually far
+#: fewer: one per distinct trajectory), so a 12-16 qubit batch stays
+#: cache-resident.  The batch size is part of the seeding scheme: changing
+#: it changes every result.
 DEFAULT_BATCH_SIZE = 25
 
 #: Widest register the dense kernel simulates: one 24-qubit trajectory is
@@ -165,6 +170,111 @@ def ideal_final_state(circuit: QuantumCircuit) -> np.ndarray:
     return apply_fused_ops(zero_state(circuit.num_qubits), ops, circuit.num_qubits)
 
 
+#: Coefficients a gate can carry and still count as moving amplitudes
+#: exactly: multiplying by a unit of ``i`` never rounds.
+_UNITS = (1.0, 1j, -1.0, -1j)
+
+
+def _moves_exactly(op: FusedOp) -> bool:
+    """Whether ``op`` is a diagonal or permutation with unit-of-``i`` entries.
+
+    These are x/y/z, cx/cz/swap, ccx/ccz, and rz/p/cp at multiples of a half
+    turn.  Every other op (fused single-qubit runs, arbitrary rotations)
+    counts as dense for :func:`_relabel_positions`.
+    """
+    matrix = np.asarray(op.matrix, dtype=complex)
+    strategy = _matrix_strategy(matrix.tobytes(), matrix.shape[0])
+    if strategy[0] == "diag":
+        coeffs = strategy[1]
+    elif strategy[0] == "perm":
+        coeffs = strategy[2]
+    else:
+        return False
+    return all(coeff in _UNITS for coeff in coeffs)
+
+
+def _relabel_positions(ops: Sequence[FusedOp], num_qubits: int) -> Optional[np.ndarray]:
+    """Physical position of each logical qubit, or ``None`` for identity.
+
+    Dense ops on low qubit indices are pathological for the in-place kernel
+    (the contiguous inner stride is ``2**qubit`` amplitudes), so the qubits
+    dense ops touch most are parked at the top positions.  The relabeling is
+    a pure bit permutation of basis indices: one gather at the end of a
+    batch (:func:`_restore_map`) undoes it without changing any amplitude.
+    """
+    if num_qubits < 10:
+        return None
+    counts: Dict[int, int] = {}
+    for op in ops:
+        if not _moves_exactly(op):
+            for qubit in op.qubits:
+                counts[qubit] = counts.get(qubit, 0) + 1
+    if not counts:
+        return None
+    heavy = sorted(counts, key=lambda qubit: (-counts[qubit], qubit))
+    rest = [qubit for qubit in range(num_qubits) if qubit not in counts]
+    low_to_high = rest + heavy[::-1]
+    positions = np.empty(num_qubits, dtype=np.intp)
+    for position, qubit in enumerate(low_to_high):
+        positions[qubit] = position
+    if np.array_equal(positions, np.arange(num_qubits)):
+        return None
+    return positions
+
+
+def _restore_map(positions: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Gather map returning a relabeled statevector to standard qubit order."""
+    i = np.arange(1 << num_qubits, dtype=np.intp)
+    restore = np.zeros_like(i)
+    for qubit in range(num_qubits):
+        restore |= ((i >> qubit) & 1) << int(positions[qubit])
+    return restore
+
+
+@dataclass(frozen=True)
+class _Program:
+    """How a batch runs one plan's fused ops on the relabeled register.
+
+    Op ``i`` applies to qubits ``targets[i]``.  Its kick sites, flattened in
+    circuit order, form the site table: site ``k`` kicks qubit
+    ``site_qubits[k]`` with probability ``site_probs[k]``, and
+    ``site_stops[i]`` is one past op ``i``'s last site.  ``restore`` gathers
+    a finished row back into standard qubit order (``None`` when the
+    register is not relabeled).
+    """
+
+    targets: Tuple[Tuple[int, ...], ...]
+    site_probs: np.ndarray
+    site_qubits: Tuple[int, ...]
+    site_stops: Tuple[int, ...]
+    restore: Optional[np.ndarray]
+
+
+def _build_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
+    """Relabel a fused-op list's qubits and flatten its kick sites."""
+    positions = _relabel_positions(ops, num_qubits)
+
+    def phys(qubit: int) -> int:
+        return int(positions[qubit]) if positions is not None else int(qubit)
+
+    site_probs: List[float] = []
+    site_qubits: List[int] = []
+    site_stops: List[int] = []
+    for op in ops:
+        for qubit, prob in zip(op.qubits, op.kick_probs):
+            if prob > 0:
+                site_qubits.append(phys(qubit))
+                site_probs.append(float(prob))
+        site_stops.append(len(site_probs))
+    return _Program(
+        targets=tuple(tuple(phys(qubit) for qubit in op.qubits) for op in ops),
+        site_probs=np.asarray(site_probs, dtype=float),
+        site_qubits=tuple(site_qubits),
+        site_stops=tuple(site_stops),
+        restore=None if positions is None else _restore_map(positions, num_qubits),
+    )
+
+
 @dataclass(frozen=True)
 class TrajectoryPlan:
     """Everything one trajectory batch needs, fused and precomputed once.
@@ -172,9 +282,10 @@ class TrajectoryPlan:
     A plan is built once per (circuit, noise) pair by
     :func:`build_trajectory_plan` and shared by every batch of the run —
     serially, across pool workers (pickled once per worker's chunk of
-    batches, see :mod:`repro.simulation.engine`), and across repeats.
-    Batches advance dense ``(B, 2**n)`` statevectors and score them against
-    ``ideal_state``.
+    batches, see :mod:`repro.simulation.engine`), and across repeats.  It
+    carries its ``program`` (relabeled targets, site table, restore map), so
+    no batch and no worker rebuilds anything.  Batches advance dense
+    ``(B, 2**n)`` statevectors and score them against ``ideal_state``.
     """
 
     #: The kernel every plan runs; telemetry spans and tracers record it.
@@ -184,10 +295,11 @@ class TrajectoryPlan:
     ops: Tuple[FusedOp, ...]
     kick_cumweights: np.ndarray
     ideal_state: np.ndarray
+    program: _Program
 
 
 def build_trajectory_plan(circuit: QuantumCircuit, noise: NoiseModel) -> TrajectoryPlan:
-    """Fuse a circuit against a noise model and precompute its ideal state.
+    """Fuse a circuit against a noise model; precompute its program and ideal state.
 
     Raises ``ValueError`` when the noise model does not cover the circuit's
     register, or when the register is wider than :data:`MAX_DENSE_QUBITS`
@@ -210,6 +322,7 @@ def build_trajectory_plan(circuit: QuantumCircuit, noise: NoiseModel) -> Traject
         ops=ops,
         kick_cumweights=noise.kick_cumulative_weights(),
         ideal_state=ideal,
+        program=_build_program(ops, circuit.num_qubits),
     )
 
 
@@ -336,382 +449,6 @@ def _inject_kicks(
     return int(hit.sum())
 
 
-#: Phase units ``i**k`` for the composed-permutation phase exponents.
-_PHASE_LUT = np.array([1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j])
-
-#: Ceiling on per-entry prefix snapshots of one program (bytes).  Above it,
-#: mid-segment materialization prefixes are recomputed on demand instead —
-#: kick hits are rare, and at the register sizes that exceed this ceiling a
-#: single statevector pass costs more than the recompute anyway.
-_SNAPSHOT_BUDGET = 64 * 2**20
-
-
-def _unit_exponents(coeffs: Sequence[complex]) -> Optional[np.ndarray]:
-    """Each coefficient as an exponent ``k`` with ``i**k == coeff``, exactly.
-
-    Returns ``None`` when any coefficient is not one of ``1, i, -1, -i``:
-    only these units multiply and compose without rounding, which is what
-    keeps the composed-permutation path exact — every amplitude equal to
-    op-by-op application (composition can flip the sign of an IEEE zero,
-    nothing more).
-    """
-    exponents = []
-    for coeff in coeffs:
-        for power, unit in enumerate((1.0, 1j, -1.0, -1j)):
-            if coeff == unit:
-                exponents.append(power)
-                break
-        else:
-            return None
-    return np.asarray(exponents, dtype=np.uint8)
-
-
-def _op_spec(op: FusedOp) -> Optional[Tuple[str, Optional[np.ndarray], np.ndarray]]:
-    """``(kind, perm, exponents)`` of a composable op, else ``None``.
-
-    Composable ops are generalized permutations and diagonals whose nonzero
-    entries are all exact phase units: x/y/z, cx/cz/swap, ccx/ccz, and
-    rz/p/cp at multiples of a half turn.  Dense matrices (fused single-qubit
-    runs, arbitrary rotations) are program boundaries.
-    """
-    matrix = np.asarray(op.matrix, dtype=complex)
-    strategy = _matrix_strategy(matrix.tobytes(), matrix.shape[0])
-    if strategy[0] == "diag":
-        exponents = _unit_exponents(strategy[1])
-        if exponents is None:
-            return None
-        return ("diag", None, exponents)
-    if strategy[0] == "perm":
-        exponents = _unit_exponents(strategy[2])
-        if exponents is None:
-            return None
-        return ("perm", np.asarray(strategy[1], dtype=np.intp), exponents)
-    return None
-
-
-def _map_for(
-    spec: Tuple[str, Optional[np.ndarray], np.ndarray],
-    targets: Tuple[int, ...],
-    num_qubits: int,
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Full-register ``(source index, phase exponent)`` arrays of one op.
-
-    ``out[j] = i**pexp[j] * in[idx[j]]`` reproduces the op exactly; ``None``
-    stands for the identity map / an all-zero exponent.  Pure index
-    arithmetic — no per-amplitude Python work.
-    """
-    kind, perm, exponents = spec
-    j = np.arange(1 << num_qubits, dtype=np.intp)
-    sub = (j >> targets[0]) & 1
-    for slot in range(1, len(targets)):
-        sub = sub | (((j >> targets[slot]) & 1) << slot)
-    if kind == "diag":
-        idx = None
-    else:
-        source_sub = perm[sub]
-        mask = 0
-        for target in targets:
-            mask |= 1 << target
-        idx = j & ~mask
-        for slot, target in enumerate(targets):
-            idx |= ((source_sub >> slot) & 1) << target
-    pexp = exponents[sub]
-    if not pexp.any():
-        pexp = None
-    return idx, pexp
-
-
-def _compose(
-    cur_idx: Optional[np.ndarray],
-    cur_pexp: Optional[np.ndarray],
-    idx: Optional[np.ndarray],
-    pexp: Optional[np.ndarray],
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Compose op ``(idx, pexp)`` after prefix ``(cur_idx, cur_pexp)``.
-
-    Index maps chain as ``cur_idx[idx]`` (the new op picks which prefix
-    entry feeds each output) and phase exponents add mod 4 — both exact, so
-    a composed run reproduces op-by-op application amplitude for amplitude.
-    """
-    if idx is None:
-        new_idx = cur_idx
-        moved = cur_pexp
-    else:
-        new_idx = idx if cur_idx is None else cur_idx[idx]
-        moved = None if cur_pexp is None else cur_pexp[idx]
-    if pexp is None:
-        new_pexp = moved
-    elif moved is None:
-        new_pexp = pexp
-    else:
-        new_pexp = (pexp + moved) & 3
-    return new_idx, new_pexp
-
-
-@dataclass(frozen=True)
-class _SegEntry:
-    """One composable op inside a segment: its spec, targets, and prefix.
-
-    ``snapshot`` (prefix from the segment start through this op) is only
-    stored for site-carrying entries within the snapshot budget; otherwise
-    :func:`_segment_prefix` recomposes it on demand when a kick hits here.
-    """
-
-    spec: Tuple[str, Optional[np.ndarray], np.ndarray]
-    targets: Tuple[int, ...]
-    snapshot: Optional[Tuple[np.ndarray, Optional[np.ndarray]]]
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """A maximal run of composable ops, closed by its final prefix."""
-
-    entries: Tuple[_SegEntry, ...]
-    final_idx: np.ndarray
-    final_pexp: Optional[np.ndarray]
-
-
-@dataclass(frozen=True)
-class _DenseStep:
-    """A program boundary: one dense op applied through the matrix kernel."""
-
-    matrix: np.ndarray
-    targets: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _Program:
-    """Precompiled trajectory program for one (ops, num_qubits) pair.
-
-    Its kick sites, flattened in circuit order, form the site table: site
-    ``k`` kicks qubit ``site_qubits[k]`` with probability ``site_probs[k]``
-    after entry ``site_entries[k]`` of its segment (``-1`` after a dense
-    step), and ``site_stops[i]`` is one past the last site of ``items[i]``.
-    """
-
-    num_qubits: int
-    items: Tuple[object, ...]
-    site_probs: np.ndarray
-    site_qubits: Tuple[int, ...]
-    site_entries: Tuple[int, ...]
-    site_stops: Tuple[int, ...]
-
-
-def _relabel_positions(
-    ops: Sequence[FusedOp],
-    specs: Sequence[Optional[Tuple[str, Optional[np.ndarray], np.ndarray]]],
-    num_qubits: int,
-) -> Optional[np.ndarray]:
-    """Physical position of each logical qubit, or ``None`` for identity.
-
-    Dense ops on low qubit indices are pathological for the in-place kernel
-    (the contiguous inner stride is ``2**qubit`` amplitudes), so the qubits
-    dense ops touch most are parked at the top positions.  The relabeling is
-    a pure bit permutation of basis indices: it folds into the composed
-    gathers for free and never changes any amplitude value.
-    """
-    if num_qubits < 10:
-        return None
-    counts: Dict[int, int] = {}
-    for op, spec in zip(ops, specs):
-        if spec is None:
-            for qubit in op.qubits:
-                counts[qubit] = counts.get(qubit, 0) + 1
-    if not counts:
-        return None
-    heavy = sorted(counts, key=lambda qubit: (-counts[qubit], qubit))
-    rest = [qubit for qubit in range(num_qubits) if qubit not in counts]
-    low_to_high = rest + heavy[::-1]
-    positions = np.empty(num_qubits, dtype=np.intp)
-    for position, qubit in enumerate(low_to_high):
-        positions[qubit] = position
-    if np.array_equal(positions, np.arange(num_qubits)):
-        return None
-    return positions
-
-
-def _restore_map(positions: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Gather map returning a relabeled statevector to standard qubit order."""
-    i = np.arange(1 << num_qubits, dtype=np.intp)
-    restore = np.zeros_like(i)
-    for qubit in range(num_qubits):
-        restore |= ((i >> qubit) & 1) << int(positions[qubit])
-    return restore
-
-
-def _build_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
-    """Compile a fused-op list into segments of composed permutations.
-
-    Consecutive permutation/diagonal ops with exact unit coefficients
-    collapse into single precomputed gather maps; dense ops and the final
-    relabel-restore close segments.  The program reproduces the op-by-op
-    evolution exactly by construction: gathers move amplitudes without
-    arithmetic and the only multiplies are by exact units of ``i``.
-    """
-    ops = tuple(ops)
-    specs = [_op_spec(op) for op in ops]
-    positions = _relabel_positions(ops, specs, num_qubits)
-
-    def phys(qubit: int) -> int:
-        return int(positions[qubit]) if positions is not None else int(qubit)
-
-    dim = 1 << num_qubits
-    siteful = sum(
-        1
-        for op, spec in zip(ops, specs)
-        if spec is not None and any(p > 0 for p in op.kick_probs)
-    )
-    snapshots_on = dim * 4 * max(siteful, 1) <= _SNAPSHOT_BUDGET
-
-    items: List[object] = []
-    cur_idx: Optional[np.ndarray] = None
-    cur_pexp: Optional[np.ndarray] = None
-    entries: List[_SegEntry] = []
-    site_probs: List[float] = []
-    site_qubits: List[int] = []
-    site_entries: List[int] = []
-    site_stops: List[int] = []
-
-    def close_segment() -> None:
-        nonlocal cur_idx, cur_pexp, entries
-        if entries or cur_idx is not None or cur_pexp is not None:
-            final_idx = cur_idx if cur_idx is not None else np.arange(dim, dtype=np.intp)
-            items.append(_Segment(tuple(entries), final_idx, cur_pexp))
-            site_stops.append(len(site_probs))
-        cur_idx, cur_pexp, entries = None, None, []
-
-    def add_sites(sites: Sequence[Tuple[int, float]], position: int) -> None:
-        for qubit, prob in sites:
-            site_qubits.append(qubit)
-            site_probs.append(prob)
-            site_entries.append(position)
-
-    for op, spec in zip(ops, specs):
-        targets = tuple(phys(q) for q in op.qubits)
-        sites = tuple(
-            (phys(q), float(p)) for q, p in zip(op.qubits, op.kick_probs) if p > 0
-        )
-        if spec is None:
-            close_segment()
-            items.append(_DenseStep(np.asarray(op.matrix, dtype=complex), targets))
-            add_sites(sites, -1)
-            site_stops.append(len(site_probs))
-            continue
-        op_idx, op_pexp = _map_for(spec, targets, num_qubits)
-        cur_idx, cur_pexp = _compose(cur_idx, cur_pexp, op_idx, op_pexp)
-        snapshot = None
-        if sites and snapshots_on:
-            snap_idx = (
-                cur_idx if cur_idx is not None else np.arange(dim, dtype=np.intp)
-            ).astype(np.int32)
-            snapshot = (snap_idx, cur_pexp)
-        add_sites(sites, len(entries))
-        entries.append(_SegEntry(spec, targets, snapshot))
-    if positions is not None:
-        cur_idx, cur_pexp = _compose(
-            cur_idx, cur_pexp, _restore_map(positions, num_qubits), None
-        )
-    close_segment()
-    return _Program(
-        num_qubits=num_qubits,
-        items=tuple(items),
-        site_probs=np.asarray(site_probs, dtype=float),
-        site_qubits=tuple(site_qubits),
-        site_entries=tuple(site_entries),
-        site_stops=tuple(site_stops),
-    )
-
-
-def _segment_prefix(
-    segment: _Segment, position: int, num_qubits: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Prefix map from the segment start through ``entries[position]``."""
-    entry = segment.entries[position]
-    if entry.snapshot is not None:
-        return entry.snapshot
-    cur_idx: Optional[np.ndarray] = None
-    cur_pexp: Optional[np.ndarray] = None
-    for earlier in segment.entries[: position + 1]:
-        op_idx, op_pexp = _map_for(earlier.spec, earlier.targets, num_qubits)
-        cur_idx, cur_pexp = _compose(cur_idx, cur_pexp, op_idx, op_pexp)
-    if cur_idx is None:
-        cur_idx = np.arange(1 << num_qubits, dtype=np.intp)
-    return cur_idx, cur_pexp
-
-
-class _Cursor:
-    """Tracks the last materialization point inside one segment.
-
-    ``advance`` moves the batch from the current point to a later prefix
-    with one relative gather (plus an exact unit-phase multiply when the run
-    carries phases); the inverse of the current prefix is built lazily only
-    when a second materialization actually happens.
-    """
-
-    __slots__ = ("idx", "pexp", "_inverse")
-
-    def __init__(self) -> None:
-        self.idx: Optional[np.ndarray] = None
-        self.pexp: Optional[np.ndarray] = None
-        self._inverse: Optional[np.ndarray] = None
-
-    def _inv(self) -> np.ndarray:
-        if self._inverse is None:
-            size = self.idx.shape[0]
-            inverse = np.empty(size, dtype=np.intp)
-            inverse[self.idx] = np.arange(size, dtype=np.intp)
-            self._inverse = inverse
-        return self._inverse
-
-    def advance(
-        self,
-        states: np.ndarray,
-        idx: np.ndarray,
-        pexp: Optional[np.ndarray],
-    ) -> np.ndarray:
-        if self.idx is None:
-            rel, rel_pexp = idx, pexp
-        else:
-            rel = self._inv()[idx]
-            if pexp is None and self.pexp is None:
-                rel_pexp = None
-            elif self.pexp is None:
-                rel_pexp = pexp
-            else:
-                base = self.pexp[rel]
-                rel_pexp = ((-base) if pexp is None else (pexp - base)) & 3
-        # ``take`` (unlike ``states[:, rel]``) returns a C-contiguous array,
-        # which keeps the in-place kernels on their exact bit-for-bit path.
-        states = states.take(rel, axis=1)
-        if rel_pexp is not None and rel_pexp.any():
-            states *= _PHASE_LUT[rel_pexp]
-        self.idx, self.pexp, self._inverse = idx, pexp, None
-        return states
-
-
-#: Identity-keyed program cache: plans reuse one fused-op tuple across every
-#: batch (a pool worker unpickles one plan per chunk of batches), so the
-#: program is compiled once per plan.  Entries pin their ops tuple, which keeps the
-#: ``is`` key valid for the cache's lifetime.
-_PROGRAM_CACHE: List[Tuple[Tuple[FusedOp, ...], int, _Program]] = []
-_PROGRAM_CACHE_MAX = 8
-
-
-def _trajectory_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
-    """The compiled program of a fused-op tuple, cached by identity."""
-    if isinstance(ops, tuple):
-        for index, (cached_ops, cached_qubits, program) in enumerate(_PROGRAM_CACHE):
-            if cached_ops is ops and cached_qubits == num_qubits:
-                if index:
-                    _PROGRAM_CACHE.insert(0, _PROGRAM_CACHE.pop(index))
-                return program
-        program = _build_program(ops, num_qubits)
-        _PROGRAM_CACHE.insert(0, (ops, num_qubits, program))
-        del _PROGRAM_CACHE[_PROGRAM_CACHE_MAX:]
-        return program
-    return _build_program(tuple(ops), num_qubits)
-
-
 def _split_rows(
     states: np.ndarray,
     row_of: np.ndarray,
@@ -752,11 +489,7 @@ def _split_rows(
 
 
 def _advance_rows(
-    ops: Sequence[FusedOp],
-    num_qubits: int,
-    batch: int,
-    rng: np.random.Generator,
-    kick_cumweights: np.ndarray,
+    plan: TrajectoryPlan, batch: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """:func:`advance_noisy_batch` before the final gather to trajectories.
 
@@ -766,10 +499,10 @@ def _advance_rows(
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    program = _trajectory_program(ops, num_qubits)
+    num_qubits, program = plan.num_qubits, plan.program
     draws = rng.random((len(program.site_qubits), 2, batch))
     hits = draws[:, 0, :] < program.site_probs[:, None]
-    picks = np.minimum(np.searchsorted(kick_cumweights, draws[:, 1, :]), 2)
+    picks = np.minimum(np.searchsorted(plan.kick_cumweights, draws[:, 1, :]), 2)
     hit_sites = np.flatnonzero(hits.any(axis=1)).tolist()
 
     # numpy rounds a one-row array differently from a taller one (a
@@ -781,40 +514,26 @@ def _advance_rows(
     row_of = np.zeros(batch, dtype=np.intp)
     kicks = 0
     next_hit = 0
-    for item, stop in zip(program.items, program.site_stops):
-        segment = isinstance(item, _Segment)
-        if segment:
-            cursor = _Cursor()
-            materialized_at = -1
-        else:
-            states = apply_matrix_inplace(states, item.matrix, item.targets, num_qubits)
+    for op, targets, stop in zip(plan.ops, program.targets, program.site_stops):
+        states = apply_matrix_inplace(states, op.matrix, targets, num_qubits)
         while next_hit < len(hit_sites) and hit_sites[next_hit] < stop:
             site = hit_sites[next_hit]
             next_hit += 1
-            position = program.site_entries[site]
-            if segment and materialized_at != position:
-                prefix_idx, prefix_pexp = _segment_prefix(item, position, num_qubits)
-                states = cursor.advance(states, prefix_idx, prefix_pexp)
-                materialized_at = position
             states, row_hit, row_pick = _split_rows(
                 states, row_of, hits[site], picks[site]
             )
             kicks += _inject_kicks(
                 states, num_qubits, program.site_qubits[site], row_hit, row_pick
             )
-        if segment:
-            states = cursor.advance(states, item.final_idx, item.final_pexp)
+    if program.restore is not None:
+        states = states.take(program.restore, axis=1)
     return states, row_of, kicks
 
 
 def advance_noisy_batch(
-    ops: Sequence[FusedOp],
-    num_qubits: int,
-    batch: int,
-    rng: np.random.Generator,
-    kick_cumweights: np.ndarray,
+    plan: TrajectoryPlan, batch: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, int]:
-    """Advance ``batch`` noisy trajectories from ``|0...0>``.
+    """Advance ``batch`` noisy trajectories of a plan from ``|0...0>``.
 
     Returns the ``(batch, 2**num_qubits)`` array of final statevectors and
     the total number of Pauli kicks injected.
@@ -839,20 +558,17 @@ def advance_noisy_batch(
     array whose last entry sits a few ulp below 1.0 cannot silently drop
     kicks.
 
-    The kernel runs the circuit's precompiled :func:`_build_program`: maximal
-    runs of permutation/diagonal ops collapse into single gathers, the state
-    is only materialized at dense ops, at sites where a kick actually hits,
-    and at the end — and every amplitude equals in-place op-by-op
-    application of the fused ops, because gathers move values untouched
-    and all composed phases are exact units of ``i``.  This is the dense
+    Each fused op is applied in place (``apply_matrix_inplace``) on the
+    targets of the plan's program, then the op's hit sites are visited.  From
+    10 qubits the program relabels the register so dense ops run at long
+    strides (:func:`_relabel_positions`); one gather with the restore map
+    returns the rows to standard qubit order at the end.  This is the dense
     noisy-evolution kernel: :func:`run_trajectory_batch` scores its states
     against the ideal state, and :func:`noisy_trajectory_states` hands them
     to callers that need the raw vectors (e.g. ``repro.primitives.Estimator``
     expectation values).
     """
-    states, row_of, kicks = _advance_rows(
-        ops, num_qubits, batch, rng, kick_cumweights
-    )
+    states, row_of, kicks = _advance_rows(plan, batch, rng)
     return states.take(row_of, axis=0), kicks
 
 
@@ -876,9 +592,7 @@ def run_trajectory_batch(
     """
     start = time.perf_counter()
     with telemetry.span("sim.batch", qubits=plan.num_qubits, batch=batch):
-        rows, row_of, kicks = _advance_rows(
-            plan.ops, plan.num_qubits, batch, rng, plan.kick_cumweights
-        )
+        rows, row_of, kicks = _advance_rows(plan, batch, rng)
         states = rows.take(row_of, axis=0)
     telemetry.histogram("sim.kernel_s").observe(time.perf_counter() - start)
     telemetry.counter("sim.batches").inc()
@@ -952,10 +666,7 @@ def noisy_trajectory_states(
     to respect the statevector simulator's small-circuit limits.
     """
     batches = [
-        advance_noisy_batch(
-            plan.ops, plan.num_qubits, size,
-            np.random.default_rng(child), plan.kick_cumweights,
-        )[0]
+        advance_noisy_batch(plan, size, np.random.default_rng(child))[0]
         for plan, size, child in trajectory_batch_payloads(
             circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
         )

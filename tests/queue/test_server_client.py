@@ -1,6 +1,7 @@
 """Tests for the HTTP daemon and QueueClient/RemoteJobHandle contract."""
 
 import json
+import socket
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -231,6 +232,29 @@ class TestErrors:
         client = QueueClient(url="http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(QueueServerError, match="cannot reach"):
             client.stats()
+
+    def test_connection_closed_without_an_answer(self):
+        """A peer that reads the request and hangs up makes ``urllib`` raise
+        ``http.client.RemoteDisconnected``; the client reports it as a
+        ``QueueServerError`` like any other unreachable daemon."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def hang_up(requests):
+            for _ in range(requests):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+
+        thread = threading.Thread(target=hang_up, args=(2,), daemon=True)
+        thread.start()
+        with listener:
+            client = QueueClient(url=f"http://127.0.0.1:{port}", timeout_s=5.0)
+            with pytest.raises(QueueServerError, match="cannot reach"):
+                client.stats()
+            with pytest.raises(QueueServerError, match="cannot reach"):
+                client.job("any")
+            thread.join(timeout=5.0)
 
 
 class TestSessionQueuePath:

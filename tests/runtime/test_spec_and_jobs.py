@@ -2,44 +2,43 @@
 
 import pytest
 
+from repro.backends import BackendNotFoundError, get_backend
 from repro.circuits.benchmarks import build_benchmark
 from repro.core.architecture import DigiQConfig
 from repro.runtime.jobs import circuit_fingerprint, job_key, ordered_row
-from repro.runtime.spec import (
-    CompileOptions,
-    ExperimentSpec,
-    SweepGrid,
-    parse_config,
-)
+from repro.runtime.spec import CompileOptions, ExperimentSpec, SweepGrid
 
 
 class TestParseConfig:
+    """The legacy ``<variant><BS>[@g<G>]`` grammar that ``--configs`` and
+    ``ExperimentSpec.backend`` accept, parsed by ``get_backend``."""
+
     def test_opt_spec(self):
-        config = parse_config("opt8")
+        config = get_backend("opt8").config
         assert config.is_opt and config.bitstreams == 8 and config.groups == 2
 
     def test_min_spec_with_groups(self):
-        config = parse_config("min4@g8")
+        config = get_backend("min4@g8").config
         assert not config.is_opt and config.bitstreams == 4 and config.groups == 8
 
     def test_config_objects_pass_through(self):
         config = DigiQConfig.opt(bitstreams=16)
-        assert parse_config(config) is config
+        assert get_backend(config).config is config
 
     @pytest.mark.parametrize("bad", ["", "opt", "8opt", "opt8@", "maxi4"])
     def test_bad_specs_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_config(bad)
+        with pytest.raises(BackendNotFoundError):
+            get_backend(bad)
 
     @pytest.mark.parametrize("bad", ["opt0", "min0"])
     def test_zero_bitstreams_rejected_clearly(self, bad):
-        with pytest.raises(ValueError, match="bitstream count must be >= 1"):
-            parse_config(bad)
+        with pytest.raises(ValueError, match="BS must be >= 1"):
+            get_backend(bad)
 
     @pytest.mark.parametrize("bad", ["opt8@g0", "min2@g0"])
     def test_zero_groups_rejected_clearly(self, bad):
         with pytest.raises(ValueError, match="group count must be >= 1"):
-            parse_config(bad)
+            get_backend(bad)
 
 
 class TestConfigDictRoundtrip:

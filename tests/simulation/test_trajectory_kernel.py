@@ -1,6 +1,6 @@
-"""Tests of the composed-permutation trajectory kernel and its building
-blocks: the in-place gate kernels, the fused Pauli-kick injection, and the
-program's exact agreement with op-by-op application."""
+"""Tests of the trajectory kernel and its building blocks: the in-place
+gate kernels, the fused Pauli-kick injection, and the kernel's exact
+agreement with op-by-op application."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,9 @@ from repro.simulation import NoiseModel
 from repro.simulation.trajectories import (
     _PAULIS,
     _advance_rows,
-    _build_program,
-    _Cursor,
     _inject_kicks,
-    _Segment,
-    _segment_prefix,
     advance_noisy_batch,
     build_trajectory_plan,
-    fuse_circuit,
 )
 
 GATES_1Q = [("h", 0), ("x", 0), ("y", 0), ("z", 0), ("s", 0), ("sdg", 0),
@@ -131,35 +126,28 @@ class TestInjectKicks:
 
 
 class TestProgramKernel:
-    def make_ops(self, rng, num_qubits, depth, single_error=0.08, cz_error=0.15):
+    def make_plan(self, rng, num_qubits, depth, single_error=0.08, cz_error=0.15):
         circuit = random_circuit(rng, num_qubits, depth)
         noise = NoiseModel.uniform(
             num_qubits, single_qubit_error=single_error, cz_error=cz_error
         )
-        return tuple(fuse_circuit(circuit, noise)), noise.kick_cumulative_weights()
-
-    def test_program_compiles_permutation_runs_into_segments(self):
-        circuit = QuantumCircuit(3)
-        circuit.h(0).cx(0, 1).cz(1, 2).swap(0, 2).x(1).t(2)
-        ops = tuple(fuse_circuit(circuit, NoiseModel.uniform(3)))
-        program = _build_program(ops, 3)
-        assert any(isinstance(item, _Segment) for item in program.items)
+        return build_trajectory_plan(circuit, noise)
 
     def test_matches_in_place_reference_exactly(self):
-        """The program's gathers and unit-phase multiplies are exact: every
-        amplitude equals op-by-op in-place application (np.array_equal — only
-        the sign of IEEE zeros may differ through phase composition)."""
+        """Sharing rows and drawing all kicks up front change no amplitude:
+        every one equals op-by-op in-place application of one row per
+        trajectory, with kicks drawn site by site."""
         master = np.random.default_rng(20260808)
         for _ in range(20):
             n = int(master.integers(1, 7))
-            ops, cumweights = self.make_ops(master, n, int(master.integers(3, 40)))
+            plan = self.make_plan(master, n, int(master.integers(3, 40)))
             seed = int(master.integers(2**31))
             batch = int(master.integers(1, 9))
             rng_a = np.random.default_rng(seed)
-            got, kicks_got = advance_noisy_batch(ops, n, batch, rng_a, cumweights)
+            got, kicks_got = advance_noisy_batch(plan, batch, rng_a)
             rng_b = np.random.default_rng(seed)
             want, kicks_want = reference_advance(
-                ops, n, batch, rng_b, cumweights, inplace=True
+                plan.ops, n, batch, rng_b, plan.kick_cumweights, inplace=True
             )
             assert kicks_got == kicks_want
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -171,23 +159,20 @@ class TestProgramKernel:
         master = np.random.default_rng(99)
         for _ in range(10):
             n = int(master.integers(2, 7))
-            ops, cumweights = self.make_ops(master, n, int(master.integers(5, 30)))
+            plan = self.make_plan(master, n, int(master.integers(5, 30)))
             seed = int(master.integers(2**31))
-            got, kicks_got = advance_noisy_batch(
-                ops, n, 5, np.random.default_rng(seed), cumweights
-            )
+            got, kicks_got = advance_noisy_batch(plan, 5, np.random.default_rng(seed))
             want, kicks_want = reference_advance(
-                ops, n, 5, np.random.default_rng(seed), cumweights, inplace=False
+                plan.ops, n, 5, np.random.default_rng(seed), plan.kick_cumweights,
+                inplace=False,
             )
             assert kicks_got == kicks_want
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_states_are_normalised(self):
         master = np.random.default_rng(5)
-        ops, cumweights = self.make_ops(master, 4, 20)
-        states, _ = advance_noisy_batch(
-            ops, 4, 8, np.random.default_rng(1), cumweights
-        )
+        plan = self.make_plan(master, 4, 20)
+        states, _ = advance_noisy_batch(plan, 8, np.random.default_rng(1))
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-9)
 
     def test_kick_stream_independent_of_hits(self):
@@ -195,14 +180,12 @@ class TestProgramKernel:
         per site, so the stream position never depends on hit outcomes."""
         master = np.random.default_rng(17)
         circuit = random_circuit(master, 3, 15)
-        quiet = tuple(fuse_circuit(circuit, NoiseModel.uniform(3, 1e-12, 1e-12)))
-        loud = tuple(fuse_circuit(circuit, NoiseModel.uniform(3, 0.4, 0.4)))
-        cw_quiet = NoiseModel.uniform(3, 1e-12, 1e-12).kick_cumulative_weights()
-        cw_loud = NoiseModel.uniform(3, 0.4, 0.4).kick_cumulative_weights()
+        quiet = build_trajectory_plan(circuit, NoiseModel.uniform(3, 1e-12, 1e-12))
+        loud = build_trajectory_plan(circuit, NoiseModel.uniform(3, 0.4, 0.4))
         rng_a = np.random.default_rng(2)
-        advance_noisy_batch(quiet, 3, 4, rng_a, cw_quiet)
+        advance_noisy_batch(quiet, 4, rng_a)
         rng_b = np.random.default_rng(2)
-        advance_noisy_batch(loud, 3, 4, rng_b, cw_loud)
+        advance_noisy_batch(loud, 4, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -221,34 +204,26 @@ def compiled_plan(name, num_qubits, backend, noise=None):
     return build_trajectory_plan(physical, model)
 
 
-def lockstep_program_advance(ops, num_qubits, batch, rng, cumweights):
-    """The compiled program run in lockstep: one row per trajectory, and two
+def lockstep_program_advance(plan, batch, rng):
+    """The plan's program run in lockstep: one row per trajectory, and two
     ``rng.random(batch)`` draws per kick site, hit or not."""
-    program = _build_program(tuple(ops), num_qubits)
-    states = np.zeros((batch, 1 << num_qubits), dtype=complex)
+    n, program = plan.num_qubits, plan.program
+    states = np.zeros((batch, 1 << n), dtype=complex)
     states[:, 0] = 1.0
     kicks = 0
     start = 0
-    for item, stop in zip(program.items, program.site_stops):
-        segment = isinstance(item, _Segment)
-        if segment:
-            cursor = _Cursor()
-            materialized_at = -1
-        else:
-            states = apply_matrix_inplace(states, item.matrix, item.targets, num_qubits)
+    for op, targets, stop in zip(plan.ops, program.targets, program.site_stops):
+        states = apply_matrix_inplace(states, op.matrix, targets, n)
         for site in range(start, stop):
             hit = rng.random(batch) < program.site_probs[site]
-            pick = np.minimum(np.searchsorted(cumweights, rng.random(batch)), 2)
-            if not hit.any():
-                continue
-            position = program.site_entries[site]
-            if segment and materialized_at != position:
-                states = cursor.advance(states, *_segment_prefix(item, position, num_qubits))
-                materialized_at = position
-            kicks += _inject_kicks(states, num_qubits, program.site_qubits[site], hit, pick)
-        if segment:
-            states = cursor.advance(states, item.final_idx, item.final_pexp)
+            pick = np.minimum(
+                np.searchsorted(plan.kick_cumweights, rng.random(batch)), 2
+            )
+            if hit.any():
+                kicks += _inject_kicks(states, n, program.site_qubits[site], hit, pick)
         start = stop
+    if program.restore is not None:
+        states = states.take(program.restore, axis=1)
     return states, kicks
 
 
@@ -262,12 +237,10 @@ def assert_matches_reference(plan, batch, seed=11):
     before rows were shared).  Returns the rows and ``row_of``."""
     n, cumweights = plan.num_qubits, plan.kick_cumweights
     rng = np.random.default_rng(seed)
-    rows, row_of, kicks = _advance_rows(plan.ops, n, batch, rng, cumweights)
+    rows, row_of, kicks = _advance_rows(plan, batch, rng)
     got = rows.take(row_of, axis=0)
     rng_lockstep = np.random.default_rng(seed)
-    lockstep, kicks_lockstep = lockstep_program_advance(
-        plan.ops, n, batch, rng_lockstep, cumweights
-    )
+    lockstep, kicks_lockstep = lockstep_program_advance(plan, batch, rng_lockstep)
     assert kicks == kicks_lockstep
     assert rng.bit_generator.state == rng_lockstep.bit_generator.state
     assert np.array_equal(got, lockstep)
