@@ -32,7 +32,7 @@ from ..core.errors import (
     gate_targets_from_circuit,
     median_single_qubit_errors,
 )
-from ..core.execution import execution_report
+from ..core.execution import normalized_execution_time
 from ..core.two_qubit import TransmonPairSpec, cz_error_grid
 from ..hardware.budget import cryo_cmos_max_qubits, scalability_report
 from ..hardware.controller_designs import ControllerDesign, evaluate_design, evaluate_design_space
@@ -182,14 +182,11 @@ def fig9_execution_time(
     num_qubits: int = 64,
     benchmarks: Optional[Sequence[str]] = None,
     configs: Optional[Sequence[DigiQConfig]] = None,
-    use_calibration: bool = False,
     seed: int = 1,
     opt_level: int = 0,
 ) -> List[Dict[str, object]]:
     """Fig. 9 rows: normalised execution time per benchmark per configuration.
 
-    ``use_calibration`` switches the scheduler from the synthetic per-qubit
-    delay model to the full physics-level calibration (slow at large scales).
     ``opt_level`` selects the compiler pipeline; the paper-faithful figure
     uses ``-O0`` (raise it to measure how compiler optimization shifts the
     bars).
@@ -197,22 +194,14 @@ def fig9_execution_time(
     benchmarks = list(benchmarks) if benchmarks is not None else list(TABLE_IV_NAMES)
     configs = list(configs) if configs is not None else default_fig9_configs()
     coupling = smallest_grid_for(num_qubits)
-
-    calibrations: Dict[str, DeviceCalibration] = {}
-    if use_calibration:
-        for config in configs:
-            calibrations[config.label] = DeviceCalibration.calibrate(
-                config, num_qubits=coupling.num_qubits, seed=seed
-            )
-
     rows: List[Dict[str, object]] = []
     for name in benchmarks:
         circuit = build_benchmark(name, num_qubits=num_qubits, seed=seed)
         compiled = compile_circuit(circuit, coupling=coupling, seed=seed, opt_level=opt_level)
-        estimates = execution_report(
-            compiled, configs, calibrations=calibrations, benchmark_name=name
+        rows.extend(
+            normalized_execution_time(compiled, config, benchmark_name=name).as_row()
+            for config in configs
         )
-        rows.extend(estimate.as_row() for estimate in estimates)
     return rows
 
 

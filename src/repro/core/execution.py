@@ -8,18 +8,16 @@ restriction and the longer gate decompositions cost.
 
 :func:`execution_time_ns` runs the SIMD scheduler; :func:`impossible_mimd_time_ns`
 computes the baseline; :func:`normalized_execution_time` is their ratio (one
-bar of Fig. 9); :func:`execution_report` sweeps a set of configurations over a
-benchmark circuit.
+bar of Fig. 9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..compiler.pipeline import CompiledCircuit
 from .architecture import DigiQConfig, single_qubit_gate_time_ns
-from .calibration import DeviceCalibration
 from .scheduler import SIMDScheduler, SIMDScheduleResult
 
 
@@ -53,14 +51,9 @@ class ExecutionEstimate:
         }
 
 
-def execution_time_ns(
-    compiled: CompiledCircuit,
-    config: DigiQConfig,
-    calibration: Optional[DeviceCalibration] = None,
-) -> SIMDScheduleResult:
+def execution_time_ns(compiled: CompiledCircuit, config: DigiQConfig) -> SIMDScheduleResult:
     """DigiQ execution time of a compiled circuit (SIMD scheduling result)."""
-    scheduler = SIMDScheduler(config, calibration=calibration)
-    return scheduler.schedule(compiled)
+    return SIMDScheduler(config).schedule(compiled)
 
 
 def impossible_mimd_time_ns(
@@ -97,11 +90,10 @@ def impossible_mimd_time_ns(
 def normalized_execution_time(
     compiled: CompiledCircuit,
     config: DigiQConfig,
-    calibration: Optional[DeviceCalibration] = None,
     benchmark_name: Optional[str] = None,
 ) -> ExecutionEstimate:
     """One Fig. 9 bar: DigiQ time over Impossible-MIMD time for a benchmark."""
-    result = execution_time_ns(compiled, config, calibration)
+    result = execution_time_ns(compiled, config)
     mimd = impossible_mimd_time_ns(compiled, config)
     return ExecutionEstimate(
         benchmark=benchmark_name or compiled.source.name,
@@ -111,27 +103,3 @@ def normalized_execution_time(
         total_cycles=result.total_cycles,
         serialization_overhead=result.serialization_overhead,
     )
-
-
-def execution_report(
-    compiled: CompiledCircuit,
-    configs: Sequence[DigiQConfig],
-    calibrations: Optional[Dict[str, DeviceCalibration]] = None,
-    benchmark_name: Optional[str] = None,
-) -> List[ExecutionEstimate]:
-    """Fig. 9 rows for one benchmark across several DigiQ configurations.
-
-    ``calibrations`` optionally maps a config label to a pre-built
-    :class:`DeviceCalibration`; configurations without one use the scheduler's
-    synthetic delay model.
-    """
-    calibrations = calibrations or {}
-    return [
-        normalized_execution_time(
-            compiled,
-            config,
-            calibration=calibrations.get(config.label),
-            benchmark_name=benchmark_name,
-        )
-        for config in configs
-    ]

@@ -21,8 +21,9 @@ A group can only serialize when more than ``BS`` of its qubits need pulses
 in the same moment: with at most ``BS`` requests, every cycle's distinct
 delay values fit in the group's bitstreams.  So the scheduler costs most
 moments from two cheap facts per gate, its pulse count and its group, and
-consults the delay model (a SHA-256 hash without a calibration) and the
-greedy grant loop only for moments where some group is over-subscribed.
+consults the delay model (a SHA-256 hash, see :func:`_synthetic_delays`)
+and the greedy grant loop only for moments where some group is
+over-subscribed.
 DigiQ_min never reads delay values at all, only sequence lengths.
 """
 
@@ -31,16 +32,12 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
+from typing import Dict, List, Sequence, Tuple
 
 from ..circuits.gate import Gate
-from ..circuits.library import gate_matrix
 from ..compiler.pipeline import CompiledCircuit
 from ..compiler.scheduling import Moment, Schedule
 from .architecture import DigiQConfig
-from .calibration import DeviceCalibration
-from .decomposition import OptDecomposition
 
 
 @dataclass(frozen=True)
@@ -141,13 +138,13 @@ def _synthetic_pulses(gate: Gate, config: DigiQConfig) -> int:
 
 
 def _synthetic_delays(gate: Gate, config: DigiQConfig, num_qubits: int) -> Tuple[int, ...]:
-    """Deterministic per-qubit delay sequence for a gate without a full calibration.
+    """Deterministic per-qubit delay sequence of a single-qubit gate.
 
     Different qubits generally need different delay values for the same
     logical gate (their drifts differ), which is what drives serialization.
-    Lacking a physics-level calibration, the delays are derived from a stable
-    hash of (qubit, gate name, rounded parameters, pulse index): deterministic
-    across runs, different across qubits, uniform over the delay range.
+    The delays are derived from a stable SHA-256 hash of (qubit, gate name,
+    rounded parameters, pulse index): deterministic across runs, different
+    across qubits, uniform over the delay range.
     """
     qubit = gate.qubits[0]
     delays = []
@@ -168,43 +165,15 @@ class SIMDScheduler:
     ----------
     config:
         The DigiQ controller configuration (variant, G, BS, timings).
-    calibration:
-        Optional :class:`~repro.core.calibration.DeviceCalibration`.  When
-        given, every single-qubit gate is decomposed with the physics-level
-        calibration and the true per-qubit delay values drive the
-        serialization model; without it a deterministic synthetic model is
-        used (appropriate for large devices where per-qubit physics would be
-        too slow).
     """
 
-    def __init__(self, config: DigiQConfig, calibration: Optional[DeviceCalibration] = None):
+    def __init__(self, config: DigiQConfig):
         self.config = config
-        self.calibration = calibration
         # Per-config constants, hoisted out of the per-moment loop.
         self._cz_cycles = config.cz_decomposed_cycles()
         self._cycle_ns = config.controller_cycle_ns()
         # Synthetic pulse count per gate name (see _synthetic_pulses).
         self._pulse_counts: Dict[str, int] = {}
-
-    # -- per-gate requirements -----------------------------------------------------
-
-    def gate_requirement(self, gate: Gate, num_qubits: int) -> GateRequirement:
-        """Controller-cycle requirement of one single-qubit gate."""
-        if not gate.is_single_qubit:
-            raise ValueError("gate_requirement only applies to single-qubit gates")
-        qubit = gate.qubits[0]
-        group = self.config.group_of_qubit(qubit, num_qubits)
-        if self.calibration is None or qubit >= self.calibration.num_qubits:
-            delays = _synthetic_delays(gate, self.config, num_qubits)
-            return GateRequirement(qubit=qubit, group=group, delays=delays)
-
-        target = gate_matrix(gate)
-        decomposition = self.calibration.decompose(qubit, target)
-        if isinstance(decomposition, OptDecomposition):
-            delays = tuple(int(d) for d in decomposition.delays)
-        else:
-            delays = tuple(int(i) for i in decomposition.gate_indices)
-        return GateRequirement(qubit=qubit, group=group, delays=delays)
 
     # -- per-moment scheduling -------------------------------------------------------
 
@@ -252,18 +221,15 @@ class SIMDScheduler:
     def moment_cost(self, moment: Moment, index: int, num_qubits: int) -> MomentCost:
         """Controller-cycle cost of one compiled moment, from one pass over its gates.
 
-        Without a calibration, a single-qubit gate is known by two cheap
-        facts: its synthetic pulse count and its group.  Delay values are
-        hashed, and the greedy grant loop run, only when some group has more
-        than ``BS`` gates that need pulses; otherwise every group's requests
-        fit in its bitstreams each cycle and the moment takes its ideal
-        cycles.
+        A single-qubit gate is known by two cheap facts: its synthetic pulse
+        count and its group.  Delay values are hashed, and the greedy grant
+        loop run, only when some group has more than ``BS`` gates that need
+        pulses; otherwise every group's requests fit in its bitstreams each
+        cycle and the moment takes its ideal cycles.
         """
         config = self.config
-        calibrated = self.calibration is not None
         pulse_counts = self._pulse_counts
         group_of_qubit = config.group_of_qubit
-        requirements: List[GateRequirement] = []
         pulsed: List[Tuple[Gate, int]] = []
         occupancy: Dict[int, int] = {}
         num_single = num_two = ideal_single = 0
@@ -275,9 +241,6 @@ class SIMDScheduler:
             if width != 1:
                 continue
             num_single += 1
-            if calibrated:
-                requirements.append(self.gate_requirement(gate, num_qubits))
-                continue
             group = group_of_qubit(gate.qubits[0], num_qubits)
             pulses = pulse_counts.get(gate.name)
             if pulses is None:
@@ -288,9 +251,7 @@ class SIMDScheduler:
                 if pulses > ideal_single:
                     ideal_single = pulses
 
-        if calibrated:
-            single_cycles, ideal_single = self._single_qubit_cycles(requirements)
-        elif not config.is_opt or max(occupancy.values(), default=0) <= config.bitstreams:
+        if not config.is_opt or max(occupancy.values(), default=0) <= config.bitstreams:
             # DigiQ_min broadcasts its whole gate set every cycle; DigiQ_opt
             # grants at most occupancy <= BS distinct delays per group.
             single_cycles = ideal_single

@@ -92,7 +92,7 @@ class QueueClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s + hold_s) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
+                status, raw = response.status, response.read()
         except urllib.error.HTTPError as error:
             try:
                 payload = json.loads(error.read().decode("utf-8"))
@@ -108,6 +108,12 @@ class QueueClient:
             # answer: urllib raises these raw once the request is sent.
             raise QueueServerError(
                 f"cannot reach repro serve at {self.url}: {error!r}"
+            ) from None
+        try:
+            return status, json.loads(raw.decode("utf-8"))
+        except ValueError:
+            raise QueueServerError(
+                f"{self.url}{path} answered HTTP {status} with a body that is not JSON"
             ) from None
 
     @staticmethod

@@ -33,13 +33,10 @@ from hypothesis import strategies as st
 from repro.backends import get_backend
 from repro.circuits.benchmarks import TABLE_IV_NAMES, build_benchmark
 from repro.circuits.gate import Gate
-from repro.circuits.library import gate_matrix
 from repro.compiler import compile_circuit
 from repro.compiler.scheduling import Moment, Schedule
 from repro.core import scheduler as scheduler_module
 from repro.core.architecture import DigiQConfig
-from repro.core.calibration import DeviceCalibration
-from repro.core.decomposition import OptDecomposition
 from repro.core.scheduler import GateRequirement, MomentCost, SIMDScheduler
 
 GOLDEN_PATH = Path(__file__).parent / "golden_simd_schedules.json"
@@ -85,17 +82,10 @@ def reference_delays(gate, config):
     return tuple(delays)
 
 
-def reference_requirement(gate, config, calibration, num_qubits):
+def reference_requirement(gate, config, num_qubits):
     qubit = gate.qubits[0]
     group = config.group_of_qubit(qubit, num_qubits)
-    if calibration is None or qubit >= calibration.num_qubits:
-        return GateRequirement(qubit=qubit, group=group, delays=reference_delays(gate, config))
-    decomposition = calibration.decompose(qubit, gate_matrix(gate))
-    if isinstance(decomposition, OptDecomposition):
-        delays = tuple(int(d) for d in decomposition.delays)
-    else:
-        delays = tuple(int(i) for i in decomposition.gate_indices)
-    return GateRequirement(qubit=qubit, group=group, delays=delays)
+    return GateRequirement(qubit=qubit, group=group, delays=reference_delays(gate, config))
 
 
 def reference_single_qubit_cycles(requirements, config):
@@ -127,9 +117,9 @@ def reference_single_qubit_cycles(requirements, config):
     return cycles, ideal
 
 
-def reference_moment_cost(moment, index, num_qubits, config, calibration=None):
+def reference_moment_cost(moment, index, num_qubits, config):
     requirements = [
-        reference_requirement(gate, config, calibration, num_qubits)
+        reference_requirement(gate, config, num_qubits)
         for gate in moment.single_qubit_gates
     ]
     single_cycles, ideal_single = reference_single_qubit_cycles(requirements, config)
@@ -147,7 +137,7 @@ def reference_moment_cost(moment, index, num_qubits, config, calibration=None):
 def assert_matches_reference(scheduler, schedule, num_qubits):
     result = scheduler.schedule_moments(schedule, num_qubits)
     expected = [
-        reference_moment_cost(moment, index, num_qubits, scheduler.config, scheduler.calibration)
+        reference_moment_cost(moment, index, num_qubits, scheduler.config)
         for index, moment in enumerate(schedule.moments)
     ]
     assert result.moments == expected
@@ -155,7 +145,6 @@ def assert_matches_reference(scheduler, schedule, num_qubits):
     assert result.ideal_cycles == sum(cost.ideal_cycles for cost in expected)
     for index, moment in enumerate(schedule.moments):
         assert scheduler.moment_cost(moment, index, num_qubits) == expected[index]
-    return result
 
 
 # -- goldens ------------------------------------------------------------------------
@@ -229,19 +218,6 @@ def test_moment_costs_match_reference_oracle(name, qubits):
         assert_matches_reference(
             SIMDScheduler(config), compiled.schedule, compiled.coupling.num_qubits
         )
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("config", [DigiQConfig.opt(groups=1, bitstreams=1), DigiQConfig.minimal()])
-def test_calibrated_path_matches_reference_oracle(config):
-    compiled = compiled_benchmark("bv", 8)
-    calibration = DeviceCalibration.calibrate(config, num_qubits=4)
-    result = assert_matches_reference(
-        SIMDScheduler(config, calibration=calibration),
-        compiled.schedule,
-        compiled.coupling.num_qubits,
-    )
-    assert result.total_cycles >= result.ideal_cycles
 
 
 # -- properties of the model over random moments -------------------------------------

@@ -256,6 +256,31 @@ class TestErrors:
                 client.job("any")
             thread.join(timeout=5.0)
 
+    def test_non_json_answer(self):
+        """Something other than ``repro serve`` on the port answers 200 with
+        HTML; the client reports a ``QueueServerError`` naming the URL, not
+        a raw ``JSONDecodeError``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def answer_html():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(
+                    b"HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n"
+                    b"<html><body>not a queue</body></html>"
+                )
+
+        thread = threading.Thread(target=answer_html, daemon=True)
+        thread.start()
+        with listener:
+            client = QueueClient(url=f"http://127.0.0.1:{port}", timeout_s=5.0)
+            with pytest.raises(QueueServerError, match="not JSON") as raised:
+                client.stats()
+            assert f"http://127.0.0.1:{port}" in str(raised.value)
+            thread.join(timeout=5.0)
+
 
 class TestSessionQueuePath:
     def test_session_queue_results_byte_identical(self, daemon, tmp_path):
