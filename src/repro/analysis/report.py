@@ -48,12 +48,6 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def format_series(name: str, values: Iterable[float], precision: int = 4) -> str:
-    """Render a one-line numeric series (used for waveform/grid summaries)."""
-    formatted = ", ".join(f"{float(v):.{precision}g}" for v in values)
-    return f"{name}: [{formatted}]"
-
-
 def summarize_fidelity(rows: Sequence[Mapping[str, object]]) -> List[Dict[str, object]]:
     """Aggregate Monte-Carlo fidelity columns over seeds, per benchmark x design.
 
@@ -255,20 +249,3 @@ def summarize_backends(
             entry["max_qubits_in_budget"] = scalability.max_qubits
         summary.append(entry)
     return summary
-
-
-def comparison_row(
-    experiment: str, paper_value: object, measured_value: object, note: str = ""
-) -> Dict[str, object]:
-    """One EXPERIMENTS.md-style row comparing a paper number with ours."""
-    return {
-        "experiment": experiment,
-        "paper": paper_value,
-        "measured": measured_value,
-        "note": note,
-    }
-
-
-def render_comparisons(rows: Sequence[Mapping[str, object]], title: str = "Paper vs measured") -> str:
-    """Render paper-vs-measured comparison rows as a table."""
-    return format_table(rows, title=title)

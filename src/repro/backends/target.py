@@ -95,28 +95,11 @@ class Target:
         """All couplers of the device, as sorted pairs."""
         return self.coupling.couplers()
 
-    @property
-    def has_calibrated_rates(self) -> bool:
-        """True when the target carries explicit per-qubit/per-coupler rates."""
-        return bool(self.single_qubit_error_rates) or bool(self.coupler_error_rates)
-
     def single_qubit_error(self, qubit: int) -> float:
         """Calibrated single-qubit gate-error rate of one qubit."""
         return float(
             self.single_qubit_error_rates.get(qubit, self.default_single_qubit_error)
         )
-
-    def coupler_error(self, qubit_a: int, qubit_b: int) -> float:
-        """Calibrated CZ error rate of one coupler (order-insensitive)."""
-        return float(
-            self.coupler_error_rates.get(
-                _coupler_key((qubit_a, qubit_b)), self.default_cz_error
-            )
-        )
-
-    def gate_duration_ns(self, gate: str) -> float:
-        """Nominal duration of one basis gate, in ns (0.0 if unspecified)."""
-        return float(self.gate_durations_ns.get(gate, 0.0))
 
     # -- serialization --------------------------------------------------------------
 

@@ -234,10 +234,6 @@ class QuantumCircuit:
 
     # -- analysis -----------------------------------------------------------------
 
-    def gate_counts(self) -> Counter:
-        """Histogram of gate names."""
-        return Counter(gate.name for gate in self._gates)
-
     def count(self, name: str) -> int:
         """Number of gates with the given name."""
         name = name.lower()

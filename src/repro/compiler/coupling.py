@@ -92,11 +92,6 @@ class CouplingMap:
         self._check_qubit(qubit)
         return list(self._adjacency[qubit])
 
-    def are_coupled(self, a: int, b: int) -> bool:
-        """True if two physical qubits share a coupler."""
-        self._check_qubit(a)
-        return b in self._adjacency[a]
-
     # -- distances ----------------------------------------------------------------
 
     def distance_matrix(self) -> np.ndarray:
@@ -153,25 +148,19 @@ class CouplingMap:
             path.append(current)
         return path
 
-    def candidate_paths(self, a: int, b: int) -> List[List[int]]:
+    def cached_candidate_paths(self, a: int, b: int) -> Tuple[Tuple[int, ...], ...]:
         """Deterministic shortest-path candidates for the lookahead router.
 
         The generic implementation pairs the lowest-index greedy walk with
         its highest-index mirror, which explores two different "sides" of
         the graph; regular topologies override
         :meth:`_compute_candidate_paths` with their canonical path families
-        (e.g. the grid's two L-paths).  Results are memoized per ``(a, b)``;
-        callers receive fresh lists, so mutating them cannot corrupt the
-        cache.
-        """
-        return [list(path) for path in self.cached_candidate_paths(a, b)]
+        (e.g. the grid's row-first and column-first L-paths).
 
-    def cached_candidate_paths(self, a: int, b: int) -> Tuple[Tuple[int, ...], ...]:
-        """Memoized candidate paths as immutable tuples (router hot path).
-
-        The same non-adjacent operand pair recurs on every repetition of a
-        circuit's interaction pattern, so the router would otherwise rebuild
-        identical path lists thousands of times per compile.
+        Memoized per ``(a, b)`` as immutable tuples: the same non-adjacent
+        operand pair recurs on every repetition of a circuit's interaction
+        pattern, so the router would otherwise rebuild identical path lists
+        thousands of times per compile.
         """
         cache = self._candidate_path_cache
         key = (a, b)
@@ -307,10 +296,6 @@ class GridCouplingMap(CouplingMap):
             result.append(self.index(row, col + 1))
         return result
 
-    def are_coupled(self, a: int, b: int) -> bool:
-        """True if two physical qubits share a coupler."""
-        return self.distance(a, b) == 1
-
     def distance(self, a: int, b: int) -> int:
         """Coupling-graph distance (Manhattan distance on the grid)."""
         ra, ca = self.position(a)
@@ -338,16 +323,6 @@ class GridCouplingMap(CouplingMap):
             col += 1 if cb > col else -1
             path.append(self.index(row, col))
         return path
-
-    def monotone_paths(self, a: int, b: int) -> List[List[int]]:
-        """The canonical shortest L-paths from ``a`` to ``b``: row-first and
-        column-first.  Collinear endpoints yield a single straight path.
-
-        These are the deterministic candidates the lookahead router scores;
-        the stochastic router instead samples arbitrary monotone staircases.
-        Served from the per-(a, b) candidate cache as fresh lists.
-        """
-        return [list(path) for path in self.cached_candidate_paths(a, b)]
 
     def _compute_candidate_paths(self, a: int, b: int) -> List[List[int]]:
         """Deterministic candidates on the grid: the canonical L-paths."""
@@ -437,11 +412,6 @@ class LineCouplingMap(CouplingMap):
 
     def couplers(self) -> List[Tuple[int, int]]:
         return [(i, i + 1) for i in range(self.num_sites - 1)]
-
-    def are_coupled(self, a: int, b: int) -> bool:
-        self._check_qubit(a)
-        self._check_qubit(b)
-        return abs(a - b) == 1
 
     def distance(self, a: int, b: int) -> int:
         self._check_qubit(a)

@@ -89,18 +89,6 @@ class PassRecord:
     depth_before: int
     depth_after: int
 
-    @property
-    def gates_delta(self) -> int:
-        return self.gates_after - self.gates_before
-
-    @property
-    def two_qubit_delta(self) -> int:
-        return self.two_qubit_after - self.two_qubit_before
-
-    @property
-    def depth_delta(self) -> int:
-        return self.depth_after - self.depth_before
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-able form, stored with runtime results (schema v3)."""
         return {
@@ -173,9 +161,6 @@ class PassManager:
     def append(self, pass_: Pass) -> "PassManager":
         self._passes.append(pass_)
         return self
-
-    def pass_names(self) -> List[str]:
-        return [p.name for p in self._passes]
 
     def run(
         self,

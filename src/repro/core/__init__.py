@@ -12,6 +12,4 @@ This package ties the substrates together into the system of the paper:
 * :mod:`repro.core.scheduler` / :mod:`repro.core.execution` — SIMD scheduling
   and the execution-time model of Fig. 9.
 * :mod:`repro.core.errors` — gate/circuit error analyses of Fig. 10.
-* :mod:`repro.core.controller` — cycle-level functional model of the Fig. 5
-  datapath.
 """

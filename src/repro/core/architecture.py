@@ -20,7 +20,7 @@ model.  The values default to the paper's evaluation setup (Sec. VI-B):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..physics.constants import (
@@ -147,11 +147,6 @@ class DigiQConfig:
         """True for the DigiQ_opt variant."""
         return self.variant == "opt"
 
-    @property
-    def delay_window_ns(self) -> float:
-        """Length of the Rz delay window (N slots of one SFQ clock each), ns."""
-        return self.n_delay_slots * self.sfq_clock_ns
-
     def group_frequency(self, group: int) -> float:
         """Nominal parking frequency of a SIMD group."""
         if not 0 <= group < self.groups:
@@ -233,10 +228,6 @@ class DigiQConfig:
     def minimal(groups: int = 2, bitstreams: int = 2, **kwargs) -> "DigiQConfig":
         """A DigiQ_min configuration."""
         return DigiQConfig(variant="min", groups=groups, bitstreams=bitstreams, **kwargs)
-
-    def with_bitstreams(self, bitstreams: int) -> "DigiQConfig":
-        """A copy with a different BS value."""
-        return replace(self, bitstreams=bitstreams)
 
     # -- serialization ---------------------------------------------------------------
 

@@ -103,14 +103,6 @@ class SFQBitstream:
         """The 2x2 computational-subspace block of :meth:`unitary` (non-unitary if leaking)."""
         return project_to_qubit(self.unitary(transmon, levels=levels))
 
-    def error_on(self, transmon: Transmon, target: Optional[np.ndarray] = None) -> float:
-        """Gate error of the bitstream on a transmon against a 2x2 target.
-
-        The default target is the ideal ``Ry(pi/2)``.
-        """
-        target = ry(math.pi / 2.0) if target is None else target
-        return leakage_projected_error(self.unitary(transmon), target)
-
 
 def _bitstream_error(
     bits: Sequence[int], model: SFQPulseModel, target: np.ndarray

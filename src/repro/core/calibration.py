@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class GroupBitstreams:
     nominal_frequency: float
     ry_half_pi: SFQBitstream
     idle_gates: Tuple[SFQBitstream, ...] = ()
-
-    @property
-    def gate_names(self) -> Tuple[str, ...]:
-        """Names of the stored gates, Ry(pi/2) first."""
-        return ("ry_half_pi",) + tuple(stream.target_name for stream in self.idle_gates)
 
 
 class DeviceCalibration:
@@ -152,10 +147,6 @@ class DeviceCalibration:
     def transmon(self, qubit: int) -> Transmon:
         """The actual (drifted) transmon model of a qubit."""
         return self.samples[qubit].transmon(levels=self.levels)
-
-    def measured_frequency(self, qubit: int) -> float:
-        """The characterised qubit frequency used by the software calibration."""
-        return self.samples[qubit].actual_frequency
 
     def drift(self, qubit: int) -> float:
         """Frequency drift (actual - nominal) of a qubit in GHz."""
@@ -243,98 +234,6 @@ class DeviceCalibration:
     def gate_error(self, qubit: int, target: np.ndarray) -> float:
         """Decomposed gate error of a target on a qubit."""
         return self.decompose(qubit, target).error
-
-    def gate_cycles(self, qubit: int, target: np.ndarray) -> int:
-        """Number of controller cycles the decomposed gate occupies on a qubit."""
-        decomposition = self.decompose(qubit, target)
-        if isinstance(decomposition, OptDecomposition):
-            return max(1, decomposition.num_pulses)
-        return max(1, decomposition.depth)
-
-    def uncalibrated_gate_error(self, qubit: int, target: np.ndarray) -> float:
-        """Gate error if the decomposition ignored the qubit's drift.
-
-        The gate is decomposed against the *nominal* basis (as if the qubit
-        sat exactly at its parking frequency) and then evaluated on the
-        *actual* basis — i.e. what would happen without software calibration.
-        Used for the calibration-on/off ablation.
-        """
-        from .decomposition import gate_error as plain_gate_error
-
-        sample = self.samples[qubit]
-        shared = self.bitstreams_for(qubit)
-        nominal_transmon = sample.nominal_transmon(levels=self.levels)
-        nominal_ubs = shared.ry_half_pi.qubit_unitary(nominal_transmon, levels=self.levels)
-        nominal_phases = reachable_phases(
-            sample.nominal_frequency,
-            n_slots=self.config.n_delay_slots,
-            clock_period_ns=self.config.sfq_clock_ns,
-        )
-        nominal_basis = OptBasis(nominal_ubs, nominal_phases)
-        target = np.asarray(target, dtype=complex)
-        if self.config.is_opt:
-            planned = decompose_opt(
-                target,
-                nominal_basis,
-                max_pulses=self.config.opt_max_pulses,
-                error_target=self.config.error_target,
-            )
-            actual_matrix = self.opt_basis(qubit).sequence_unitary(planned.delays)
-            rz = np.diag(
-                [
-                    np.exp(-0.5j * planned.residual_phase),
-                    np.exp(+0.5j * planned.residual_phase),
-                ]
-            )
-            return plain_gate_error(rz @ actual_matrix, target)
-        planned_min = decompose_min(
-            target,
-            MinBasis(
-                [nominal_ubs]
-                + [
-                    np.diag(
-                        [
-                            np.exp(-0.5j * angle),
-                            np.exp(+0.5j * angle),
-                        ]
-                    )
-                    for angle in self._nominal_idle_phases(qubit)
-                ]
-            ),
-            max_depth=self.config.min_max_depth,
-            error_target=self.config.error_target,
-        )
-        actual_matrix = self.min_basis(qubit).sequence_unitary(planned_min.gate_indices)
-        return plain_gate_error(actual_matrix, target)
-
-    def _nominal_idle_phases(self, qubit: int) -> List[float]:
-        """Idle-gate Rz angles at the nominal frequency of a qubit's group."""
-        sample = self.samples[qubit]
-        shared = self.bitstreams_for(qubit)
-        phases = []
-        for stream in shared.idle_gates:
-            phases.append(
-                (
-                    -2.0
-                    * math.pi
-                    * sample.nominal_frequency
-                    * stream.num_bits
-                    * stream.clock_period_ns
-                )
-                % (2.0 * math.pi)
-            )
-        return phases
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def drift_summary(self) -> Dict[str, float]:
-        """Aggregate drift statistics of the calibrated device."""
-        drifts = np.array([sample.drift for sample in self.samples])
-        return {
-            "mean_abs_drift_ghz": float(np.mean(np.abs(drifts))),
-            "max_abs_drift_ghz": float(np.max(np.abs(drifts))),
-            "std_drift_ghz": float(np.std(drifts)),
-        }
 
 
 def build_group_bitstreams(config: DigiQConfig, group: int) -> GroupBitstreams:

@@ -259,37 +259,6 @@ def decompose_opt(
     return best
 
 
-def decompose_opt_alternatives(
-    target: np.ndarray,
-    basis: OptBasis,
-    error_margin: float = 5e-5,
-    max_alternatives: int = 8,
-) -> List[OptDecomposition]:
-    """Two-pulse decompositions within an error margin of the best one.
-
-    Sec. V-A: "often, multiple sets of delays will approximate the same
-    operation with nearly equal error, so we can choose the one with lowest
-    cost in terms of serialization."  The SIMD scheduler uses these
-    alternatives to reduce delay-value collisions inside a group.
-    """
-    target = np.asarray(target, dtype=complex)
-    ops = basis.cycle_ops
-    num_delays = basis.num_delays
-    pair_products = np.einsum("aij,bjk->abik", ops, ops).reshape(-1, 2, 2)
-    errors = _errors_with_virtual_rz(pair_products, target)
-    best_error = float(errors.min())
-    eligible = np.flatnonzero(errors <= best_error + error_margin)
-    order = eligible[np.argsort(errors[eligible])][:max_alternatives]
-    alternatives = []
-    for flat_index in order:
-        second, first = divmod(int(flat_index), num_delays)
-        phi, error = optimal_virtual_rz(pair_products[flat_index], target)
-        alternatives.append(
-            OptDecomposition(delays=(first, second), residual_phase=phi, error=error)
-        )
-    return alternatives
-
-
 # ---------------------------------------------------------------------------
 # DigiQ_min decomposition
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Fig. 10(a) reports, for every qubit of the 1024-qubit device, the *median*
 error of the single-qubit gates the benchmarks execute on that qubit after
 DigiQ decomposition.  Fig. 10(b) reports the CZ error of every coupled qubit
 pair after software calibration (and the paper notes that 84 % of pairs would
-exceed 2e-3 without it).  The overall circuit error is estimated as the
-product of its gate fidelities.
+exceed 2e-3 without it).
 
 This module provides the drivers for those analyses at a configurable scale
 (the paper's full 1024 qubits / 2048 couplers down to a handful of qubits for
@@ -15,9 +14,8 @@ tests), reusing the physics-level calibration of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -248,51 +246,3 @@ def _actual_gate_factory(
         return calibration.min_basis(qubit).sequence_unitary(decomposition.gate_indices)
 
     return realise
-
-
-# ---------------------------------------------------------------------------
-# Circuit-level error model
-# ---------------------------------------------------------------------------
-
-
-def circuit_error(gate_errors: Iterable[float]) -> float:
-    """Overall circuit error from per-gate errors (product of fidelities).
-
-    The paper estimates "the overall circuit error due to gate decomposition
-    by taking the product of the errors of each of its gates", i.e. the
-    circuit success probability is the product of per-gate fidelities.
-    """
-    log_fidelity = 0.0
-    for error in gate_errors:
-        error = min(max(float(error), 0.0), 1.0)
-        if error >= 1.0:
-            return 1.0
-        log_fidelity += math.log1p(-error)
-    return 1.0 - math.exp(log_fidelity)
-
-
-def estimate_circuit_error(
-    compiled_circuit: QuantumCircuit,
-    calibration: DeviceCalibration,
-    cz_error: float = 1e-3,
-    max_gates: Optional[int] = None,
-) -> float:
-    """Estimate the error of a compiled circuit on a calibrated device.
-
-    Single-qubit gates are decomposed per qubit (with the calibration cache
-    making repeats cheap); two-qubit gates are charged a flat ``cz_error``
-    (use :func:`cz_errors_per_coupler` for per-coupler detail).
-    """
-    errors: List[float] = []
-    for index, gate in enumerate(compiled_circuit):
-        if max_gates is not None and index >= max_gates:
-            break
-        if gate.is_single_qubit:
-            if gate.name == "rz":
-                continue
-            qubit = gate.qubits[0]
-            if qubit < calibration.num_qubits:
-                errors.append(calibration.gate_error(qubit, gate_matrix(gate)))
-        elif gate.is_two_qubit:
-            errors.append(cz_error)
-    return circuit_error(errors)

@@ -10,17 +10,17 @@ The quality of this scheme depends on how well the ``N + 1`` reachable phases
 cover the unit circle, which in turn depends on the qubit frequency ``f``
 (through the fractional part of ``f * T_clk``).  This module provides:
 
-* the reachable phase set and nearest-phase lookup;
+* the reachable phase set;
 * the worst-case Rz approximation error over all target angles;
-* the parking-frequency search and drift-tolerance calculation that
-  reproduce Table II of the paper.
+* the drift-tolerance calculation that reproduces Table II of the paper at
+  its parking frequencies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,24 +30,6 @@ from ..physics.constants import DEFAULT_SFQ_CLOCK_PERIOD_NS, TWO_PI
 DEFAULT_DELAY_SLOTS = 255
 
 
-def delay_phase(
-    frequency_ghz: float,
-    delay_cycles: int,
-    clock_period_ns: float = DEFAULT_SFQ_CLOCK_PERIOD_NS,
-) -> float:
-    """Rz angle implemented by delaying the bitstream ``delay_cycles`` SFQ cycles.
-
-    The returned angle is in ``[0, 2 pi)``.  The sign convention is that a
-    delay of ``d`` cycles rotates the subsequent pulse axis by
-    ``-2 pi f d T`` in the qubit frame, i.e. the implemented operation is
-    ``Ry(pi/2) @ Rz(delay_phase)`` with ``delay_phase = (-2 pi f d T) mod 2 pi``.
-    """
-    if delay_cycles < 0:
-        raise ValueError("delay_cycles must be non-negative")
-    phase = -TWO_PI * frequency_ghz * delay_cycles * clock_period_ns
-    return float(phase % TWO_PI)
-
-
 def reachable_phases(
     frequency_ghz: float,
     n_slots: int = DEFAULT_DELAY_SLOTS,
@@ -55,7 +37,9 @@ def reachable_phases(
 ) -> np.ndarray:
     """The ``n_slots + 1`` Rz angles reachable by delays ``d = 0 .. n_slots``.
 
-    Element ``d`` of the returned array is :func:`delay_phase` for delay ``d``.
+    Element ``d`` is the Rz angle ``(-2 pi f d T) mod 2 pi`` implemented by
+    delaying the bitstream ``d`` SFQ cycles: the operation is
+    ``Ry(pi/2) @ Rz(phase)``.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
@@ -64,24 +48,6 @@ def reachable_phases(
     delays = np.arange(n_slots + 1)
     phases = (-TWO_PI * frequency_ghz * clock_period_ns * delays) % TWO_PI
     return phases
-
-
-def best_delay_for_phase(
-    target_phase: float,
-    frequency_ghz: float,
-    n_slots: int = DEFAULT_DELAY_SLOTS,
-    clock_period_ns: float = DEFAULT_SFQ_CLOCK_PERIOD_NS,
-) -> Tuple[int, float]:
-    """The delay whose phase is closest (on the circle) to ``target_phase``.
-
-    Returns ``(delay_cycles, phase_error_radians)``.
-    """
-    phases = reachable_phases(frequency_ghz, n_slots, clock_period_ns)
-    target = float(target_phase) % TWO_PI
-    distance = np.abs(phases - target)
-    distance = np.minimum(distance, TWO_PI - distance)
-    best = int(np.argmin(distance))
-    return best, float(distance[best])
 
 
 def phase_error_to_gate_error(phase_error: float) -> float:
@@ -95,13 +61,6 @@ def phase_error_to_gate_error(phase_error: float) -> float:
     "error <= 0.25e-4" statement.
     """
     return (2.0 / 3.0) * math.sin(0.5 * phase_error) ** 2
-
-
-def gate_error_to_phase_error(gate_error: float) -> float:
-    """Inverse of :func:`phase_error_to_gate_error` (for thresholds)."""
-    if not 0.0 <= gate_error <= 2.0 / 3.0:
-        raise ValueError("gate_error must be within [0, 2/3]")
-    return 2.0 * math.asin(math.sqrt(1.5 * gate_error))
 
 
 def worst_case_phase_error(
@@ -190,82 +149,6 @@ def drift_tolerance(
         return max_drift_ghz
 
     return min(excursion(+1.0), excursion(-1.0))
-
-
-def find_parking_frequencies(
-    band_ghz: Tuple[float, float] = (4.0, 6.5),
-    count: int = 3,
-    error_threshold: float = 1e-4,
-    n_slots: int = DEFAULT_DELAY_SLOTS,
-    clock_period_ns: float = DEFAULT_SFQ_CLOCK_PERIOD_NS,
-    scan_resolution_ghz: float = 2e-4,
-    min_separation_ghz: float = 0.25,
-) -> List[ParkingFrequency]:
-    """Search a frequency band for the parking frequencies with the widest drift tolerance.
-
-    Reproduces the Table II methodology: a parking frequency is good when the
-    *interval* of frequencies around it in which any Rz(phi) can still be
-    approximated below the error threshold is wide (the compiler recomputes
-    delays after drift, so staying inside that interval is all that matters).
-    The band is scanned, contiguous below-threshold intervals are extracted,
-    and the centre of each of the ``count`` widest intervals is returned,
-    subject to a minimum mutual separation (distinct parking frequencies are
-    needed so that neighbouring qubits on the grid are detuned).
-    """
-    low, high = band_ghz
-    if low >= high:
-        raise ValueError("band must be (low, high) with low < high")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-
-    frequencies = np.arange(low, high, scan_resolution_ghz)
-    errors = np.array(
-        [worst_case_rz_error(f, n_slots, clock_period_ns) for f in frequencies]
-    )
-    below = errors <= error_threshold
-    if not below.any():
-        raise ValueError(
-            "no parking frequency in the band satisfies the error threshold; "
-            "increase n_slots or relax the threshold"
-        )
-
-    # Extract contiguous below-threshold runs as (start_index, end_index) pairs.
-    runs: List[Tuple[int, int]] = []
-    start: Optional[int] = None
-    for idx, ok in enumerate(below):
-        if ok and start is None:
-            start = idx
-        elif not ok and start is not None:
-            runs.append((start, idx - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(below) - 1))
-
-    candidates = []
-    for run_start, run_end in runs:
-        centre_idx = (run_start + run_end) // 2
-        freq = float(frequencies[centre_idx])
-        half_width = 0.5 * (run_end - run_start) * scan_resolution_ghz
-        candidates.append(
-            ParkingFrequency(
-                frequency_ghz=freq,
-                drift_tolerance_ghz=half_width,
-                worst_case_error=float(errors[centre_idx]),
-            )
-        )
-    candidates.sort(key=lambda p: p.drift_tolerance_ghz, reverse=True)
-
-    selected: List[ParkingFrequency] = []
-    for candidate in candidates:
-        if len(selected) >= count:
-            break
-        if all(
-            abs(candidate.frequency_ghz - chosen.frequency_ghz) >= min_separation_ghz
-            for chosen in selected
-        ):
-            selected.append(candidate)
-    selected.sort(key=lambda p: p.frequency_ghz, reverse=True)
-    return selected
 
 
 def parking_frequency_table(

@@ -46,17 +46,14 @@ class GateRequirement:
 
     Attributes
     ----------
-    qubit:
-        Physical qubit the gate acts on.
     group:
-        SIMD group of that qubit.
+        SIMD group of the gate's qubit.
     delays:
         The delay value needed in each of the gate's controller cycles
         (DigiQ_opt).  For DigiQ_min the values are the stored-gate indices,
         which never serialise, so they are informational only.
     """
 
-    qubit: int
     group: int
     delays: Tuple[int, ...]
 
@@ -81,11 +78,6 @@ class MomentCost:
     def cycles(self) -> int:
         """Controller cycles this moment occupies (1q and 2q overlap)."""
         return max(self.single_qubit_cycles, self.two_qubit_cycles, 1 if (self.num_single_qubit_gates or self.num_two_qubit_gates) else 0)
-
-    @property
-    def serialization_cycles(self) -> int:
-        """Extra cycles caused by the BS limit (0 for an unlimited controller)."""
-        return max(0, self.cycles - self.ideal_cycles)
 
 
 @dataclass
@@ -137,7 +129,7 @@ def _synthetic_pulses(gate: Gate, config: DigiQConfig) -> int:
     return typical if gate.name == "u3" else max(3, typical // 2)
 
 
-def _synthetic_delays(gate: Gate, config: DigiQConfig, num_qubits: int) -> Tuple[int, ...]:
+def _synthetic_delays(gate: Gate, config: DigiQConfig) -> Tuple[int, ...]:
     """Deterministic per-qubit delay sequence of a single-qubit gate.
 
     Different qubits generally need different delay values for the same
@@ -258,11 +250,7 @@ class SIMDScheduler:
         else:
             single_cycles, ideal_single = self._single_qubit_cycles(
                 [
-                    GateRequirement(
-                        qubit=gate.qubits[0],
-                        group=group,
-                        delays=_synthetic_delays(gate, config, num_qubits),
-                    )
+                    GateRequirement(group=group, delays=_synthetic_delays(gate, config))
                     for gate, group in pulsed
                 ]
             )

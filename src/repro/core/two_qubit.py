@@ -11,7 +11,6 @@ a wide drift range; this module implements that analysis:
 
 * :func:`calibrate_flux_pulse` — one-time nominal calibration of the pulse
   amplitude mapping and duration;
-* :func:`simulate_pair` — the actual ``Uqq`` of a drifted pair;
 * :func:`cz_echo_error` — minimum CZ error of an ``n``-pulse echo sequence
   with ideal interleaved single-qubit gates (Fig. 7);
 * :func:`cz_error_grid` — the Fig. 7 drift sweeps;
@@ -286,18 +285,6 @@ def calibrate_flux_pulse(spec: TransmonPairSpec) -> FluxPulseDesign:
         plateau_detuning_ghz=detuning,
         nominal_error=error,
     )
-
-
-def simulate_pair(
-    spec: TransmonPairSpec,
-    drift_tunable: float = 0.0,
-    drift_parked: float = 0.0,
-    amplitude_scale: float = 1.0,
-    design: Optional[FluxPulseDesign] = None,
-) -> np.ndarray:
-    """The 4x4 ``Uqq`` of a drifted pair driven by the nominally calibrated pulse."""
-    design = design or calibrate_flux_pulse(spec)
-    return _single_pulse_unitary(spec, design, drift_tunable, drift_parked, amplitude_scale)
 
 
 # ---------------------------------------------------------------------------

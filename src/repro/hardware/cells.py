@@ -59,10 +59,6 @@ class Cell:
         switches_per_second = clock_ghz * 1e9 * activity * self.jj_count
         return switches_per_second * SWITCHING_ENERGY_J * 1e6
 
-    def total_power_uw(self, clock_ghz: float = DEFAULT_CLOCK_GHZ, activity: float = 0.5) -> float:
-        """Static plus dynamic power of one instance, in uW."""
-        return self.static_power_uw() + self.dynamic_power_uw(clock_ghz, activity)
-
 
 #: The RSFQ cell library.  The first seven rows are Table III verbatim.
 CELL_LIBRARY: Dict[str, Cell] = {

@@ -200,17 +200,6 @@ class CurrentWaveform:
         """
         return CurrentWaveform(self.times_ns.copy(), self.currents_ma * factor)
 
-    def resampled(self, dt_ns: float) -> "CurrentWaveform":
-        """Linear resampling onto a uniform grid of spacing ``dt_ns``."""
-        if dt_ns <= 0:
-            raise ValueError("dt_ns must be positive")
-        if self.times_ns.size == 0:
-            return CurrentWaveform(np.array([]), np.array([]))
-        start, stop = float(self.times_ns[0]), float(self.times_ns[-1])
-        new_times = np.arange(start, stop + 0.5 * dt_ns, dt_ns)
-        new_currents = np.interp(new_times, self.times_ns, self.currents_ma)
-        return CurrentWaveform(new_times, new_currents)
-
 
 def simulate_waveform(
     design: Optional[CurrentGeneratorDesign] = None,

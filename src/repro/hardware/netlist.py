@@ -79,21 +79,6 @@ class Netlist:
         self._fanout[source].append(sink)
         self._fanin[sink].append(source)
 
-    def add_chain(self, cell_type: str, length: int, source: Optional[int] = None,
-                  name: str = "") -> List[int]:
-        """Add a chain of ``length`` identical cells, optionally fed by ``source``."""
-        if length < 1:
-            raise ValueError("chain length must be >= 1")
-        nodes = []
-        previous = source
-        for index in range(length):
-            node = self.add_node(cell_type, name=f"{name}[{index}]" if name else "")
-            if previous is not None:
-                self.connect(previous, node)
-            nodes.append(node)
-            previous = node
-        return nodes
-
     def merge(self, other: "Netlist") -> Dict[int, int]:
         """Copy another netlist into this one; returns old-id -> new-id map."""
         mapping: Dict[int, int] = {}
@@ -122,22 +107,11 @@ class Netlist:
         """Sources driving a node."""
         return list(self._fanin.get(node_id, []))
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(sinks) for sinks in self._fanout.values())
-
     def cell_counts(self) -> Counter:
         """Histogram of cell types (primary I/O excluded)."""
         return Counter(
             node.cell_type for node in self._nodes.values() if not node.is_primary
         )
-
-    def primary_inputs(self) -> List[int]:
-        return [n.node_id for n in self._nodes.values() if n.cell_type == INPUT]
 
     def primary_outputs(self) -> List[int]:
         return [n.node_id for n in self._nodes.values() if n.cell_type == OUTPUT]
@@ -179,12 +153,3 @@ class Netlist:
             else:
                 levels[node_id] = base
         return levels
-
-    def fanout_histogram(self) -> Counter:
-        """Histogram of fanout degree over non-output nodes."""
-        histogram = Counter()
-        for node_id, node in self._nodes.items():
-            if node.cell_type == OUTPUT:
-                continue
-            histogram[len(self._fanout.get(node_id, []))] += 1
-        return histogram

@@ -73,37 +73,6 @@ class SynthesisReport:
             clock_ghz=self.clock_ghz,
         )
 
-    @staticmethod
-    def combine(name: str, reports: list) -> "SynthesisReport":
-        """Sum the costs of several blocks into one report."""
-        counts: Counter = Counter()
-        balancing = splitters = 0
-        area = static = dynamic = 0.0
-        critical = stage = 0.0
-        clock = DEFAULT_CLOCK_GHZ
-        for report in reports:
-            counts.update(report.cell_counts)
-            balancing += report.balancing_dffs
-            splitters += report.splitters_inserted
-            area += report.area_mm2
-            static += report.static_power_mw
-            dynamic += report.dynamic_power_mw
-            critical = max(critical, report.critical_path_ps)
-            stage = max(stage, report.max_stage_delay_ps)
-            clock = report.clock_ghz
-        return SynthesisReport(
-            name=name,
-            cell_counts=counts,
-            balancing_dffs=balancing,
-            splitters_inserted=splitters,
-            area_mm2=area,
-            static_power_mw=static,
-            dynamic_power_mw=dynamic,
-            critical_path_ps=critical,
-            max_stage_delay_ps=stage,
-            clock_ghz=clock,
-        )
-
 
 def insert_path_balancing_dffs(netlist: Netlist) -> int:
     """Count (and conceptually insert) the DRO DFFs needed for full path balancing.

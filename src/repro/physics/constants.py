@@ -53,10 +53,3 @@ TWO_PI = 2.0 * math.pi
 def angular(frequency_ghz: float) -> float:
     """Convert a plain frequency in GHz to an angular frequency in rad/ns."""
     return TWO_PI * frequency_ghz
-
-
-def period_ns(frequency_ghz: float) -> float:
-    """Oscillation period, in ns, of a qubit with the given frequency in GHz."""
-    if frequency_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
-    return 1.0 / frequency_ghz

@@ -44,40 +44,6 @@ def number(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def projector(dim: int, levels: Sequence[int] = (0, 1)) -> np.ndarray:
-    """Projector onto the given energy levels of a ``dim``-level system."""
-    proj = np.zeros((dim, dim), dtype=complex)
-    for level in levels:
-        if not 0 <= level < dim:
-            raise ValueError(f"level {level} outside of dimension {dim}")
-        proj[level, level] = 1.0
-    return proj
-
-
-def basis_state(dim: int, level: int) -> np.ndarray:
-    """Column vector for the Fock/energy eigenstate ``|level>``."""
-    if not 0 <= level < dim:
-        raise ValueError(f"level {level} outside of dimension {dim}")
-    state = np.zeros(dim, dtype=complex)
-    state[level] = 1.0
-    return state
-
-
-def embed_qubit_operator(op_2x2: np.ndarray, dim: int) -> np.ndarray:
-    """Embed a 2x2 qubit operator into the {|0>, |1>} subspace of ``dim`` levels.
-
-    The remaining levels are acted on as identity.  This is useful when a
-    target gate defined on the computational subspace has to be compared with
-    a multi-level propagator.
-    """
-    op_2x2 = np.asarray(op_2x2, dtype=complex)
-    if op_2x2.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {op_2x2.shape}")
-    full = np.eye(dim, dtype=complex)
-    full[:2, :2] = op_2x2
-    return full
-
-
 def project_to_qubit(op: np.ndarray, levels: Sequence[int] = (0, 1)) -> np.ndarray:
     """Project a multi-level operator onto the selected computational levels.
 
@@ -98,32 +64,3 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
-
-
-def is_unitary(op: np.ndarray, atol: float = 1e-9) -> bool:
-    """Return True if ``op`` is unitary within absolute tolerance ``atol``."""
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        return False
-    ident = np.eye(op.shape[0], dtype=complex)
-    return bool(np.allclose(op.conj().T @ op, ident, atol=atol))
-
-
-def is_hermitian(op: np.ndarray, atol: float = 1e-9) -> bool:
-    """Return True if ``op`` is Hermitian within absolute tolerance ``atol``."""
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        return False
-    return bool(np.allclose(op, op.conj().T, atol=atol))
-
-
-def dagger(op: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return np.asarray(op, dtype=complex).conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Commutator ``[a, b] = a b - b a``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return a @ b - b @ a

@@ -124,30 +124,11 @@ class SFQPulseModel:
         duration = bits.size * self.clock_period_ns
         return self.frame_propagator(duration, frame_frequency) @ unitary
 
-    def propagate_delay(
-        self, n_cycles: int, frame_frequency: Optional[float] = None
-    ) -> np.ndarray:
-        """Propagator of ``n_cycles`` idle clock cycles, in the rotating frame.
-
-        In the qubit's own frame this is the identity (up to anharmonic
-        corrections on higher levels); in a *nominal* frame that differs from
-        the qubit's actual frequency it is an Rz by the accumulated detuning
-        phase — exactly the handle DigiQ_opt uses to implement Rz(phi) gates
-        and the quantity the software calibration must track under drift.
-        """
-        return self.propagate_bitstream([0] * n_cycles, frame_frequency=frame_frequency)
-
     def gate_duration_ns(self, bits: Sequence[int]) -> float:
         """Wall-clock duration of a bitstream in ns."""
         return len(list(bits)) * self.clock_period_ns
 
     # -- helpers ------------------------------------------------------------------
-
-    def pulses_for_angle(self, angle: float) -> int:
-        """Number of coherent pulses needed to accumulate ``angle`` of rotation."""
-        if angle <= 0:
-            raise ValueError("angle must be positive")
-        return max(1, int(round(angle / self.tip_angle)))
 
     @staticmethod
     def tip_angle_for_gate_time(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import DEFAULT_ANHARMONICITY_GHZ, TWO_PI
-from .operators import destroy, number
+from .operators import destroy
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,6 @@ class Transmon:
     def with_frequency(self, frequency: float) -> "Transmon":
         """A copy of this transmon with a different |0>-|1> frequency."""
         return replace(self, frequency=frequency)
-
-    def number_operator(self) -> np.ndarray:
-        """Number operator in the truncated Fock basis."""
-        return number(self.levels)
 
 
 @dataclass(frozen=True)

@@ -14,39 +14,23 @@ in-process threads to a multi-client daemon:
   :class:`RemoteJobHandle`, the local-handle contract over HTTP;
 * :mod:`repro.queue.cli` — ``repro serve`` and ``repro queue`` shells.
 
-Importing this package loads :mod:`~repro.queue.model`, which prices jobs
-and keys them through :mod:`repro.runtime.jobs`, so numpy and the compile
-stack come with it.  The HTTP client and the scheduler load on first
-touch of :class:`QueueClient` or :class:`QueueService`.
+The package itself exports only :class:`QueueStore` and
+:class:`QueueClient`; every other name is imported from the module that
+defines it.  Importing this package loads :mod:`~repro.queue.store`, and
+through it :mod:`~repro.queue.model`, which prices jobs and keys them
+through :mod:`repro.runtime.jobs`, so numpy and the compile stack come with
+it.  The HTTP client loads on first touch of :class:`QueueClient`.
 """
 
-from .model import PRIORITIES, QueueJob, build_job, job_power_w, spec_payload
-from .store import QueueStore, queue_lock, resolve_queue_root
+from .store import QueueStore
 
-__all__ = [
-    "PRIORITIES",
-    "QueueJob",
-    "QueueStore",
-    "build_job",
-    "job_power_w",
-    "queue_lock",
-    "resolve_queue_root",
-    "spec_payload",
-    "QueueClient",
-    "RemoteJobHandle",
-    "QueueService",
-]
+__all__ = ["QueueClient", "QueueStore"]
 
 
 def __getattr__(name: str):
-    # Lazy heavy imports: QueueClient/RemoteJobHandle (urllib) and
-    # QueueService (execution stack) load on first touch.
-    if name in ("QueueClient", "RemoteJobHandle", "QueueServerError"):
-        from . import client
+    # PEP 562 hook: QueueClient (urllib) loads on first touch.
+    if name == "QueueClient":
+        from .client import QueueClient
 
-        return getattr(client, name)
-    if name in ("QueueService", "order_candidates"):
-        from . import scheduler
-
-        return getattr(scheduler, name)
+        return QueueClient
     raise AttributeError(f"module 'repro.queue' has no attribute '{name}'")

@@ -28,8 +28,7 @@ import numpy as np
 from ..core.architecture import DigiQConfig
 from ..noise.variability import VariabilityModel, expected_frequency_fluctuation
 
-#: Default CZ error charged per coupler when no better information exists;
-#: matches the flat rate used by :func:`repro.core.errors.estimate_circuit_error`.
+#: Default CZ error charged per coupler when no better information exists.
 DEFAULT_CZ_ERROR = 1e-3
 
 #: Default single-qubit gate error (the paper's decomposition error target).

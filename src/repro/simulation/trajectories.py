@@ -107,8 +107,7 @@ def fuse_circuit(circuit: QuantumCircuit, noise: Optional[NoiseModel] = None) ->
     multi-qubit gate touches that qubit (1q ops on disjoint qubits commute,
     so deferral preserves semantics).  When ``noise`` is given, each fused op
     carries the combined kick probability of its constituent gates: ``rz``
-    gates are error-free (virtual Z delays, as in
-    :func:`repro.core.errors.estimate_circuit_error`), other single-qubit
+    gates are error-free (virtual Z delays), other single-qubit
     gates use the qubit's rate, and multi-qubit gates split their coupler
     rate evenly over the involved qubits.
     """

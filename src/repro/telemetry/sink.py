@@ -53,11 +53,6 @@ class TraceSink:
         event.update(metrics_snapshot)
         self._write(event)
 
-    def write_event(self, name: str, **payload: object) -> None:
-        event = {"type": "event", "schema": TRACE_SCHEMA, "name": name}
-        event.update(payload)
-        self._write(event)
-
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:

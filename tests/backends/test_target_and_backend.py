@@ -125,13 +125,12 @@ class TestTargets:
 
     def test_sampled_backends_carry_no_frozen_rates(self):
         target = get_backend("digiq-opt8").target_for(9)
-        assert not target.has_calibrated_rates
+        assert not target.single_qubit_error_rates and not target.coupler_error_rates
         assert target.single_qubit_error(0) == target.default_single_qubit_error
 
     @pytest.mark.parametrize("name", ["digiq-line", "digiq-heavy-hex", "cryo-cmos-grid"])
     def test_calibrated_backends_freeze_rates(self, name):
         target = get_backend(name).target_for(9)
-        assert target.has_calibrated_rates
         assert len(target.single_qubit_error_rates) == target.num_qubits
         assert len(target.coupler_error_rates) == len(target.couplers())
         for rate in target.single_qubit_error_rates.values():

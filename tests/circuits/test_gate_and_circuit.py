@@ -35,7 +35,7 @@ class TestCircuitBuilding:
     def test_named_builders_chain(self):
         circuit = QuantumCircuit(3).h(0).cx(0, 1).rz(0.5, 2).ccx(0, 1, 2)
         assert len(circuit) == 4
-        assert circuit.gate_counts()["cx"] == 1
+        assert circuit.count("cx") == 1
 
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from repro.circuits.simulator import (
     simulate,
     zero_state,
 )
-from repro.physics.operators import is_unitary
+from tests.oracles import is_unitary
 
 
 class TestLibrary:

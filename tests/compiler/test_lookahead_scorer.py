@@ -25,6 +25,7 @@ from repro.compiler.coupling import (
 from repro.compiler.layout import Layout
 from repro.compiler.lookahead import DEFAULT_DECAY, _best_candidate
 from repro.compiler.routing import insert_swaps_along_path
+from tests.oracles import are_coupled
 
 COUPLINGS = {
     "grid": GridCouplingMap(rows=4, cols=4),
@@ -43,7 +44,7 @@ def best_candidate_reference(coupling, layout, start, end, window, decay):
     best_path = []
     best_meeting = 0
     best_cost = None
-    for path in coupling.candidate_paths(start, end):
+    for path in coupling.cached_candidate_paths(start, end):
         meetings = range(len(path) - 1) if len(path) >= 3 else [0]
         for meeting in meetings:
             trial = layout.copy()
@@ -75,7 +76,7 @@ def _scenario(coupling, rng, num_logical, window_len):
     for _ in range(200):
         a, b = (int(q) for q in rng.choice(num_logical, size=2, replace=False))
         pa, pb = layout.physical(a), layout.physical(b)
-        if not coupling.are_coupled(pa, pb) and pa != pb:
+        if not are_coupled(coupling, pa, pb) and pa != pb:
             break
     else:
         return None
@@ -115,7 +116,7 @@ def test_empty_window_picks_first_candidate():
     coupling = COUPLINGS["grid"]
     layout = Layout({i: i for i in range(8)}, coupling.num_qubits)
     path, meeting = _best_candidate(coupling, layout, 0, 10, [], DEFAULT_DECAY)
-    assert list(path) == coupling.candidate_paths(0, 10)[0]
+    assert tuple(path) == coupling.cached_candidate_paths(0, 10)[0]
     assert meeting == 0
 
 

@@ -16,6 +16,7 @@ from repro.compiler import (
     lookahead_route_circuit,
     snake_layout,
 )
+from tests.oracles import are_coupled
 
 
 def assert_same_unitary(a: QuantumCircuit, b: QuantumCircuit, atol: float = 1e-8):
@@ -123,7 +124,7 @@ class TestLookaheadRouter:
         result = lookahead_route_circuit(circuit, grid, layout)
         for gate in result.circuit:
             if gate.is_two_qubit:
-                assert grid.are_coupled(*gate.qubits)
+                assert are_coupled(grid, *gate.qubits)
 
     def test_deterministic_by_construction(self):
         grid = GridCouplingMap(3, 3)

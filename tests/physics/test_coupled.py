@@ -13,8 +13,9 @@ from repro.physics.coupled import (
     project_two_qubit,
     simulate_uqq,
 )
-from repro.physics.operators import PAULI_X, is_hermitian, is_unitary
+from repro.physics.operators import PAULI_X
 from repro.physics.transmon import Transmon, TransmonPairParameters
+from tests.oracles import is_hermitian, is_unitary
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,9 @@ from repro.physics.fidelity import (
     phase_corrected_two_qubit_error,
     state_fidelity,
 )
-from repro.physics.operators import PAULI_X, embed_qubit_operator
+from repro.physics.operators import PAULI_X
 from repro.physics.rotations import rx, rz, u3
+from tests.oracles import embed_qubit_operator
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 

@@ -1,4 +1,4 @@
-"""Unit and property tests for repro.physics.operators."""
+"""Unit and property tests for repro.physics.operators and its test oracles."""
 
 import numpy as np
 import pytest
@@ -9,17 +9,19 @@ from repro.physics.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    basis_state,
-    commutator,
     create,
-    dagger,
     destroy,
-    embed_qubit_operator,
-    is_hermitian,
-    is_unitary,
     kron,
     number,
     project_to_qubit,
+)
+from tests.oracles import (
+    basis_state,
+    commutator,
+    dagger,
+    embed_qubit_operator,
+    is_hermitian,
+    is_unitary,
     projector,
 )
 

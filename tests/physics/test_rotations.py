@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.physics.operators import PAULI_X, PAULI_Y, PAULI_Z, is_unitary
+from repro.physics.operators import PAULI_X, PAULI_Y, PAULI_Z
+from tests.oracles import is_unitary
 from repro.physics.rotations import (
     bloch_vector,
     circular_distance,

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.physics.fidelity import leakage, leakage_projected_error
-from repro.physics.operators import is_unitary, project_to_qubit
+from repro.physics.operators import project_to_qubit
 from repro.physics.rotations import ry
 from repro.physics.sfq_pulse import SFQPulseModel, coherent_bitstream, pulse_model_for
 from repro.physics.transmon import Transmon
+from tests.oracles import is_unitary
 
 
 @pytest.fixture(scope="module")

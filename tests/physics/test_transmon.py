@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.physics.operators import is_hermitian
 from repro.physics.transmon import AsymmetricTransmon, Transmon, TransmonPairParameters
+from tests.oracles import is_hermitian
 
 
 class TestTransmon:

@@ -3,7 +3,9 @@
 A fresh interpreter is the only honest probe: pytest itself, and every test
 module it has collected, may already have loaded anything.  scipy serves
 only the Sec. V physics models (Fig. 7, Fig. 10, ``DeviceCalibration``), so
-sweeps, sessions and the daemon must neither load it nor need it.
+sweeps, sessions and the daemon must neither load it nor need it.  The
+``repro.queue`` package exports ``QueueStore`` and ``QueueClient`` only, and
+loads the HTTP client on first touch of ``QueueClient``.
 """
 
 import json
@@ -78,5 +80,21 @@ def test_runtime_and_scheduler_load_no_scipy_networkx_or_physics(tmp_path):
 
 def test_sweep_and_session_run_with_scipy_blocked(tmp_path):
     done = run_probe(BLOCKED_SCIPY_PROBE, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip().endswith("ok")
+
+
+def test_queue_package_exports_store_and_lazy_client(tmp_path):
+    probe = (
+        "import sys\n"
+        "import repro.queue\n"
+        "assert 'repro.queue.client' not in sys.modules\n"
+        "from repro.queue import QueueClient, QueueStore\n"
+        "from repro.queue import client, store\n"
+        "assert (QueueClient, QueueStore) == (client.QueueClient, store.QueueStore)\n"
+        "assert sorted(repro.queue.__all__) == ['QueueClient', 'QueueStore']\n"
+        "print('ok')\n"
+    )
+    done = run_probe(probe, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip().endswith("ok")
