@@ -91,6 +91,29 @@ def _apply_plan(
     return tuple(shape), tuple(block(basis) for basis in range(2**k))
 
 
+@lru_cache(maxsize=64)
+def _nonzero_terms(
+    matrix_bytes: bytes, dim: int
+) -> Tuple[Tuple[Tuple[int, np.complex128], ...], ...]:
+    """Per row of a gate matrix, its ``(column, entry)`` pairs with nonzero
+    entries, in column order; keyed by the matrix's exact bytes, as
+    :func:`_matrix_strategy` is.
+
+    The cache is small on purpose: the matrices that recur are the few fixed
+    gates (``h``, ``cx``, ``cz``, ...), which stay in it, while fused
+    rotation runs are mostly one-off and would only hold memory.
+    """
+    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim)
+    return tuple(
+        tuple(
+            (column, matrix[row, column])
+            for column in range(dim)
+            if matrix[row, column] != 0
+        )
+        for row in range(dim)
+    )
+
+
 def apply_matrix(
     state: np.ndarray, matrix: np.ndarray, targets: Sequence[int], num_qubits: int
 ) -> np.ndarray:
@@ -105,7 +128,8 @@ def apply_matrix(
     The hot path avoids axis-transposition copies entirely: the flat vector
     is reshaped (free, because qubit axes stay in significance order) using a
     cached :func:`_apply_plan`, and each output slice is a linear combination
-    of strided input slices.  Zero matrix entries are skipped, so
+    of strided input slices.  Zero matrix entries are skipped (each matrix's
+    nonzero entries are found once, by :func:`_nonzero_terms`), so
     permutation-like (``cx``) and diagonal (``cz``, ``rz``) gates touch only
     the amplitudes they move.
     """
@@ -127,15 +151,15 @@ def apply_matrix(
     view = state.reshape(shape)
     inputs = [view[block] for block in blocks]
     result = np.empty_like(view)
-    for row in range(2**k):
+    for row, terms in enumerate(_nonzero_terms(matrix.tobytes(), 2**k)):
         out_slice = result[blocks[row]]
-        columns = [c for c in range(2**k) if matrix[row, c] != 0]
-        if not columns:
+        if not terms:
             out_slice[...] = 0.0
             continue
-        np.multiply(inputs[columns[0]], matrix[row, columns[0]], out=out_slice)
-        for column in columns[1:]:
-            out_slice += matrix[row, column] * inputs[column]
+        column, coeff = terms[0]
+        np.multiply(inputs[column], coeff, out=out_slice)
+        for column, coeff in terms[1:]:
+            out_slice += coeff * inputs[column]
     return result.reshape(original_shape)
 
 
@@ -150,7 +174,7 @@ def apply_matrix(
 _DENSE1_MATMUL_MIN_STRIDE = 16
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=1024)
 def _matrix_strategy(matrix_bytes: bytes, dim: int) -> Tuple[object, ...]:
     """Structural classification of a gate matrix, keyed by its exact bytes.
 
@@ -160,6 +184,10 @@ def _matrix_strategy(matrix_bytes: bytes, dim: int) -> Tuple[object, ...]:
     anything else.  The classes with structure admit in-place application
     that touches only the amplitudes the gate actually moves, which is what
     :func:`apply_matrix_inplace` exploits on the trajectory hot path.
+
+    The cache holds the distinct op matrices of about one circuit, which a
+    run's lockstep groups look up once each.  Fused rotation runs rarely
+    recur across circuits, so a larger cache mostly holds dead entries.
     """
     matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim)
     nonzero = matrix != 0

@@ -205,10 +205,12 @@ class CouplingMap:
         return len(self.couplers())
 
     def coupler_neighbors(self, coupler: Tuple[int, int]) -> List[Tuple[int, int]]:
-        """Couplers adjacent to (sharing a qubit with) the given coupler.
+        """Couplers that share a qubit with the given coupler.
 
-        Used by the crosstalk-aware scheduler: two CZ gates on adjacent
-        couplers interfere and must not execute simultaneously.
+        The crosstalk-aware scheduler (:mod:`repro.compiler.scheduling`)
+        does not use this: its conflict rule is wider, and also counts a
+        coupler with a qubit that is directly coupled to one of the given
+        coupler's qubits.
         """
         a, b = coupler
         adjacent = []

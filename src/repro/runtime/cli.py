@@ -159,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--traj-batch", type=int, default=DEFAULT_BATCH_SIZE, metavar="B",
-        help=f"trajectories advanced in lockstep per batch (default {DEFAULT_BATCH_SIZE})",
+        help=(
+            f"trajectories per seeded batch (default {DEFAULT_BATCH_SIZE}); part of "
+            "the seeding, so it changes results"
+        ),
     )
     parser.add_argument(
         "--noise-seed", type=int, default=0,

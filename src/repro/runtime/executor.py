@@ -22,7 +22,10 @@ Three choices shape the pool:
   single-threaded process that imports :data:`PRELOAD_MODULES` once, so every
   worker it forks starts warm.  It also re-imports a script's main module,
   so scripts that run pooled work need an ``if __name__ == "__main__":``
-  guard.
+  guard.  The fork server starts with the BLAS thread variables
+  (:data:`BLAS_THREAD_VARS`) set to ``1``, so every worker's BLAS runs one
+  thread: ``size`` workers that each spread a BLAS call over every core
+  would oversubscribe the host.
 * **one single-process executor per slot.**  A ``ProcessPoolExecutor`` that
   loses a worker fails *every* pending future and terminates its other
   workers.  With one process per slot a worker death fails only the task
@@ -51,6 +54,12 @@ from .. import telemetry
 #: Modules the fork server imports once (the whole execution stack).
 PRELOAD_MODULES = ("repro.runtime.jobs",)
 
+#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+#: Pool workers run with each set to ``1`` (see :func:`_start_fork_server`).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_FORK_SERVER_LOCK = threading.Lock()
+
 #: Environment variable overriding the default worker-pool size everywhere a
 #: pool is sized implicitly (the sweep dispatcher, the CLI, primitive
 #: sessions).  An explicit ``workers=`` / ``--workers`` argument still wins.
@@ -78,6 +87,30 @@ def default_worker_count() -> int:
             )
         return workers
     return max(1, min(4, (os.cpu_count() or 1)))
+
+
+def _start_fork_server() -> None:
+    """Start this process's fork server, if it is not running, with BLAS pinned.
+
+    The fork server imports numpy (:data:`PRELOAD_MODULES`) and forks every
+    worker, so the environment it starts with is the one each worker's BLAS
+    reads its thread count from.  :data:`BLAS_THREAD_VARS` are set to ``1``
+    only while it starts; this process's environment is restored at once.
+    """
+    # Deferred: a process that never builds a pool need not load it.
+    from multiprocessing import forkserver
+
+    with _FORK_SERVER_LOCK:
+        saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        try:
+            forkserver.ensure_running()
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
 
 
 class WorkerDiedError(RuntimeError):
@@ -187,6 +220,7 @@ class WorkerPool:
         return future
 
     def _new_executor(self) -> ProcessPoolExecutor:
+        _start_fork_server()
         return ProcessPoolExecutor(
             max_workers=1,
             mp_context=self._context,

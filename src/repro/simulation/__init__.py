@@ -19,14 +19,13 @@ from .trajectories import (
     FusedOp,
     TrajectoryPlan,
     TrajectoryResult,
-    advance_noisy_batch,
     apply_fused_ops,
     batch_sizes,
     build_trajectory_plan,
     fuse_circuit,
     ideal_final_state,
     noisy_trajectory_states,
-    run_trajectory_batch,
+    run_trajectory_group,
     trajectory_batch_payloads,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "NoiseModel",
     "TrajectoryPlan",
     "TrajectoryResult",
-    "advance_noisy_batch",
     "apply_fused_ops",
     "batch_sizes",
     "build_trajectory_plan",
@@ -47,6 +45,6 @@ __all__ = [
     "ideal_final_state",
     "noisy_trajectory_states",
     "run_trajectories",
-    "run_trajectory_batch",
+    "run_trajectory_group",
     "trajectory_batch_payloads",
 ]

@@ -5,10 +5,15 @@ builds one :class:`~repro.simulation.trajectories.TrajectoryPlan` (fusing the
 circuit once), derives one child seed per trajectory batch from a single
 :class:`numpy.random.SeedSequence`, and runs the batches either in-process or
 on a :class:`repro.runtime.executor.WorkerPool` — the process pool sweeps and
-the daemon use too.  Batches are re-assembled in spawn order, so the merged
-result is bit-identical for any worker count — the parallel/serial-identical
-guarantee the determinism tests pin down — and the workers' ``sim.batch``
-spans and counters merge back under the run's ``sim.run`` span.
+the daemon use too.  A batch is the seeding unit; the lockstep unit is the
+group: in-process, and within each pooled chunk, consecutive batches advance
+together in one set of rows
+(:func:`~repro.simulation.trajectories.lockstep_groups`), which changes no
+bit of any batch's result.  Batches are re-assembled in spawn order, so the
+merged result is bit-identical for any worker count — the
+parallel/serial-identical guarantee the determinism tests pin down — and
+the workers' ``sim.batch`` spans (one per group) and counters merge back
+under the run's ``sim.run`` span.
 
 A pooled run splits its batches into one contiguous chunk per worker and
 submits each chunk as one task.  The chunk's batches share one plan object,
@@ -19,30 +24,30 @@ builds nothing itself.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from .. import telemetry
 from ..circuits.circuit import QuantumCircuit
 from .channels import NoiseModel
 from .trajectories import (
     DEFAULT_BATCH_SIZE,
-    TrajectoryPlan,
+    BatchPayload,
     TrajectoryResult,
-    run_trajectory_batch,
+    lockstep_groups,
+    run_trajectory_group,
     trajectory_batch_payloads,
 )
 
-#: One seeded batch: the shared plan, the batch size and the batch's seed.
-BatchPayload = Tuple[TrajectoryPlan, int, np.random.SeedSequence]
-
 
 def _run_batches(payloads: Sequence[BatchPayload]) -> List[TrajectoryResult]:
-    """Run seeded trajectory batches in order; also the pooled task."""
+    """Run seeded trajectory batches in lockstep groups; also the pooled task.
+
+    Returns one result per batch, in order.
+    """
     return [
-        run_trajectory_batch(plan, size, np.random.default_rng(child))
-        for plan, size, child in payloads
+        result
+        for plan, batches in lockstep_groups(payloads)
+        for result in run_trajectory_group(plan, batches)
     ]
 
 
@@ -74,7 +79,9 @@ def run_trajectories(
         Root seed; together with ``num_trajectories`` and ``batch_size`` it
         pins the result exactly, independent of ``workers``.
     batch_size:
-        Trajectories advanced in lockstep per batch.
+        Trajectories per seeded batch.  Each batch draws its kicks from its
+        own child seed, so this is part of the seeding scheme; consecutive
+        batches still advance in lockstep groups.
     workers:
         ``1`` runs batches serially in-process; ``> 1`` fans them out over a
         :class:`~repro.runtime.executor.WorkerPool` of up to that size, one
@@ -95,7 +102,7 @@ def run_trajectories(
         workers=workers,
     ) as run_span:
         if workers == 1 or len(payloads) == 1:
-            # In-process batches record their own sim.batch kernel spans,
+            # In-process groups record their own sim.batch kernel spans,
             # nested under this one (the path fidelity sweep jobs take).
             parts = _run_batches(payloads)
         else:

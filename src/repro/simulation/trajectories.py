@@ -6,37 +6,42 @@ evaluation ultimately cares about — instead of per-gate errors:
 1. the circuit is *fused*: runs of adjacent single-qubit gates on one qubit
    collapse into a single 2x2 matrix (their kick probabilities combine), so
    the hot loop applies far fewer matrices than the raw gate count;
-2. each fused op is applied in place to the batch, one op at a time.  From
-   10 qubits the register is relabeled so the qubits dense ops touch most
-   sit at long strides; one gather per batch restores the standard qubit
-   order at the end;
-3. a batch of ``B`` trajectories advances one statevector row per
-   *distinct* trajectory: every trajectory no kick has hit yet shares row 0,
-   and a trajectory gets its own row, a copy of row 0, at its first kick
-   (see :func:`advance_noisy_batch`).  A noisy batch typically ends with a
-   few rows, not ``B``; one gather expands them to ``(B, 2**n)`` at the end;
+2. each fused op is applied in place to the rows of a group (see 3.), one
+   op at a time.  From 10 qubits the register is relabeled so the qubits
+   dense ops touch most sit at long strides; one gather per group restores
+   the standard qubit order at the end;
+3. trajectories come in seeded *batches* (the seeding unit), and
+   consecutive batches of a run advance together as one lockstep *group*
+   (:func:`lockstep_groups`, bounded by :data:`GROUP_AMPLITUDES`).  A group
+   advances one statevector row per *distinct* trajectory: every trajectory
+   no kick has hit yet, whatever its batch, shares row 0, and a trajectory
+   gets its own row, a copy of row 0, at its first kick (see
+   :func:`_advance_rows`).  A noisy group typically ends with a few rows,
+   not one per trajectory; each batch's slice of the rows is gathered and
+   scored on its own;
 4. after each fused op, every involved qubit suffers a random Pauli kick
    (X, Y or Z, weighted by the noise model) with the probability the
-   :class:`~repro.simulation.channels.NoiseModel` assigns it.  A batch
-   draws all its kicks in one call before it starts, and only the sites
+   :class:`~repro.simulation.channels.NoiseModel` assigns it.  Each batch
+   draws all its kicks in one call before its group starts, and only the sites
    where some trajectory is hit are visited: each is a single vectorized
    per-row 2x2 update, not a masked gather/scatter per Pauli;
 5. each trajectory's final state is scored against the noiseless final state
    (state fidelity) and against the noiseless dominant measurement outcome
    (success probability).
 
-This dense kernel is the only trajectory kernel.  A batch holds up to
-``B * 2**n`` complex amplitudes, so :func:`build_trajectory_plan` refuses
+This dense kernel is the only trajectory kernel.  A group holds up to one
+``2**n`` row per trajectory, so :func:`build_trajectory_plan` refuses
 circuits wider than :data:`MAX_DENSE_QUBITS` before it allocates anything.
 
-All randomness flows from one ``numpy`` generator seeded by the caller.  A
+All randomness flows from one root seed: each batch gets a generator seeded
+from its own child of one :class:`numpy.random.SeedSequence`.  A
 batch's one ``rng.random((sites, 2, B))`` call yields, site by site in
 circuit order, ``B`` hit draws and then ``B`` Pauli-pick draws: the same
 numbers in the same order as one ``rng.random(B)`` call per draw, because
 the generator fills an array from its stream in C order.  The draws do not
 depend on which trajectories are actually kicked, so a (seed,
 trajectory-count, batch-size) triple pins the result bit-for-bit — serially
-and across worker processes.
+and across worker processes, however the batches are grouped.
 """
 
 from __future__ import annotations
@@ -58,16 +63,25 @@ from ..circuits.simulator import (
 )
 from .channels import NoiseModel
 
-#: Default trajectories per batch.  A batch pays the per-op Python overhead
-#: of its in-place applications and its one kick draw once for all its
-#: trajectories, and advances at most one row per trajectory (usually far
-#: fewer: one per distinct trajectory), so a 12-16 qubit batch stays
-#: cache-resident.  The batch size is part of the seeding scheme: changing
-#: it changes every result.
+#: Default trajectories per batch.  The batch is the seeding unit: each
+#: batch draws its kicks from its own child seed, so the batch size is part
+#: of the seeding scheme and changing it changes every result.  The lockstep
+#: unit is the group (:func:`lockstep_groups`): consecutive batches advanced
+#: in one set of rows, which changes no result.
 DEFAULT_BATCH_SIZE = 25
 
+#: Lockstep budget: consecutive batches advance as one group while the
+#: group's trajectories times ``2**n`` stay within this many amplitudes
+#: (4 MiB of complex128 should every trajectory end on its own row).  A
+#: group pays the per-op Python overhead of its in-place applications once
+#: for all its trajectories.  At 9 qubits the four batches of 25 of a
+#: 100-trajectory run form one group; from 13 qubits a batch of 25 is a group
+#: of its own, so peak memory there is one batch's rows.
+GROUP_AMPLITUDES = 1 << 18
+
 #: Widest register the dense kernel simulates: one 24-qubit trajectory is
-#: 256 MiB of complex128 amplitudes, and a batch holds ``B`` of them.
+#: 256 MiB of complex128 amplitudes, and a group holds up to one per
+#: trajectory.
 MAX_DENSE_QUBITS = 24
 
 #: Pauli kick operators, indexed by the noise model's (X, Y, Z) weights.
@@ -232,7 +246,7 @@ def _restore_map(positions: np.ndarray, num_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Program:
-    """How a batch runs one plan's fused ops on the relabeled register.
+    """How a group runs one plan's fused ops on the relabeled register.
 
     Op ``i`` applies to qubits ``targets[i]``.  Its kick sites, flattened in
     circuit order, form the site table: site ``k`` kicks qubit
@@ -283,8 +297,9 @@ class TrajectoryPlan:
     serially, across pool workers (pickled once per worker's chunk of
     batches, see :mod:`repro.simulation.engine`), and across repeats.  It
     carries its ``program`` (relabeled targets, site table, restore map), so
-    no batch and no worker rebuilds anything.  Batches advance dense
-    ``(B, 2**n)`` statevectors and score them against ``ideal_state``.
+    no group and no worker rebuilds anything.  Groups advance dense
+    ``2**n`` rows and score each batch's trajectories against
+    ``ideal_state``.
     """
 
     #: The kernel every plan runs; telemetry spans and tracers record it.
@@ -487,31 +502,77 @@ def _split_rows(
     return states, row_hit, row_pick
 
 
-def _advance_rows(
-    plan: TrajectoryPlan, batch: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """:func:`advance_noisy_batch` before the final gather to trajectories.
+#: One batch as the kernel takes it: its size and its seeded generator.
+SeededBatch = Tuple[int, np.random.Generator]
 
-    Returns ``(states, row_of, kicks)``: trajectory ``t`` ends in
-    ``states[row_of[t]]``.  Row 0 may be shared, every other row belongs to
-    at most one trajectory, and there are never more rows than trajectories.
+
+def _advance_rows(
+    plan: TrajectoryPlan, batches: Sequence[SeededBatch]
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Advance a group of seeded batches of one plan from ``|0...0>``.
+
+    ``batches`` holds each batch's size and generator.  Returns ``(states,
+    row_of, kicks)``: the group's trajectory ``t``, counted across its
+    batches in order, ends in ``states[row_of[t]]``, and ``kicks[b]`` is the
+    number of Pauli kicks batch ``b`` took.  Row 0 may be shared, every other
+    row belongs to at most one trajectory, and there are never more rows
+    than trajectories.
+
+    The kernel advances one row per *distinct* trajectory of the whole
+    group, not one per trajectory.  Row 0 is shared by the trajectories no
+    kick has hit yet, whatever their batch; a trajectory gets its own row,
+    copied from row 0, at its first hit.  Each row takes the arithmetic its
+    trajectory took when its batch alone advanced as one row per trajectory,
+    so its amplitudes do not depend on how batches are grouped
+    (:func:`lockstep_groups`).  Only the sign of a zero amplitude can:
+    :func:`_inject_kicks` takes its Z-only path when no row at a site is
+    flipped, a choice made over the whole group.  No score or sum sees a
+    zero's sign, so each batch's :class:`TrajectoryResult` is the same bits
+    in any group.
+
+    Each batch draws its kicks in one ``rng.random((sites, 2, size))`` call
+    on its own generator: per (op, qubit) site in circuit order, ``size``
+    hit draws then ``size`` Pauli-pick draws.  That is the generator's
+    stream in the order one ``rng.random(size)`` per draw consumed it, and
+    it does not depend on which trajectories are hit, so a batch's states
+    depend only on its seed and size.  The group keeps each batch's hit
+    table and one-byte pick table, concatenated along the trajectory axis,
+    and visits only the sites where some trajectory is hit.  Picks are
+    clipped into the Pauli table so a cumulative-weight array whose last
+    entry sits a few ulp below 1.0 cannot silently drop kicks.
+
+    Each fused op is applied in place (``apply_matrix_inplace``) on the
+    targets of the plan's program, then the op's hit sites are visited.
+    From 10 qubits the program relabels the register so dense ops run at
+    long strides (:func:`_relabel_positions`); one gather with the restore
+    map returns the rows to standard qubit order at the end.
     """
-    if batch < 1:
+    if not batches or min(size for size, _ in batches) < 1:
         raise ValueError("batch must be >= 1")
     num_qubits, program = plan.num_qubits, plan.program
-    draws = rng.random((len(program.site_qubits), 2, batch))
-    hits = draws[:, 0, :] < program.site_probs[:, None]
-    picks = np.minimum(np.searchsorted(plan.kick_cumweights, draws[:, 1, :]), 2)
+    sites = len(program.site_qubits)
+    hit_parts, pick_parts, kicks = [], [], []
+    for size, rng in batches:
+        draws = rng.random((sites, 2, size))
+        hit = draws[:, 0, :] < program.site_probs[:, None]
+        pick = np.minimum(np.searchsorted(plan.kick_cumweights, draws[:, 1, :]), 2)
+        hit_parts.append(hit)
+        pick_parts.append(pick.astype(np.int8))
+        # Every hit trajectory takes exactly one kick at its site.
+        kicks.append(int(hit.sum()))
+    hits = np.concatenate(hit_parts, axis=1)
+    picks = np.concatenate(pick_parts, axis=1)
     hit_sites = np.flatnonzero(hits.any(axis=1)).tolist()
 
     # numpy rounds a one-row array differently from a taller one (a
     # one-element strided multiply takes its scalar loop, a one-row matmul
-    # BLAS gemv), so a batch of two or more never runs on fewer than two
-    # rows: row 1 starts as a spare copy of row 0 that the first hit claims.
-    states = np.zeros((min(batch, 2), 1 << num_qubits), dtype=complex)
+    # BLAS gemv), so a group of two or more trajectories never runs on fewer
+    # than two rows: row 1 starts as a spare copy of row 0 that the first hit
+    # claims.  A batch of one runs alone (see :func:`lockstep_groups`).
+    trajectories = hits.shape[1]
+    states = np.zeros((min(trajectories, 2), 1 << num_qubits), dtype=complex)
     states[:, 0] = 1.0
-    row_of = np.zeros(batch, dtype=np.intp)
-    kicks = 0
+    row_of = np.zeros(trajectories, dtype=np.intp)
     next_hit = 0
     for op, targets, stop in zip(plan.ops, program.targets, program.site_stops):
         states = apply_matrix_inplace(states, op.matrix, targets, num_qubits)
@@ -521,7 +582,7 @@ def _advance_rows(
             states, row_hit, row_pick = _split_rows(
                 states, row_of, hits[site], picks[site]
             )
-            kicks += _inject_kicks(
+            _inject_kicks(
                 states, num_qubits, program.site_qubits[site], row_hit, row_pick
             )
     if program.restore is not None:
@@ -529,87 +590,59 @@ def _advance_rows(
     return states, row_of, kicks
 
 
-def advance_noisy_batch(
-    plan: TrajectoryPlan, batch: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, int]:
-    """Advance ``batch`` noisy trajectories of a plan from ``|0...0>``.
+def run_trajectory_group(
+    plan: TrajectoryPlan, batches: Sequence[SeededBatch]
+) -> List[TrajectoryResult]:
+    """Advance a group of seeded batches in lockstep and score each batch.
 
-    Returns the ``(batch, 2**num_qubits)`` array of final statevectors and
-    the total number of Pauli kicks injected.
+    Returns one :class:`TrajectoryResult` per batch, in order, each with its
+    own kick count.  Each batch's slice of ``row_of`` is gathered and scored
+    on its own, so a batch's result is the same bits in any group.
 
-    The kernel advances one row per *distinct* trajectory, not one per
-    trajectory.  Row 0 is shared by the trajectories no kick has hit yet; a
-    trajectory gets its own row, copied from row 0, at its first hit, and
-    ``row_of`` maps trajectories to rows.  One gather at the end expands the
-    rows into the per-trajectory array.  Each row takes exactly the
-    arithmetic its trajectory took when all ``batch`` trajectories advanced
-    as ``batch`` rows, so the states are bit-for-bit the same; that is also
-    why a batch of two or more keeps at least two rows (see
-    :func:`_advance_rows`).
-
-    All kick draws of the batch come from one ``rng.random((sites, 2,
-    batch))`` call: per (op, qubit) site in circuit order, ``batch`` hit
-    draws then ``batch`` Pauli-pick draws.  That is the generator's stream in
-    the order one ``rng.random(batch)`` per draw consumed it, and it does not
-    depend on which trajectories are hit, so the states depend only on the
-    seed and the batch size.  Only sites where some trajectory is hit are
-    visited.  Picks are clipped into the Pauli table so a cumulative-weight
-    array whose last entry sits a few ulp below 1.0 cannot silently drop
-    kicks.
-
-    Each fused op is applied in place (``apply_matrix_inplace``) on the
-    targets of the plan's program, then the op's hit sites are visited.  From
-    10 qubits the program relabels the register so dense ops run at long
-    strides (:func:`_relabel_positions`); one gather with the restore map
-    returns the rows to standard qubit order at the end.  This is the dense
-    noisy-evolution kernel: :func:`run_trajectory_batch` scores its states
-    against the ideal state, and :func:`noisy_trajectory_states` hands them
-    to callers that need the raw vectors (e.g. ``repro.primitives.Estimator``
-    expectation values).
+    Each call is one ``sim.batch`` kernel span, with the group's
+    ``batches`` and ``trajectories``; the ``sim.kernel_s`` histogram and the
+    ``sim.trajectories`` / ``sim.rows`` / ``sim.kicks`` / ``sim.batches``
+    counters accumulate the throughput story ``repro telemetry summarize``
+    reports.  ``sim.batches`` counts seeded batches, and ``sim.rows`` the
+    distinct rows within each batch's slice of ``row_of``: its hit
+    trajectories plus one if any stayed unhit.  Neither depends on the
+    grouping, so pooled counters equal serial ones.
     """
-    states, row_of, kicks = _advance_rows(plan, batch, rng)
-    return states.take(row_of, axis=0), kicks
-
-
-def run_trajectory_batch(
-    plan: TrajectoryPlan,
-    batch: int,
-    rng: np.random.Generator,
-) -> TrajectoryResult:
-    """Advance ``batch`` trajectories of a plan and score them.
-
-    The kick draws for every (op, qubit) site are consumed in circuit order
-    regardless of which trajectories are hit, so the generator's stream — and
-    therefore the result — depends only on its seed and the batch size.
-
-    Each call is one ``sim.batch`` kernel span;
-    the ``sim.kernel_s`` histogram and the ``sim.trajectories`` /
-    ``sim.rows`` / ``sim.kicks`` / ``sim.batches`` counters accumulate the
-    throughput story ``repro telemetry summarize`` reports.  ``sim.rows`` counts
-    the distinct statevectors each batch ended with (see
-    :func:`advance_noisy_batch`).
-    """
+    sizes = [size for size, _ in batches]
     start = time.perf_counter()
-    with telemetry.span("sim.batch", qubits=plan.num_qubits, batch=batch):
-        rows, row_of, kicks = _advance_rows(plan, batch, rng)
-        states = rows.take(row_of, axis=0)
+    with telemetry.span(
+        "sim.batch", qubits=plan.num_qubits, batches=len(sizes), trajectories=sum(sizes)
+    ):
+        rows, row_of, kicks = _advance_rows(plan, batches)
     telemetry.histogram("sim.kernel_s").observe(time.perf_counter() - start)
-    telemetry.counter("sim.batches").inc()
-    telemetry.counter("sim.trajectories").inc(batch)
-    telemetry.counter("sim.rows").inc(int(np.unique(row_of).size))
-    telemetry.counter("sim.kicks").inc(kicks)
 
     ideal_state = plan.ideal_state
-    fidelities = np.abs(states @ ideal_state.conj()) ** 2
     dominant = int(np.argmax(np.abs(ideal_state) ** 2))
-    success = np.abs(states[:, dominant]) ** 2
-    return TrajectoryResult(
-        num_qubits=plan.num_qubits,
-        fidelities=tuple(float(f) for f in fidelities),
-        success_probs=tuple(float(p) for p in success),
-        ideal_success=float(np.abs(ideal_state[dominant]) ** 2),
-        kicks=kicks,
-    )
+    ideal_success = float(np.abs(ideal_state[dominant]) ** 2)
+    results = []
+    bounds = np.cumsum([0] + sizes)
+    for lo, hi, batch_kicks in zip(bounds, bounds[1:], kicks):
+        batch_rows = row_of[lo:hi]
+        telemetry.counter("sim.rows").inc(int(np.unique(batch_rows).size))
+        # Gathered and scored per batch, at the batch's own row count, so
+        # the scores round as they do for the batch alone.
+        states = rows.take(batch_rows, axis=0)
+        fidelities = np.abs(states @ ideal_state.conj()) ** 2
+        success = np.abs(states[:, dominant]) ** 2
+        del states  # free it before the next batch's gather
+        results.append(
+            TrajectoryResult(
+                num_qubits=plan.num_qubits,
+                fidelities=tuple(float(f) for f in fidelities),
+                success_probs=tuple(float(p) for p in success),
+                ideal_success=ideal_success,
+                kicks=batch_kicks,
+            )
+        )
+    telemetry.counter("sim.batches").inc(len(sizes))
+    telemetry.counter("sim.trajectories").inc(sum(sizes))
+    telemetry.counter("sim.kicks").inc(sum(kicks))
+    return results
 
 
 def batch_sizes(num_trajectories: int, batch_size: int) -> List[int]:
@@ -622,13 +655,44 @@ def batch_sizes(num_trajectories: int, batch_size: int) -> List[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
+#: One seeded batch of a run: the shared plan, the batch size and its seed.
+BatchPayload = Tuple[TrajectoryPlan, int, np.random.SeedSequence]
+
+
+def lockstep_groups(
+    payloads: Sequence[BatchPayload],
+) -> List[Tuple[TrajectoryPlan, List[SeededBatch]]]:
+    """Split consecutive seeded batches of one plan into lockstep groups.
+
+    A batch joins the open group while the group's trajectories times
+    ``2**n`` stay within :data:`GROUP_AMPLITUDES`; otherwise it opens a new
+    one.  A batch of one trajectory always runs alone: numpy rounds a
+    one-row array differently from a taller one (see :func:`_advance_rows`),
+    and alone it runs on one row in every run, so its bits never depend on
+    its neighbours.  Each group is its plan and, per batch, the batch size
+    and a generator seeded from the batch's
+    :class:`~numpy.random.SeedSequence`.
+    """
+    groups: List[Tuple[TrajectoryPlan, List[SeededBatch]]] = []
+    room = 0  # trajectories the open group can still take
+    for plan, size, child in payloads:
+        batch = (size, np.random.default_rng(child))
+        if 1 < size <= room:
+            groups[-1][1].append(batch)
+            room -= size
+        else:
+            groups.append((plan, [batch]))
+            room = 0 if size == 1 else (GROUP_AMPLITUDES >> plan.num_qubits) - size
+    return groups
+
+
 def trajectory_batch_payloads(
     circuit: QuantumCircuit,
     noise: NoiseModel,
     num_trajectories: int,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> List[Tuple[TrajectoryPlan, int, np.random.SeedSequence]]:
+) -> List[BatchPayload]:
     """The seeded per-batch work items of one trajectory run.
 
     This is the single source of the fusion + seeding scheme:
@@ -664,10 +728,11 @@ def noisy_trajectory_states(
     Returns a dense ``(num_trajectories, 2**n)`` array; callers are expected
     to respect the statevector simulator's small-circuit limits.
     """
-    batches = [
-        advance_noisy_batch(plan, size, np.random.default_rng(child))[0]
-        for plan, size, child in trajectory_batch_payloads(
-            circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
-        )
-    ]
-    return np.concatenate(batches, axis=0)
+    payloads = trajectory_batch_payloads(
+        circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
+    )
+    groups = []
+    for plan, batches in lockstep_groups(payloads):
+        rows, row_of, _ = _advance_rows(plan, batches)
+        groups.append(rows.take(row_of, axis=0))
+    return np.concatenate(groups, axis=0)

@@ -17,6 +17,7 @@ from repro.circuits.library import (
     validate_gate,
 )
 from repro.circuits.simulator import (
+    apply_matrix,
     basis_state_index,
     circuit_unitary,
     dominant_bitstring,
@@ -136,6 +137,22 @@ class TestSimulator:
     def test_non_power_of_two_state_rejected(self):
         with pytest.raises(ValueError, match="power-of-two"):
             dominant_bitstring(np.full(3, np.sqrt(1 / 3)))
+
+    def test_apply_matrix_skips_zero_entries(self):
+        """Zero entries are skipped, not multiplied: an infinite amplitude
+        that only zero entries read stays out of the result, and each
+        matrix gets its own nonzero pattern, however often it was seen."""
+        state = np.array([1.0, np.inf], dtype=complex)
+        for _ in range(2):
+            keep0 = apply_matrix(state, np.diag([1.0, 0.0]), (0,), 1)
+            assert np.array_equal(keep0, [1.0, 0.0])
+            lower = np.array([[0.0, 0.0], [2.0, 0.0]])
+            assert np.array_equal(apply_matrix(state, lower, (0,), 1), [0.0, 2.0])
+        pair = np.array([1.0, 2.0, 3.0, np.inf], dtype=complex)
+        swap_low = np.zeros((4, 4))
+        swap_low[0, 1] = swap_low[1, 0] = swap_low[2, 2] = 1.0
+        out = apply_matrix(pair, swap_low, (0, 1), 2)
+        assert np.array_equal(out, [2.0, 1.0, 3.0, 0.0])
 
     def test_sample_counts_tally_matches_loop_reference(self):
         state = simulate(QuantumCircuit(3).h(0).h(1).cx(1, 2))

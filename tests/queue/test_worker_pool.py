@@ -26,7 +26,7 @@ from repro.queue.client import QueueClient, QueueServerError
 from repro.queue.model import build_job
 from repro.queue.scheduler import QueueService
 from repro.queue.store import QueueStore
-from repro.runtime.executor import WorkerDiedError, WorkerPool
+from repro.runtime.executor import BLAS_THREAD_VARS, WorkerDiedError, WorkerPool
 from repro.runtime.jobs import execute_compile_group, execute_spec, job_key
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.runtime.store import ResultStore, canonical_json
@@ -187,6 +187,14 @@ class TestWorkerPool:
         assert spans["job.execute"]["pid"] != os.getpid()
         assert spans["job.execute"]["parent_id"] == spans["sweep.group"]["span_id"]
         assert shipped["metrics"]["counters"]
+
+    def test_workers_pin_blas_threads_and_the_parent_keeps_its_environment(self):
+        before = dict(os.environ)
+        with WorkerPool(1) as pool:
+            futures = [pool.submit(os.getenv, name) for name in BLAS_THREAD_VARS]
+            seen = [future.result(timeout=60)["result"] for future in futures]
+        assert seen == ["1"] * len(BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
 
     def test_job_errors_propagate_unchanged(self):
         pool = WorkerPool(1)

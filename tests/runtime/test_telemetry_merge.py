@@ -150,8 +150,10 @@ class TestPooledTrajectoryTelemetry:
             run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=2)
         spans = telemetry.snapshot_spans()
         (run,) = [span for span in spans if span["name"] == "sim.run"]
-        batches = [span for span in spans if span["name"] == "sim.batch"]
-        assert len(batches) == 4
-        assert all(span["pid"] != os.getpid() for span in batches)
-        assert all(span["parent_id"] == run["span_id"] for span in batches)
+        groups = [span for span in spans if span["name"] == "sim.batch"]
+        # one span per lockstep group; its attributes count the batches
+        assert sum(span["attrs"]["batches"] for span in groups) == 4
+        assert sum(span["attrs"]["trajectories"] for span in groups) == 40
+        assert all(span["pid"] != os.getpid() for span in groups)
+        assert all(span["parent_id"] == run["span_id"] for span in groups)
         assert telemetry.counter("sim.trajectories").value == 40

@@ -6,8 +6,11 @@ run simulates the physical circuit ``compile_spec`` emits, under the
 backend's noise model at ``noise_seed`` 0, with 100 trajectories in batches
 of 25 at seed 0 — the fidelity columns of a default ``--fidelity`` sweep
 job.  The cases cover perfbench's ``noisy_fidelity`` jobs (8 q, below the
-10-qubit relabel threshold) and 12-16 q registers that run relabeled.  One
-more entry pins the raw vectors :func:`noisy_trajectory_states` returns.
+10-qubit relabel threshold) and 12-16 q registers that run relabeled.  Two
+runs with other trajectory counts cover how batches are grouped: one ends in
+a batch of a single trajectory, and one 12-q run spans several lockstep
+groups, the last of them uneven.  One more entry pins the raw vectors
+:func:`noisy_trajectory_states` returns.
 
 To regenerate after an intentional change of the trajectory bits::
 
@@ -40,6 +43,11 @@ RUN_CASES = (
     + [("bv", "digiq-heavy-hex", 12), ("bv", "digiq-opt8", 16)]
 )
 
+#: (benchmark, backend, logical qubits, trajectories) of runs that are not
+#: 100 trajectories: 51 = 25 + 25 + 1 on 9 physical qubits, and 130 = 5 x 25
+#: + 5 on 12, which the lockstep budget splits into groups of two batches.
+SIZED_RUN_CASES = (("bv", "digiq-opt8", 8, 51), ("ising", "digiq-opt8", 12, 130))
+
 #: (benchmark, backend, logical qubits, trajectories, seed) of the states entry.
 STATES_CASE = ("qgan", "digiq-opt8", 12, 30, 1)
 
@@ -54,10 +62,10 @@ def physical_job(name, backend, num_qubits):
     return physical, noise
 
 
-def run_digest(name, backend, num_qubits):
+def run_digest(name, backend, num_qubits, trajectories=100):
     result = run_trajectories(
         *physical_job(name, backend, num_qubits),
-        num_trajectories=100, seed=0, batch_size=25,
+        num_trajectories=trajectories, seed=0, batch_size=25,
     )
     digest = hashlib.sha256()
     digest.update(np.asarray(result.fidelities, dtype=np.float64).tobytes())
@@ -78,6 +86,9 @@ def current_digests():
         f"run/{name}@{qubits}q/{backend}": run_digest(name, backend, qubits)
         for name, backend, qubits in RUN_CASES
     }
+    for name, backend, qubits, trajectories in SIZED_RUN_CASES:
+        key = f"run/{name}@{qubits}q/{backend}/t{trajectories}"
+        digests[key] = run_digest(name, backend, qubits, trajectories)
     name, backend, qubits, trajectories, seed = STATES_CASE
     key = f"states/{name}@{qubits}q/{backend}/t{trajectories}/s{seed}"
     digests[key] = states_digest(*STATES_CASE)

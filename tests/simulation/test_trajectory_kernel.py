@@ -1,6 +1,6 @@
 """Tests of the trajectory kernel and its building blocks: the in-place
-gate kernels, the fused Pauli-kick injection, and the kernel's exact
-agreement with op-by-op application."""
+gate kernels, the fused Pauli-kick injection, the kernel's exact
+agreement with op-by-op application, and lockstep groups of batches."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,16 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.simulator import apply_matrix, apply_matrix_inplace
 from repro.runtime.jobs import compile_spec
 from repro.runtime.spec import ExperimentSpec
-from repro.simulation import NoiseModel
+from repro.simulation import NoiseModel, run_trajectories
+from repro.simulation import trajectories
 from repro.simulation.trajectories import (
     _PAULIS,
     _advance_rows,
     _inject_kicks,
-    advance_noisy_batch,
     build_trajectory_plan,
+    lockstep_groups,
+    run_trajectory_group,
+    trajectory_batch_payloads,
 )
 
 GATES_1Q = [("h", 0), ("x", 0), ("y", 0), ("z", 0), ("s", 0), ("sdg", 0),
@@ -36,6 +39,12 @@ def random_circuit(rng, num_qubits, depth):
         params = tuple(float(rng.uniform(-np.pi, np.pi)) for _ in range(num_params))
         circuit.add(name, qubits, params)
     return circuit
+
+
+def advance_one_batch(plan, batch, rng):
+    """One batch advanced as a group of its own, one row per trajectory."""
+    rows, row_of, (kicks,) = _advance_rows(plan, [(batch, rng)])
+    return rows.take(row_of, axis=0), kicks
 
 
 def reference_advance(ops, num_qubits, batch, rng, cumweights, inplace):
@@ -144,7 +153,7 @@ class TestProgramKernel:
             seed = int(master.integers(2**31))
             batch = int(master.integers(1, 9))
             rng_a = np.random.default_rng(seed)
-            got, kicks_got = advance_noisy_batch(plan, batch, rng_a)
+            got, kicks_got = advance_one_batch(plan, batch, rng_a)
             rng_b = np.random.default_rng(seed)
             want, kicks_want = reference_advance(
                 plan.ops, n, batch, rng_b, plan.kick_cumweights, inplace=True
@@ -161,7 +170,7 @@ class TestProgramKernel:
             n = int(master.integers(2, 7))
             plan = self.make_plan(master, n, int(master.integers(5, 30)))
             seed = int(master.integers(2**31))
-            got, kicks_got = advance_noisy_batch(plan, 5, np.random.default_rng(seed))
+            got, kicks_got = advance_one_batch(plan, 5, np.random.default_rng(seed))
             want, kicks_want = reference_advance(
                 plan.ops, n, 5, np.random.default_rng(seed), plan.kick_cumweights,
                 inplace=False,
@@ -172,7 +181,7 @@ class TestProgramKernel:
     def test_states_are_normalised(self):
         master = np.random.default_rng(5)
         plan = self.make_plan(master, 4, 20)
-        states, _ = advance_noisy_batch(plan, 8, np.random.default_rng(1))
+        states, _ = advance_one_batch(plan, 8, np.random.default_rng(1))
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-9)
 
     def test_kick_stream_independent_of_hits(self):
@@ -183,9 +192,9 @@ class TestProgramKernel:
         quiet = build_trajectory_plan(circuit, NoiseModel.uniform(3, 1e-12, 1e-12))
         loud = build_trajectory_plan(circuit, NoiseModel.uniform(3, 0.4, 0.4))
         rng_a = np.random.default_rng(2)
-        advance_noisy_batch(quiet, 4, rng_a)
+        advance_one_batch(quiet, 4, rng_a)
         rng_b = np.random.default_rng(2)
-        advance_noisy_batch(loud, 4, rng_b)
+        advance_one_batch(loud, 4, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -237,7 +246,7 @@ def assert_matches_reference(plan, batch, seed=11):
     before rows were shared).  Returns the rows and ``row_of``."""
     n, cumweights = plan.num_qubits, plan.kick_cumweights
     rng = np.random.default_rng(seed)
-    rows, row_of, kicks = _advance_rows(plan, batch, rng)
+    rows, row_of, (kicks,) = _advance_rows(plan, [(batch, rng)])
     got = rows.take(row_of, axis=0)
     rng_lockstep = np.random.default_rng(seed)
     lockstep, kicks_lockstep = lockstep_program_advance(plan, batch, rng_lockstep)
@@ -308,6 +317,89 @@ class TestCompiledCircuitOracle:
         assert plan.num_qubits == 16
         for batch in (1, 7):
             assert_matches_reference(plan, batch)
+
+
+def seeded(sizes, seed):
+    """``(size, generator)`` per batch, seeded as a run seeds its batches."""
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [(size, np.random.default_rng(child)) for size, child in zip(sizes, children)]
+
+
+def group_sizes(num_qubits, num_trajectories, batch_size=25):
+    """Batch sizes of each lockstep group of a run on ``num_qubits``."""
+    circuit = QuantumCircuit(num_qubits)
+    circuit.add("h", [0])
+    payloads = trajectory_batch_payloads(
+        circuit, NoiseModel.uniform(num_qubits, 0.01, 0.01), num_trajectories,
+        batch_size=batch_size,
+    )
+    return [[size for size, _ in batches] for _, batches in lockstep_groups(payloads)]
+
+
+class TestLockstepGroups:
+    def test_group_matches_groups_of_one_exactly(self):
+        """Advancing k batches in one set of rows gives each batch the same
+        states, kicks, scores and generator end state as k groups of one."""
+        master = np.random.default_rng(20261019)
+        for _ in range(24):
+            n = int(master.integers(1, 12))
+            circuit = random_circuit(master, n, int(master.integers(3, 40)))
+            plan = build_trajectory_plan(circuit, NoiseModel.uniform(n, 0.06, 0.12))
+            sizes = [int(master.integers(2, 9)) for _ in range(int(master.integers(2, 5)))]
+            seed = int(master.integers(2**31))
+
+            grouped = seeded(sizes, seed)
+            rows, row_of, kicks = _advance_rows(plan, grouped)
+            alone = seeded(sizes, seed)
+            bounds = np.cumsum([0] + sizes)
+            for lo, hi, batch, got_kicks in zip(bounds, bounds[1:], alone, kicks):
+                want, want_kicks = advance_one_batch(plan, *batch)
+                got = rows.take(row_of[lo:hi], axis=0)
+                # Equal values; a zero's sign may differ (see _advance_rows).
+                assert np.array_equal(got, want)
+                assert got_kicks == want_kicks
+            for (_, rng_a), (_, rng_b) in zip(grouped, alone):
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+            got = run_trajectory_group(plan, seeded(sizes, seed))
+            want = [
+                result
+                for batch in seeded(sizes, seed)
+                for result in run_trajectory_group(plan, [batch])
+            ]
+            assert [r.kicks for r in got] == [r.kicks for r in want]
+            for a, b in zip(got, want):
+                assert np.array(a.fidelities).tobytes() == np.array(b.fidelities).tobytes()
+                assert (
+                    np.array(a.success_probs).tobytes()
+                    == np.array(b.success_probs).tobytes()
+                )
+
+    def test_groups_follow_the_amplitude_budget(self):
+        assert group_sizes(9, 100) == [[25, 25, 25, 25]]
+        assert group_sizes(12, 130) == [[25, 25], [25, 25], [25, 5]]
+        assert group_sizes(16, 100) == [[25]] * 4
+
+    def test_batch_of_one_runs_alone(self):
+        assert group_sizes(9, 51) == [[25, 25], [1]]
+        assert group_sizes(9, 3, batch_size=1) == [[1], [1], [1]]
+
+    def test_sixteen_qubit_run_holds_one_batch_of_rows(self, monkeypatch):
+        held = []
+
+        def recording(plan, batches):
+            rows, row_of, kicks = _advance_rows(plan, batches)
+            held.append((len(batches), rows.shape[0]))
+            return rows, row_of, kicks
+
+        monkeypatch.setattr(trajectories, "_advance_rows", recording)
+        circuit = random_circuit(np.random.default_rng(4), 16, 30)
+        result = run_trajectories(
+            circuit, NoiseModel.uniform(16, 0.05, 0.1), 100, seed=2, batch_size=25
+        )
+        assert result.num_trajectories == 100
+        assert [batches for batches, _ in held] == [1, 1, 1, 1]
+        assert all(rows <= 25 for _, rows in held)
 
 
 class TestKickWeights:
