@@ -76,24 +76,8 @@ class CircuitBuilder:
         self._gates.extend(gates)
 
     def checkpoint(self) -> int:
-        """Mark the current position in the gate list (for later uncomputation)."""
+        """Mark the current position in the gate list."""
         return len(self._gates)
-
-    def uncompute_since(self, checkpoint: int) -> None:
-        """Append the inverse of every gate recorded since ``checkpoint``.
-
-        All gates used by the arithmetic circuits (X, CX, CCX, H, Z, CZ) are
-        self-inverse, so uncomputation is simply the reversed gate list.
-        """
-        if not 0 <= checkpoint <= len(self._gates):
-            raise ValueError("invalid checkpoint")
-        segment = self._gates[checkpoint:]
-        for gate in reversed(segment):
-            if gate.name not in {"x", "h", "z", "cx", "cz", "ccx", "ccz", "swap"}:
-                raise ValueError(
-                    f"cannot uncompute non-self-inverse gate '{gate.name}' by reversal"
-                )
-            self._gates.append(gate)
 
     # -- finalisation -------------------------------------------------------------
 

@@ -247,13 +247,6 @@ class QuantumCircuit:
         """Number of two-qubit gates."""
         return sum(1 for gate in self._gates if len(gate.qubits) == 2)
 
-    def used_qubits(self) -> Tuple[int, ...]:
-        """Sorted tuple of qubits touched by at least one gate."""
-        used = set()
-        for gate in self._gates:
-            used.update(gate.qubits)
-        return tuple(sorted(used))
-
     def depth(self) -> int:
         """Circuit depth (length of the longest qubit-dependency chain)."""
         frontier = [0] * self.num_qubits

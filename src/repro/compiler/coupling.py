@@ -204,23 +204,6 @@ class CouplingMap:
         """Number of couplers."""
         return len(self.couplers())
 
-    def coupler_neighbors(self, coupler: Tuple[int, int]) -> List[Tuple[int, int]]:
-        """Couplers that share a qubit with the given coupler.
-
-        The crosstalk-aware scheduler (:mod:`repro.compiler.scheduling`)
-        does not use this: its conflict rule is wider, and also counts a
-        coupler with a qubit that is directly coupled to one of the given
-        coupler's qubits.
-        """
-        a, b = coupler
-        adjacent = []
-        for qubit in (a, b):
-            for neighbor in self.neighbors(qubit):
-                other = tuple(sorted((qubit, neighbor)))
-                if other != tuple(sorted(coupler)):
-                    adjacent.append(other)
-        return adjacent
-
     # -- layout support -----------------------------------------------------------
 
     def layout_order(self) -> List[int]:

@@ -16,14 +16,12 @@ from .engine import run_trajectories
 from .trajectories import (
     DEFAULT_BATCH_SIZE,
     MAX_DENSE_QUBITS,
-    FusedOp,
+    FusedCircuit,
     TrajectoryPlan,
     TrajectoryResult,
-    apply_fused_ops,
     batch_sizes,
     build_trajectory_plan,
     fuse_circuit,
-    ideal_final_state,
     noisy_trajectory_states,
     run_trajectory_group,
     trajectory_batch_payloads,
@@ -33,16 +31,14 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_CZ_ERROR",
     "DEFAULT_SINGLE_QUBIT_ERROR",
-    "FusedOp",
+    "FusedCircuit",
     "MAX_DENSE_QUBITS",
     "NoiseModel",
     "TrajectoryPlan",
     "TrajectoryResult",
-    "apply_fused_ops",
     "batch_sizes",
     "build_trajectory_plan",
     "fuse_circuit",
-    "ideal_final_state",
     "noisy_trajectory_states",
     "run_trajectories",
     "run_trajectory_group",

@@ -1,8 +1,10 @@
 """Trajectory dispatch: in-process, or batches on the shared worker pool.
 
 :func:`run_trajectories` is the front door of the simulation subsystem: it
-builds one :class:`~repro.simulation.trajectories.TrajectoryPlan` (fusing the
-circuit once), derives one child seed per trajectory batch from a single
+builds one :class:`~repro.simulation.trajectories.TrajectoryPlan` (its
+noise-free half, the fused circuit and ideal state, comes from a memo shared
+by every noise model the circuit runs under; only the kick probabilities
+are new), derives one child seed per trajectory batch from a single
 :class:`numpy.random.SeedSequence`, and runs the batches either in-process or
 on a :class:`repro.runtime.executor.WorkerPool` — the process pool sweeps and
 the daemon use too.  A batch is the seeding unit; the lockstep unit is the
@@ -17,7 +19,7 @@ under the run's ``sim.run`` span.
 
 A pooled run splits its batches into one contiguous chunk per worker and
 submits each chunk as one task.  The chunk's batches share one plan object,
-which pickles once per chunk and carries its trajectory program; each worker
+which pickles once per chunk with both halves; each worker
 therefore unpickles the plan once per run rather than once per batch, and
 builds nothing itself.
 """

@@ -5,7 +5,11 @@ evaluation ultimately cares about — instead of per-gate errors:
 
 1. the circuit is *fused*: runs of adjacent single-qubit gates on one qubit
    collapse into a single 2x2 matrix (their kick probabilities combine), so
-   the hot loop applies far fewer matrices than the raw gate count;
+   the hot loop applies far fewer matrices than the raw gate count.  The
+   fused circuit, its relabeling (see 2.) and its noiseless final state
+   depend on the gate stream alone: a bounded memo (:func:`_fused`) builds
+   them once per circuit, and a :class:`TrajectoryPlan` adds only the kick
+   probabilities of its noise model;
 2. each fused op is applied in place to the rows of a group (see 3.), one
    op at a time.  From 10 qubits the register is relabeled so the qubits
    dense ops touch most sit at long strides; one gather per group restores
@@ -46,6 +50,7 @@ and across worker processes, however the batches are grouped.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
@@ -84,103 +89,72 @@ GROUP_AMPLITUDES = 1 << 18
 #: trajectory.
 MAX_DENSE_QUBITS = 24
 
-#: Pauli kick operators, indexed by the noise model's (X, Y, Z) weights.
-#: The kick kernel itself uses fused coefficient arithmetic instead of these
-#: matrices; they remain the definition the tests pin the kernel against.
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.diag([1.0, -1.0]).astype(complex),
-)
-
 
 @dataclass(frozen=True)
-class FusedOp:
-    """One fused operation: a matrix, its target qubits, and kick probabilities.
+class FusedCircuit:
+    """The noise-free half of a trajectory plan: one circuit, fused; read-only.
 
-    ``kick_probs[i]`` is the probability that ``qubits[i]`` receives a Pauli
-    kick immediately after this op; fusing ``m`` noisy single-qubit gates
-    combines their kick probabilities as ``1 - prod(1 - p_i)`` so fusion never
-    changes the injected noise, only the number of matrix applications.
+    Op ``i`` applies ``matrices[i]`` to ``qubits[i]`` (``targets[i]`` on the
+    register :func:`_relabel_positions` relabels; ``restore`` gathers a row
+    back, ``None`` without relabeling).  A fused single-qubit run's
+    ``noisy[i]`` flags, per gate in order, whether it kicks (every gate but
+    ``rz``, a virtual Z); a multi-qubit gate's is ``()``.
     """
 
-    matrix: np.ndarray
-    qubits: Tuple[int, ...]
-    kick_probs: Tuple[float, ...]
+    num_qubits: int
+    matrices: Tuple[np.ndarray, ...]
+    qubits: Tuple[Tuple[int, ...], ...]
+    noisy: Tuple[Tuple[bool, ...], ...]
+    targets: Tuple[Tuple[int, ...], ...]
+    restore: Optional[np.ndarray]
+    ideal_state: np.ndarray
 
 
-def _combine_probs(prob_a: float, prob_b: float) -> float:
-    """Probability of at least one kick from two independent kick sources."""
-    return 1.0 - (1.0 - prob_a) * (1.0 - prob_b)
-
-
-def fuse_circuit(circuit: QuantumCircuit, noise: Optional[NoiseModel] = None) -> List[FusedOp]:
-    """Fuse runs of adjacent single-qubit gates into single :class:`FusedOp` s.
+def fuse_circuit(circuit: QuantumCircuit) -> FusedCircuit:
+    """Fuse a circuit's single-qubit runs, relabel it and run it noiselessly.
 
     Single-qubit gates are deferred and matrix-multiplied per qubit until a
     multi-qubit gate touches that qubit (1q ops on disjoint qubits commute,
-    so deferral preserves semantics).  When ``noise`` is given, each fused op
-    carries the combined kick probability of its constituent gates: ``rz``
-    gates are error-free (virtual Z delays), other single-qubit
-    gates use the qubit's rate, and multi-qubit gates split their coupler
-    rate evenly over the involved qubits.
+    so deferral preserves semantics).  Always builds; :func:`_fused` memoizes.
     """
-    pending: Dict[int, Tuple[np.ndarray, float]] = {}
-    ops: List[FusedOp] = []
+    pending: Dict[int, Tuple[np.ndarray, Tuple[bool, ...]]] = {}
+    ops: List[Tuple[np.ndarray, Tuple[int, ...], Tuple[bool, ...]]] = []
 
     def flush(qubit: int) -> None:
         entry = pending.pop(qubit, None)
         if entry is not None:
-            matrix, prob = entry
-            ops.append(FusedOp(matrix, (qubit,), (prob,)))
+            ops.append((entry[0], (qubit,), entry[1]))
 
     for gate in circuit:
         if gate.is_single_qubit:
             qubit = gate.qubits[0]
-            rate = 0.0
-            if noise is not None and gate.name != "rz":
-                rate = noise.single_qubit_rate(qubit)
-            matrix = gate_matrix(gate)
+            matrix, noisy = gate_matrix(gate), gate.name != "rz"
             if qubit in pending:
-                prev_matrix, prev_prob = pending[qubit]
-                pending[qubit] = (matrix @ prev_matrix, _combine_probs(prev_prob, rate))
+                prev_matrix, prev_noisy = pending[qubit]
+                pending[qubit] = (matrix @ prev_matrix, prev_noisy + (noisy,))
             else:
-                pending[qubit] = (matrix, rate)
+                pending[qubit] = (matrix, (noisy,))
             continue
         for qubit in gate.qubits:
             flush(qubit)
-        kick_probs = (0.0,) * gate.num_qubits
-        if noise is not None:
-            if gate.is_two_qubit:
-                rate = noise.coupler_rate(*gate.qubits)
-            else:
-                # Multi-qubit gates beyond CZ only occur pre-compilation;
-                # charge the default coupler rate.
-                rate = noise.default_coupler_rate
-            # Split the gate error over its qubits so the no-kick probability
-            # of the whole gate is exactly 1 - rate.
-            per_qubit = 1.0 - (1.0 - min(rate, 1.0)) ** (1.0 / gate.num_qubits)
-            kick_probs = (per_qubit,) * gate.num_qubits
-        ops.append(FusedOp(gate_matrix(gate), gate.qubits, kick_probs))
-
+        ops.append((gate_matrix(gate), gate.qubits, ()))
     for qubit in sorted(pending):
         flush(qubit)
-    return ops
 
-
-def apply_fused_ops(
-    state: np.ndarray, ops: Sequence[FusedOp], num_qubits: int
-) -> np.ndarray:
-    """Apply fused ops to a (batched) statevector, without noise."""
-    for op in ops:
-        state = apply_matrix(state, op.matrix, op.qubits, num_qubits)
-    return state
-
-
-def ideal_final_state(circuit: QuantumCircuit) -> np.ndarray:
-    """Noiseless final state of a circuit via the fused-op fast path."""
-    ops = fuse_circuit(circuit)
-    return apply_fused_ops(zero_state(circuit.num_qubits), ops, circuit.num_qubits)
+    num_qubits = circuit.num_qubits
+    matrices, qubits, noisy = tuple(zip(*ops)) or ((), (), ())
+    ideal = zero_state(num_qubits)
+    for matrix, op_qubits in zip(matrices, qubits):
+        matrix.setflags(write=False)
+        ideal = apply_matrix(ideal, matrix, op_qubits, num_qubits)
+    positions = _relabel_positions(matrices, qubits, num_qubits)
+    targets, restore = qubits, None
+    if positions is not None:
+        targets = tuple(tuple(int(positions[q]) for q in op) for op in qubits)
+        restore = _restore_map(positions, num_qubits)
+        restore.setflags(write=False)
+    ideal.setflags(write=False)
+    return FusedCircuit(num_qubits, matrices, qubits, noisy, targets, restore, ideal)
 
 
 #: Coefficients a gate can carry and still count as moving amplitudes
@@ -188,14 +162,14 @@ def ideal_final_state(circuit: QuantumCircuit) -> np.ndarray:
 _UNITS = (1.0, 1j, -1.0, -1j)
 
 
-def _moves_exactly(op: FusedOp) -> bool:
-    """Whether ``op`` is a diagonal or permutation with unit-of-``i`` entries.
+def _moves_exactly(matrix: np.ndarray) -> bool:
+    """Whether a fused op's matrix is a diagonal or permutation with unit-of-``i`` entries.
 
     These are x/y/z, cx/cz/swap, ccx/ccz, and rz/p/cp at multiples of a half
     turn.  Every other op (fused single-qubit runs, arbitrary rotations)
     counts as dense for :func:`_relabel_positions`.
     """
-    matrix = np.asarray(op.matrix, dtype=complex)
+    matrix = np.asarray(matrix, dtype=complex)
     strategy = _matrix_strategy(matrix.tobytes(), matrix.shape[0])
     if strategy[0] == "diag":
         coeffs = strategy[1]
@@ -206,7 +180,9 @@ def _moves_exactly(op: FusedOp) -> bool:
     return all(coeff in _UNITS for coeff in coeffs)
 
 
-def _relabel_positions(ops: Sequence[FusedOp], num_qubits: int) -> Optional[np.ndarray]:
+def _relabel_positions(
+    matrices: Sequence[np.ndarray], qubits: Sequence[Tuple[int, ...]], num_qubits: int
+) -> Optional[np.ndarray]:
     """Physical position of each logical qubit, or ``None`` for identity.
 
     Dense ops on low qubit indices are pathological for the in-place kernel
@@ -218,9 +194,9 @@ def _relabel_positions(ops: Sequence[FusedOp], num_qubits: int) -> Optional[np.n
     if num_qubits < 10:
         return None
     counts: Dict[int, int] = {}
-    for op in ops:
-        if not _moves_exactly(op):
-            for qubit in op.qubits:
+    for matrix, op_qubits in zip(matrices, qubits):
+        if not _moves_exactly(matrix):
+            for qubit in op_qubits:
                 counts[qubit] = counts.get(qubit, 0) + 1
     if not counts:
         return None
@@ -244,77 +220,97 @@ def _restore_map(positions: np.ndarray, num_qubits: int) -> np.ndarray:
     return restore
 
 
-@dataclass(frozen=True)
-class _Program:
-    """How a group runs one plan's fused ops on the relabeled register.
+#: Bounds of :func:`_fused`'s memo: entries, and amplitudes of their ideal
+#: states together (4 MiB, plus 2 MiB of restore maps).  A circuit wider
+#: than 18 qubits is never kept: its trajectories dwarf its noiseless pass.
+FUSED_MEMO_SIZE = 8
+FUSED_MEMO_AMPLITUDES = 1 << 18
 
-    Op ``i`` applies to qubits ``targets[i]``.  Its kick sites, flattened in
-    circuit order, form the site table: site ``k`` kicks qubit
-    ``site_qubits[k]`` with probability ``site_probs[k]``, and
-    ``site_stops[i]`` is one past op ``i``'s last site.  ``restore`` gathers
-    a finished row back into standard qubit order (``None`` when the
-    register is not relabeled).
+_FUSED: Dict[tuple, FusedCircuit] = {}
+_FUSED_LOCK = threading.Lock()
+
+
+def _fused(circuit: QuantumCircuit) -> Tuple[FusedCircuit, str]:
+    """The circuit's :class:`FusedCircuit` from a bounded LRU memo, and ``"hit"`` or ``"miss"``.
+
+    Bumps ``sim.plan.memo.hit`` or ``.miss``.  The key (the width and the
+    exact ``(name, qubits, params)`` stream) is as strict as
+    :func:`~repro.circuits.library.gate_matrix`'s memo; ``circuit_fingerprint``
+    rounds params.  Two racing misses may both build; either serves.
     """
+    key = (circuit.num_qubits, tuple((g.name, g.qubits, g.params) for g in circuit))
+    with _FUSED_LOCK:
+        fused = _FUSED.pop(key, None)
+    memo = "miss" if fused is None else "hit"
+    telemetry.counter(f"sim.plan.memo.{memo}").inc()
+    if fused is None:
+        fused = fuse_circuit(circuit)
+    with _FUSED_LOCK:
+        if (1 << fused.num_qubits) <= FUSED_MEMO_AMPLITUDES:
+            _FUSED[key] = fused
+        while len(_FUSED) > FUSED_MEMO_SIZE or (
+            sum(1 << entry.num_qubits for entry in _FUSED.values()) > FUSED_MEMO_AMPLITUDES
+        ):
+            del _FUSED[next(iter(_FUSED))]
+    return fused, memo
 
-    targets: Tuple[Tuple[int, ...], ...]
-    site_probs: np.ndarray
-    site_qubits: Tuple[int, ...]
-    site_stops: Tuple[int, ...]
-    restore: Optional[np.ndarray]
 
+def _kick_probs(
+    qubits: Tuple[int, ...], noisy: Tuple[bool, ...], noise: NoiseModel
+) -> Tuple[float, ...]:
+    """Kick probability of each qubit of one fused op, right after the op.
 
-def _build_program(ops: Sequence[FusedOp], num_qubits: int) -> _Program:
-    """Relabel a fused-op list's qubits and flatten its kick sites."""
-    positions = _relabel_positions(ops, num_qubits)
-
-    def phys(qubit: int) -> int:
-        return int(positions[qubit]) if positions is not None else int(qubit)
-
-    site_probs: List[float] = []
-    site_qubits: List[int] = []
-    site_stops: List[int] = []
-    for op in ops:
-        for qubit, prob in zip(op.qubits, op.kick_probs):
-            if prob > 0:
-                site_qubits.append(phys(qubit))
-                site_probs.append(float(prob))
-        site_stops.append(len(site_probs))
-    return _Program(
-        targets=tuple(tuple(phys(qubit) for qubit in op.qubits) for op in ops),
-        site_probs=np.asarray(site_probs, dtype=float),
-        site_qubits=tuple(site_qubits),
-        site_stops=tuple(site_stops),
-        restore=None if positions is None else _restore_map(positions, num_qubits),
-    )
+    A fused single-qubit run combines its gates' probabilities in order as
+    ``1 - prod(1 - p_i)``, so fusion never changes the injected noise.  A
+    multi-qubit gate splits its coupler rate evenly over its qubits, so the
+    whole gate's no-kick probability is exactly ``1 - rate``.
+    """
+    if len(qubits) == 1:
+        rate = noise.single_qubit_rate(qubits[0])
+        prob = None
+        for gate_noisy in noisy:
+            gate_rate = rate if gate_noisy else 0.0
+            prob = gate_rate if prob is None else 1.0 - (1.0 - prob) * (1.0 - gate_rate)
+        return (prob,)
+    # Gates on 3+ qubits only occur pre-compilation: charge the default rate.
+    rate = noise.coupler_rate(*qubits) if len(qubits) == 2 else noise.default_coupler_rate
+    per_qubit = 1.0 - (1.0 - min(rate, 1.0)) ** (1.0 / len(qubits))
+    return (per_qubit,) * len(qubits)
 
 
 @dataclass(frozen=True)
 class TrajectoryPlan:
-    """Everything one trajectory batch needs, fused and precomputed once.
+    """Everything a group of trajectory batches needs, precomputed.
 
-    A plan is built once per (circuit, noise) pair by
-    :func:`build_trajectory_plan` and shared by every batch of the run —
-    serially, across pool workers (pickled once per worker's chunk of
-    batches, see :mod:`repro.simulation.engine`), and across repeats.  It
-    carries its ``program`` (relabeled targets, site table, restore map), so
-    no group and no worker rebuilds anything.  Groups advance dense
-    ``2**n`` rows and score each batch's trajectories against
-    ``ideal_state``.
+    ``fused`` is the circuit half, built once per gate stream and shared
+    across the noise models a circuit runs under.  The rest is the noise
+    half, built per plan: op ``i``'s per-qubit ``kick_probs[i]``, and the
+    site table of the nonzero ones in circuit order: site ``k`` kicks
+    register position ``site_qubits[k]`` with probability ``site_probs[k]``,
+    and ``site_stops[i]`` is one past op ``i``'s last site.  Every batch of
+    a run shares its plan, serially and across pool workers (pickled once
+    per chunk, see :mod:`repro.simulation.engine`); no worker builds anything.
     """
 
     #: The kernel every plan runs; telemetry spans and tracers record it.
     mode: ClassVar[str] = "statevector"
 
-    num_qubits: int
-    ops: Tuple[FusedOp, ...]
+    fused: FusedCircuit
+    kick_probs: Tuple[Tuple[float, ...], ...]
+    site_probs: np.ndarray
+    site_qubits: Tuple[int, ...]
+    site_stops: Tuple[int, ...]
     kick_cumweights: np.ndarray
-    ideal_state: np.ndarray
-    program: _Program
+
+    @property
+    def num_qubits(self) -> int:
+        return self.fused.num_qubits
 
 
 def build_trajectory_plan(circuit: QuantumCircuit, noise: NoiseModel) -> TrajectoryPlan:
-    """Fuse a circuit against a noise model; precompute its program and ideal state.
+    """A circuit's shared fused half plus a noise half; one ``sim.plan`` span.
 
+    The span's ``memo`` attribute is ``hit`` or ``miss`` (see :func:`_fused`).
     Raises ``ValueError`` when the noise model does not cover the circuit's
     register, or when the register is wider than :data:`MAX_DENSE_QUBITS`
     (checked before any ``2**n`` array is allocated).
@@ -329,14 +325,30 @@ def build_trajectory_plan(circuit: QuantumCircuit, noise: NoiseModel) -> Traject
             f"noise model covers {noise.num_qubits} qubits but the circuit "
             f"has {circuit.num_qubits}"
         )
-    ops = tuple(fuse_circuit(circuit, noise))
-    ideal = apply_fused_ops(zero_state(circuit.num_qubits), ops, circuit.num_qubits)
+    with telemetry.span("sim.plan", qubits=circuit.num_qubits) as plan_span:
+        fused, memo = _fused(circuit)
+        if plan_span is not None:
+            plan_span.attrs["memo"] = memo
+        kick_probs = tuple(
+            _kick_probs(qubits, noisy, noise)
+            for qubits, noisy in zip(fused.qubits, fused.noisy)
+        )
+        site_probs: List[float] = []
+        site_qubits: List[int] = []
+        site_stops: List[int] = []
+        for probs, targets in zip(kick_probs, fused.targets):
+            for target, prob in zip(targets, probs):
+                if prob > 0:
+                    site_qubits.append(target)
+                    site_probs.append(float(prob))
+            site_stops.append(len(site_probs))
     return TrajectoryPlan(
-        num_qubits=circuit.num_qubits,
-        ops=ops,
+        fused=fused,
+        kick_probs=kick_probs,
+        site_probs=np.asarray(site_probs, dtype=float),
+        site_qubits=tuple(site_qubits),
+        site_stops=tuple(site_stops),
         kick_cumweights=noise.kick_cumulative_weights(),
-        ideal_state=ideal,
-        program=_build_program(ops, circuit.num_qubits),
     )
 
 
@@ -541,20 +553,20 @@ def _advance_rows(
     clipped into the Pauli table so a cumulative-weight array whose last
     entry sits a few ulp below 1.0 cannot silently drop kicks.
 
-    Each fused op is applied in place (``apply_matrix_inplace``) on the
-    targets of the plan's program, then the op's hit sites are visited.
-    From 10 qubits the program relabels the register so dense ops run at
+    Each fused op is applied in place (``apply_matrix_inplace``) on its
+    relabeled targets, then the op's hit sites are visited.  From 10
+    qubits the fused circuit relabels the register so dense ops run at
     long strides (:func:`_relabel_positions`); one gather with the restore
     map returns the rows to standard qubit order at the end.
     """
     if not batches or min(size for size, _ in batches) < 1:
         raise ValueError("batch must be >= 1")
-    num_qubits, program = plan.num_qubits, plan.program
-    sites = len(program.site_qubits)
+    num_qubits, fused = plan.num_qubits, plan.fused
+    sites = len(plan.site_qubits)
     hit_parts, pick_parts, kicks = [], [], []
     for size, rng in batches:
         draws = rng.random((sites, 2, size))
-        hit = draws[:, 0, :] < program.site_probs[:, None]
+        hit = draws[:, 0, :] < plan.site_probs[:, None]
         pick = np.minimum(np.searchsorted(plan.kick_cumweights, draws[:, 1, :]), 2)
         hit_parts.append(hit)
         pick_parts.append(pick.astype(np.int8))
@@ -574,8 +586,8 @@ def _advance_rows(
     states[:, 0] = 1.0
     row_of = np.zeros(trajectories, dtype=np.intp)
     next_hit = 0
-    for op, targets, stop in zip(plan.ops, program.targets, program.site_stops):
-        states = apply_matrix_inplace(states, op.matrix, targets, num_qubits)
+    for matrix, targets, stop in zip(fused.matrices, fused.targets, plan.site_stops):
+        states = apply_matrix_inplace(states, matrix, targets, num_qubits)
         while next_hit < len(hit_sites) and hit_sites[next_hit] < stop:
             site = hit_sites[next_hit]
             next_hit += 1
@@ -583,10 +595,10 @@ def _advance_rows(
                 states, row_of, hits[site], picks[site]
             )
             _inject_kicks(
-                states, num_qubits, program.site_qubits[site], row_hit, row_pick
+                states, num_qubits, plan.site_qubits[site], row_hit, row_pick
             )
-    if program.restore is not None:
-        states = states.take(program.restore, axis=1)
+    if fused.restore is not None:
+        states = states.take(fused.restore, axis=1)
     return states, row_of, kicks
 
 
@@ -616,7 +628,7 @@ def run_trajectory_group(
         rows, row_of, kicks = _advance_rows(plan, batches)
     telemetry.histogram("sim.kernel_s").observe(time.perf_counter() - start)
 
-    ideal_state = plan.ideal_state
+    ideal_state = plan.fused.ideal_state
     dominant = int(np.argmax(np.abs(ideal_state) ** 2))
     ideal_success = float(np.abs(ideal_state[dominant]) ** 2)
     results = []
@@ -726,7 +738,10 @@ def noisy_trajectory_states(
     for the same job.
 
     Returns a dense ``(num_trajectories, 2**n)`` array; callers are expected
-    to respect the statevector simulator's small-circuit limits.
+    to respect the statevector simulator's small-circuit limits.  Zero
+    amplitudes are ``+0.0``: their sign would depend on how the batches
+    were grouped (see :func:`_advance_rows`), and adding ``0.0`` changes no
+    value.
     """
     payloads = trajectory_batch_payloads(
         circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
@@ -735,4 +750,6 @@ def noisy_trajectory_states(
     for plan, batches in lockstep_groups(payloads):
         rows, row_of, _ = _advance_rows(plan, batches)
         groups.append(rows.take(row_of, axis=0))
-    return np.concatenate(groups, axis=0)
+    states = np.concatenate(groups, axis=0)
+    states += 0.0
+    return states

@@ -44,33 +44,3 @@ class TestEncoding:
         register = builder.allocate(2)
         with pytest.raises(ValueError):
             encode_integer(builder, register, -1)
-
-
-class TestUncompute:
-    def test_uncompute_restores_state(self):
-        builder = CircuitBuilder()
-        data = builder.allocate(2)
-        scratch = builder.allocate_one()
-        builder.x(data[0])
-        checkpoint = builder.checkpoint()
-        builder.cx(data[0], scratch)
-        builder.ccx(data[0], data[1], scratch)
-        builder.uncompute_since(checkpoint)
-        circuit = builder.build()
-        bitstring = dominant_bitstring(simulate(circuit))
-        # Scratch qubit (index 2, leftmost char) must end in |0>.
-        assert bitstring[0] == "0"
-
-    def test_uncompute_rejects_non_self_inverse(self):
-        builder = CircuitBuilder()
-        qubit = builder.allocate_one()
-        checkpoint = builder.checkpoint()
-        builder.gate("t", (qubit,))
-        with pytest.raises(ValueError):
-            builder.uncompute_since(checkpoint)
-
-    def test_invalid_checkpoint(self):
-        builder = CircuitBuilder()
-        builder.allocate_one()
-        with pytest.raises(ValueError):
-            builder.uncompute_since(5)

@@ -80,9 +80,8 @@ class TestCircuitAnalysis:
             qubits = [q for gate in layer for q in gate.qubits]
             assert len(qubits) == len(set(qubits))
 
-    def test_used_qubits_and_pairs(self):
+    def test_two_qubit_pairs(self):
         circuit = QuantumCircuit(5).cx(0, 3).cz(3, 0)
-        assert circuit.used_qubits() == (0, 3)
         assert circuit.two_qubit_pairs()[(0, 3)] == 2
 
     def test_counts(self):

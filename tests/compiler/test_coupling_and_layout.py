@@ -47,14 +47,6 @@ class TestGridCouplingMap:
         assert graph.number_of_edges() == grid.num_couplers
         assert nx.is_connected(graph)
 
-    def test_coupler_neighbors_share_a_qubit_or_touch(self):
-        grid = GridCouplingMap(4, 4)
-        coupler = (5, 6)
-        for other in grid.coupler_neighbors(coupler):
-            assert set(other) & set(coupler) or any(
-                are_coupled(grid, a, b) for a in coupler for b in other
-            )
-
     def test_invalid_position(self):
         with pytest.raises(ValueError):
             GridCouplingMap(3, 3).index(3, 0)

@@ -14,7 +14,6 @@ from repro.simulation import (
     TrajectoryResult,
     build_trajectory_plan,
     fuse_circuit,
-    ideal_final_state,
     run_trajectories,
 )
 
@@ -27,41 +26,40 @@ class TestFusion:
     def test_fused_ops_preserve_semantics(self):
         for name in ("bv", "ising", "qgan"):
             circuit = small_benchmark(name)
-            assert np.allclose(simulate(circuit), ideal_final_state(circuit), atol=1e-10)
+            assert np.allclose(simulate(circuit), fuse_circuit(circuit).ideal_state, atol=1e-10)
 
     def test_fusion_reduces_op_count(self):
         circuit = small_benchmark("qgan")
-        ops = fuse_circuit(circuit)
-        assert len(ops) < len(circuit)
+        assert len(fuse_circuit(circuit).matrices) < len(circuit)
 
     def test_adjacent_single_qubit_runs_collapse_to_one_op(self):
         circuit = QuantumCircuit(2)
         circuit.h(0).t(0).s(0).x(1)
-        ops = fuse_circuit(circuit)
-        assert len(ops) == 2
-        assert all(len(op.qubits) == 1 for op in ops)
+        fused = fuse_circuit(circuit)
+        assert len(fused.matrices) == 2
+        assert all(len(qubits) == 1 for qubits in fused.qubits)
 
     def test_fused_kick_probability_combines_constituents(self):
         noise = NoiseModel.uniform(1, single_qubit_error=0.1)
         circuit = QuantumCircuit(1)
         circuit.h(0).t(0).s(0)
-        (op,) = fuse_circuit(circuit, noise)
-        assert op.kick_probs[0] == pytest.approx(1.0 - 0.9**3)
+        (probs,) = build_trajectory_plan(circuit, noise).kick_probs
+        assert probs[0] == pytest.approx(1.0 - 0.9**3)
 
     def test_rz_gates_are_noise_free(self):
         noise = NoiseModel.uniform(1, single_qubit_error=0.1)
         circuit = QuantumCircuit(1)
         circuit.rz(0.3, 0).rz(-0.1, 0)
-        (op,) = fuse_circuit(circuit, noise)
-        assert op.kick_probs == (0.0,)
+        (probs,) = build_trajectory_plan(circuit, noise).kick_probs
+        assert probs == (0.0,)
 
     def test_two_qubit_kick_probability_matches_coupler_rate(self):
         noise = NoiseModel.uniform(2, cz_error=0.2)
         circuit = QuantumCircuit(2)
         circuit.cz(0, 1)
-        (op,) = fuse_circuit(circuit, noise)
+        (probs,) = build_trajectory_plan(circuit, noise).kick_probs
         # No-kick probability of the whole gate must be exactly 1 - rate.
-        no_kick = (1.0 - op.kick_probs[0]) * (1.0 - op.kick_probs[1])
+        no_kick = (1.0 - probs[0]) * (1.0 - probs[1])
         assert no_kick == pytest.approx(0.8)
 
 

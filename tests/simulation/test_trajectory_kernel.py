@@ -12,13 +12,21 @@ from repro.runtime.spec import ExperimentSpec
 from repro.simulation import NoiseModel, run_trajectories
 from repro.simulation import trajectories
 from repro.simulation.trajectories import (
-    _PAULIS,
     _advance_rows,
     _inject_kicks,
     build_trajectory_plan,
     lockstep_groups,
+    noisy_trajectory_states,
     run_trajectory_group,
     trajectory_batch_payloads,
+)
+
+#: Pauli kick operators, indexed by the noise model's (X, Y, Z) weights: the
+#: definition the kick kernel's fused coefficient arithmetic is pinned against.
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.diag([1.0, -1.0]).astype(complex),
 )
 
 GATES_1Q = [("h", 0), ("x", 0), ("y", 0), ("z", 0), ("s", 0), ("sdg", 0),
@@ -47,19 +55,21 @@ def advance_one_batch(plan, batch, rng):
     return rows.take(row_of, axis=0), kicks
 
 
-def reference_advance(ops, num_qubits, batch, rng, cumweights, inplace):
-    """Op-by-op evolution, with either kernel, kick stream as the fast path."""
+def reference_advance(plan, batch, rng, inplace):
+    """Op-by-op evolution of the plan's fused ops on the register as given,
+    with either kernel, kick stream as the fast path."""
+    num_qubits, fused = plan.num_qubits, plan.fused
     states = np.zeros((batch, 1 << num_qubits), dtype=complex)
     states[:, 0] = 1.0
     kicks = 0
     apply = apply_matrix_inplace if inplace else apply_matrix
-    for op in ops:
-        states = apply(states, op.matrix, op.qubits, num_qubits)
-        for qubit, prob in zip(op.qubits, op.kick_probs):
+    for matrix, qubits, probs in zip(fused.matrices, fused.qubits, plan.kick_probs):
+        states = apply(states, matrix, qubits, num_qubits)
+        for qubit, prob in zip(qubits, probs):
             if prob <= 0.0:
                 continue
             hit = rng.random(batch) < prob
-            pick = np.minimum(np.searchsorted(cumweights, rng.random(batch)), 2)
+            pick = np.minimum(np.searchsorted(plan.kick_cumweights, rng.random(batch)), 2)
             if not hit.any():
                 continue
             kicks += _inject_kicks(states, num_qubits, qubit, hit, pick)
@@ -117,7 +127,7 @@ class TestInjectKicks:
             for row in range(batch):
                 if hit[row]:
                     want[row] = apply_matrix(
-                        want[row], _PAULIS[pick[row]], (qubit,), num_qubits
+                        want[row], PAULIS[pick[row]], (qubit,), num_qubits
                     )
             got = states.copy()
             kicks = _inject_kicks(got, num_qubits, qubit, hit, pick)
@@ -155,9 +165,7 @@ class TestProgramKernel:
             rng_a = np.random.default_rng(seed)
             got, kicks_got = advance_one_batch(plan, batch, rng_a)
             rng_b = np.random.default_rng(seed)
-            want, kicks_want = reference_advance(
-                plan.ops, n, batch, rng_b, plan.kick_cumweights, inplace=True
-            )
+            want, kicks_want = reference_advance(plan, batch, rng_b, inplace=True)
             assert kicks_got == kicks_want
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
             assert np.array_equal(got, want)
@@ -172,8 +180,7 @@ class TestProgramKernel:
             seed = int(master.integers(2**31))
             got, kicks_got = advance_one_batch(plan, 5, np.random.default_rng(seed))
             want, kicks_want = reference_advance(
-                plan.ops, n, 5, np.random.default_rng(seed), plan.kick_cumweights,
-                inplace=False,
+                plan, 5, np.random.default_rng(seed), inplace=False
             )
             assert kicks_got == kicks_want
             assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -214,25 +221,26 @@ def compiled_plan(name, num_qubits, backend, noise=None):
 
 
 def lockstep_program_advance(plan, batch, rng):
-    """The plan's program run in lockstep: one row per trajectory, and two
-    ``rng.random(batch)`` draws per kick site, hit or not."""
-    n, program = plan.num_qubits, plan.program
+    """The plan's relabeled ops and site table run in lockstep: one row per
+    trajectory, and two ``rng.random(batch)`` draws per kick site, hit or
+    not."""
+    n, fused = plan.num_qubits, plan.fused
     states = np.zeros((batch, 1 << n), dtype=complex)
     states[:, 0] = 1.0
     kicks = 0
     start = 0
-    for op, targets, stop in zip(plan.ops, program.targets, program.site_stops):
-        states = apply_matrix_inplace(states, op.matrix, targets, n)
+    for matrix, targets, stop in zip(fused.matrices, fused.targets, plan.site_stops):
+        states = apply_matrix_inplace(states, matrix, targets, n)
         for site in range(start, stop):
-            hit = rng.random(batch) < program.site_probs[site]
+            hit = rng.random(batch) < plan.site_probs[site]
             pick = np.minimum(
                 np.searchsorted(plan.kick_cumweights, rng.random(batch)), 2
             )
             if hit.any():
-                kicks += _inject_kicks(states, n, program.site_qubits[site], hit, pick)
+                kicks += _inject_kicks(states, n, plan.site_qubits[site], hit, pick)
         start = stop
-    if program.restore is not None:
-        states = states.take(program.restore, axis=1)
+    if fused.restore is not None:
+        states = states.take(fused.restore, axis=1)
     return states, kicks
 
 
@@ -244,7 +252,7 @@ def assert_matches_reference(plan, batch, seed=11):
     qubits; from 10 qubits the program relabels qubits, which changes the
     strides dense gates run at, so amplitudes agree to rounding (as they did
     before rows were shared).  Returns the rows and ``row_of``."""
-    n, cumweights = plan.num_qubits, plan.kick_cumweights
+    n = plan.num_qubits
     rng = np.random.default_rng(seed)
     rows, row_of, (kicks,) = _advance_rows(plan, [(batch, rng)])
     got = rows.take(row_of, axis=0)
@@ -254,9 +262,7 @@ def assert_matches_reference(plan, batch, seed=11):
     assert rng.bit_generator.state == rng_lockstep.bit_generator.state
     assert np.array_equal(got, lockstep)
     rng_ref = np.random.default_rng(seed)
-    want, kicks_want = reference_advance(
-        plan.ops, n, batch, rng_ref, cumweights, inplace=True
-    )
+    want, kicks_want = reference_advance(plan, batch, rng_ref, inplace=True)
     assert kicks == kicks_want
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     if n < 10:
@@ -374,6 +380,21 @@ class TestLockstepGroups:
                     np.array(a.success_probs).tobytes()
                     == np.array(b.success_probs).tobytes()
                 )
+
+    def test_returned_states_are_the_same_bytes_in_any_grouping(self, monkeypatch):
+        """``noisy_trajectory_states`` returns the same bytes whether its
+        batches advance as one group or each alone, zeros' signs included."""
+        master = np.random.default_rng(20261019)
+        for _ in range(10):
+            n = int(master.integers(1, 6))
+            circuit = random_circuit(master, n, int(master.integers(3, 30)))
+            noise = NoiseModel.uniform(n, 0.06, 0.12)
+            seed = int(master.integers(2**31))
+            grouped = noisy_trajectory_states(circuit, noise, 12, seed=seed, batch_size=4)
+            with monkeypatch.context() as patch:
+                patch.setattr(trajectories, "GROUP_AMPLITUDES", 0)
+                alone = noisy_trajectory_states(circuit, noise, 12, seed=seed, batch_size=4)
+            assert grouped.tobytes() == alone.tobytes()
 
     def test_groups_follow_the_amplitude_budget(self):
         assert group_sizes(9, 100) == [[25, 25, 25, 25]]
