@@ -16,10 +16,12 @@ Two passes are provided:
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import telemetry
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gate import Gate, fast_gate
 from ..circuits.library import gate_matrix
@@ -29,25 +31,16 @@ _EYE2 = np.eye(2, dtype=complex)
 _EYE2.setflags(write=False)
 
 
-def zyz_angles_cached(matrix: np.ndarray) -> Tuple[float, float, float]:
-    """Memoized :func:`~repro.physics.rotations.zyz_angles`.
-
-    Keyed by the matrix's exact bytes, so identical accumulated unitaries
-    (the common case — fusion re-derives the same products over and over)
-    return bit-identical cached angles without re-entering LAPACK.
-    """
-    key = matrix.tobytes()
-    hit = _ZYZ_CACHE.get(key)
-    if hit is None:
-        hit = zyz_angles(matrix)
-        if len(_ZYZ_CACHE) >= _ZYZ_CACHE_MAX:
-            _ZYZ_CACHE.clear()
-        _ZYZ_CACHE[key] = hit
-    return hit
-
-
-_ZYZ_CACHE: Dict[bytes, Tuple[float, float, float]] = {}
-_ZYZ_CACHE_MAX = 8192
+#: Fused outcome of each single-qubit run seen so far, keyed by the run's
+#: flat ``(name, params, name, params, ...)`` sequence: the ``(name, params)``
+#: of the one gate the run fuses to, or ``()`` when the run is the identity
+#: and is dropped.
+#: At most :data:`RUN_MEMO_SIZE` entries, oldest first out; writes hold
+#: :data:`_RUN_MEMO_LOCK` (``Session`` compiles on threads), reads take no
+#: lock.  Keys compare params as floats, as ``gate_matrix``'s memo does.
+RUN_MEMO_SIZE = 2048
+_RUN_MEMO: Dict[tuple, tuple] = {}
+_RUN_MEMO_LOCK = threading.Lock()
 
 
 def decompose_to_two_qubit_gates(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -174,45 +167,94 @@ def fuse_single_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     """Fuse consecutive single-qubit gates on each qubit into one ``u3``.
 
     Single-qubit gates that multiply to the identity (within tolerance) are
-    dropped entirely.
+    dropped entirely.  Each run's outcome comes from :data:`_RUN_MEMO`, so
+    a run of gates seen before costs no matrix product and no ZYZ.  One call
+    observes its totals once each in the ``compile.fuse.memo.hit`` and
+    ``.miss`` histograms: histograms, not counters, because the memo is per
+    process, so a pooled sweep's split differs from a serial one's while
+    the number of calls does not.
     """
     out = QuantumCircuit(circuit.num_qubits, name=circuit.name)
-    append = out._append_fast
-    pending: Dict[int, np.ndarray] = {}
-    pop = pending.pop
+    append = out._gates.append
+    # Each qubit's open run as its memo key's parts: name, params, name, ...
+    runs: Dict[int, list] = {}
+    get = runs.get
+    pop = runs.pop
+    memo_get = _RUN_MEMO.get
+    runs_seen = misses = 0
 
     def flush(qubit: int) -> None:
-        matrix = pop(qubit, None)
-        if matrix is None:
+        nonlocal runs_seen, misses
+        run = pop(qubit, None)
+        if run is None:
             return
-        gate = u3_gate_from_matrix(matrix, qubit)
-        if gate is not None:
-            append(gate)
+        runs_seen += 1
+        key = tuple(run)
+        outcome = memo_get(key)
+        if outcome is None:
+            misses += 1
+            outcome = _fuse_run(key)
+        if outcome:
+            append(fast_gate(outcome[0], (qubit,), outcome[1]))
 
     for gate in circuit:
-        if len(gate.qubits) == 1:
-            qubit = gate.qubits[0]
-            # The initial `@ _EYE2` looks redundant but is load-bearing: it
-            # normalises -0.0 components exactly as the accumulated products
-            # do, keeping zyz phases (and so fingerprints) bit-identical.
-            pending[qubit] = gate_matrix(gate) @ pending.get(qubit, _EYE2)
+        qubits = gate.qubits
+        if len(qubits) == 1:
+            run = get(qubits[0])
+            if run is None:
+                runs[qubits[0]] = [gate.name, gate.params]
+            else:
+                run += gate.name, gate.params
         else:
-            for qubit in gate.qubits:
+            for qubit in qubits:
                 flush(qubit)
             append(gate)
-    for qubit in sorted(pending):
+    for qubit in sorted(runs):
         flush(qubit)
+    if runs_seen:
+        telemetry.histogram("compile.fuse.memo.hit").observe(runs_seen - misses)
+        telemetry.histogram("compile.fuse.memo.miss").observe(misses)
     return out
+
+
+def _fuse_run(key: tuple) -> tuple:
+    """The fused ``(name, params)`` of the run ``key`` spells, ``()`` for the identity.
+
+    Stores it in :data:`_RUN_MEMO`.
+    """
+    # The initial `@ _EYE2` looks redundant but is load-bearing: it
+    # normalises -0.0 components exactly as the accumulated products do,
+    # keeping zyz phases (and so fingerprints) bit-identical.
+    matrix = _EYE2
+    for position in range(0, len(key), 2):
+        matrix = gate_matrix(fast_gate(key[position], (0,), key[position + 1])) @ matrix
+    fused = u3_gate_from_matrix(matrix, 0)
+    outcome = () if fused is None else (fused.name, fused.params)
+    with _RUN_MEMO_LOCK:
+        if key not in _RUN_MEMO and len(_RUN_MEMO) >= RUN_MEMO_SIZE:
+            del _RUN_MEMO[next(iter(_RUN_MEMO))]
+        _RUN_MEMO[key] = outcome
+    return outcome
 
 
 def u3_gate_from_matrix(matrix: np.ndarray, qubit: int, tol: float = 1e-9) -> Optional[Gate]:
     """Convert an accumulated 2x2 unitary into a ``u3`` (or ``rz``) gate.
 
     Returns None when the matrix is the identity up to global phase (nothing
-    to emit).  Shared by the rebase-time fusion and the commutation-aware
-    fusion pass of :mod:`repro.compiler.optimization`.
+    to emit).
     """
-    alpha, theta, beta = zyz_angles_cached(matrix)
+    return u3_gate_from_angles(zyz_angles(matrix), qubit, tol)
+
+
+def u3_gate_from_angles(
+    angles: Tuple[float, float, float], qubit: int, tol: float = 1e-9
+) -> Optional[Gate]:
+    """The ``u3`` (or ``rz``) gate with ZYZ ``angles``; None for the identity.
+
+    Shared by the rebase-time fusion and the commutation-aware fusion pass
+    of :mod:`repro.compiler.optimization`, which passes memoized angles.
+    """
+    alpha, theta, beta = angles
     if abs(theta) < tol:
         phase = alpha + beta
         if abs(math.remainder(phase, 2.0 * math.pi)) < tol:

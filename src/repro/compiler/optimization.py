@@ -22,7 +22,7 @@ introduce gates outside the input's gate set (the fusion pass emits only
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.gate import Gate, fast_gate
 from ..circuits.library import gate_matrix, inverse_gate
 from ..physics.rotations import rz as rz_matrix
-from .basis import _EYE2, u3_gate_from_matrix, zyz_angles_cached
+from ..physics.rotations import zyz_angles
+from .basis import _EYE2, u3_gate_from_angles
 from .passes import PropertySet, TransformationPass
 
 #: Two-qubit gates whose matrix is diagonal: Z-axis rotations commute with
@@ -45,6 +46,27 @@ SYMMETRIC_GATES = frozenset({"cz", "swap", "rzz", "cp"})
 MERGEABLE_ROTATIONS = frozenset({"rx", "ry", "rz", "p", "rzz", "cp"})
 
 _TOL = 1e-9
+
+
+def zyz_angles_cached(matrix: np.ndarray) -> Tuple[float, float, float]:
+    """Memoized :func:`~repro.physics.rotations.zyz_angles`.
+
+    Keyed by the matrix's exact bytes, so identical accumulated unitaries
+    (the common case — fusion re-derives the same products over and over)
+    return bit-identical cached angles without re-entering LAPACK.
+    """
+    key = matrix.tobytes()
+    hit = _ZYZ_CACHE.get(key)
+    if hit is None:
+        hit = zyz_angles(matrix)
+        if len(_ZYZ_CACHE) >= _ZYZ_CACHE_MAX:
+            _ZYZ_CACHE.clear()
+        _ZYZ_CACHE[key] = hit
+    return hit
+
+
+_ZYZ_CACHE: Dict[bytes, Tuple[float, float, float]] = {}
+_ZYZ_CACHE_MAX = 8192
 
 
 def _same_operands(a: Gate, b: Gate) -> bool:
@@ -184,7 +206,7 @@ def commutation_aware_fusion(circuit: QuantumCircuit) -> QuantumCircuit:
         matrix = pending.pop(qubit, None)
         if matrix is None:
             return
-        emitted = u3_gate_from_matrix(matrix, qubit)
+        emitted = u3_gate_from_angles(zyz_angles_cached(matrix), qubit)
         if emitted is not None:
             append(emitted)
 

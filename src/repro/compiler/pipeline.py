@@ -27,7 +27,7 @@ came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import time
 
@@ -81,6 +81,11 @@ class CompiledCircuit:
     pipeline: str = "default"
     pass_trace: Tuple[PassRecord, ...] = field(default_factory=tuple)
     target: Optional["Target"] = None
+    #: Moment profiles of ``schedule`` by SIMD group count, built on first use
+    #: by :func:`repro.core.scheduler.compiled_profile`.
+    simd_profiles: Dict[int, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def depth(self) -> int:

@@ -8,7 +8,9 @@ restriction and the longer gate decompositions cost.
 
 :func:`execution_time_ns` runs the SIMD scheduler; :func:`impossible_mimd_time_ns`
 computes the baseline; :func:`normalized_execution_time` is their ratio (one
-bar of Fig. 9).
+bar of Fig. 9).  All three read the compiled circuit's moment profile
+(:func:`~repro.core.scheduler.compiled_profile`), built once per SIMD group
+count and shared by every design costed on that circuit.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from .. import telemetry
 from ..compiler.pipeline import CompiledCircuit
 from .architecture import DigiQConfig, single_qubit_gate_time_ns
-from .scheduler import SIMDScheduler, SIMDScheduleResult
+from .scheduler import SIMDScheduler, SIMDScheduleResult, compiled_profile
 
 
 @dataclass(frozen=True)
@@ -71,19 +74,18 @@ def impossible_mimd_time_ns(
         single_qubit_gate_time_ns(config.group_frequency(group))
         for group in range(config.groups)
     )
-    total = 0.0
-    for moment in compiled.schedule.moments:
-        two_qubit = pulsed = False
-        for gate in moment.gates:
-            width = len(gate.qubits)
-            if width == 2:
-                two_qubit = True
-            elif width == 1 and gate.name != "rz":
-                pulsed = True
-        duration = config.cz_time_ns if two_qubit else 0.0
-        if pulsed:
+    profile, _ = compiled_profile(compiled, config.groups)
+    durations = []
+    for _, num_two, has_u3, has_other_pulsed, _ in profile.classes:
+        duration = config.cz_time_ns if num_two else 0.0
+        if has_u3 or has_other_pulsed:
             duration = max(duration, single_gate_ns)
-        total += duration
+        durations.append(duration)
+    # One moment at a time, left to right: a compensated sum() (Python
+    # 3.12+) would change the last bits of the Fig. 9 ratio.
+    total = 0.0
+    for class_id in profile.class_ids:
+        total += durations[class_id]
     return total
 
 
@@ -92,7 +94,13 @@ def normalized_execution_time(
     config: DigiQConfig,
     benchmark_name: Optional[str] = None,
 ) -> ExecutionEstimate:
-    """One Fig. 9 bar: DigiQ time over Impossible-MIMD time for a benchmark."""
+    """One Fig. 9 bar: DigiQ time over Impossible-MIMD time for a benchmark.
+
+    Bumps ``simd.profile.hit`` or ``.miss`` once, for the compiled circuit's
+    moment profile under ``config``'s group count.
+    """
+    _, hit = compiled_profile(compiled, config.groups)
+    telemetry.counter("simd.profile.hit" if hit else "simd.profile.miss").inc()
     result = execution_time_ns(compiled, config)
     mimd = impossible_mimd_time_ns(compiled, config)
     return ExecutionEstimate(

@@ -25,14 +25,21 @@ consults the delay model (a SHA-256 hash, see :func:`_synthetic_delays`)
 and the greedy grant loop only for moments where some group is
 over-subscribed.
 DigiQ_min never reads delay values at all, only sequence lengths.
+
+Those facts do not depend on the design, only on the group count G: one
+pass over a compiled circuit's moments (:func:`moment_profile`) sorts them
+into a few classes, and each design then costs each class once.  The
+profile is kept on the :class:`~repro.compiler.pipeline.CompiledCircuit`
+(:func:`compiled_profile`), so the designs of one Fig. 9 row share it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from ..circuits.gate import Gate
 from ..compiler.pipeline import CompiledCircuit
@@ -82,13 +89,21 @@ class MomentCost:
 
 @dataclass
 class SIMDScheduleResult:
-    """Output of the SIMD scheduler for one compiled circuit."""
+    """Output of the SIMD scheduler for one compiled circuit.
+
+    The per-moment breakdown :attr:`moments` is built on first read.
+    """
 
     config: DigiQConfig
-    moments: List[MomentCost]
     total_cycles: int
     ideal_cycles: int
     controller_cycle_ns: float
+    moment_costs: Callable[[], List[MomentCost]] = field(repr=False, compare=False)
+
+    @cached_property
+    def moments(self) -> List[MomentCost]:
+        """Cost of each moment, in schedule order."""
+        return self.moment_costs()
 
     @property
     def total_time_ns(self) -> float:
@@ -113,20 +128,92 @@ class SIMDScheduleResult:
         }
 
 
-def _synthetic_pulses(gate: Gate, config: DigiQConfig) -> int:
-    """Controller cycles of a single-qubit gate under the synthetic model.
+class MomentProfile(NamedTuple):
+    """A schedule's moments sorted into design-independent classes, for one G.
 
-    Virtual Rz gates take none.  DigiQ_opt needs two basis pulses for a
-    generic ``u3`` and one for any other rotation; DigiQ_min needs its
-    typical sequence depth for a ``u3`` and at least three gates otherwise.
-    The count depends on the gate's name only.
+    A class is ``(num_single, num_two, has_u3, has_other_pulsed,
+    max_occupancy)``: the moment's 1q and 2q gate counts, whether it holds a
+    ``u3`` and whether another pulsed (non-``rz``) gate, and the largest
+    number of pulsed gates in one group.
     """
-    if gate.name == "rz":
-        return 0
+
+    classes: Tuple[Tuple[int, int, bool, bool, int], ...]
+    #: Number of moments in each class.
+    counts: Tuple[int, ...]
+    #: Index into ``classes`` of each moment, in schedule order.
+    class_ids: Tuple[int, ...]
+
+
+def moment_profile(schedule: Schedule, groups: int, num_qubits: int) -> MomentProfile:
+    """One pass over ``schedule``'s moments, classed for ``groups`` SIMD groups."""
+    index_of: Dict[tuple, int] = {}
+    counts: List[int] = []
+    class_ids: List[int] = []
+    for moment in schedule.moments:
+        occupancy: Dict[int, int] = {}
+        num_single = num_two = most = 0
+        has_u3 = has_other = False
+        for gate in moment.gates:
+            qubits = gate.qubits
+            width = len(qubits)
+            if width == 2:
+                num_two += 1
+                continue
+            if width != 1:
+                continue
+            qubit = qubits[0]
+            if not 0 <= qubit < num_qubits:
+                raise ValueError(f"qubit {qubit} outside device of {num_qubits}")
+            num_single += 1
+            name = gate.name
+            if name == "rz":
+                continue
+            if name == "u3":
+                has_u3 = True
+            else:
+                has_other = True
+            group = qubit % groups
+            held = occupancy[group] = occupancy.get(group, 0) + 1
+            if held > most:
+                most = held
+        key = (num_single, num_two, has_u3, has_other, most)
+        class_id = index_of.get(key)
+        if class_id is None:
+            class_id = index_of[key] = len(counts)
+            counts.append(0)
+        counts[class_id] += 1
+        class_ids.append(class_id)
+    return MomentProfile(tuple(index_of), tuple(counts), tuple(class_ids))
+
+
+def compiled_profile(compiled: CompiledCircuit, groups: int) -> Tuple[MomentProfile, bool]:
+    """``compiled``'s moment profile for ``groups``, and whether it was already built.
+
+    Two racing first calls may both build it; the profiles are equal, so
+    either serves.
+    """
+    profiles = compiled.simd_profiles
+    profile = profiles.get(groups)
+    if profile is not None:
+        return profile, True
+    profile = profiles[groups] = moment_profile(
+        compiled.schedule, groups, compiled.coupling.num_qubits
+    )
+    return profile, False
+
+
+def _pulsed_gate_cycles(config: DigiQConfig) -> Tuple[int, int]:
+    """Controller cycles of a ``u3`` and of any other pulsed gate, synthetic model.
+
+    DigiQ_opt needs two basis pulses for a generic ``u3`` and one for any
+    other rotation; DigiQ_min needs its typical sequence depth for a ``u3``
+    and at least three gates otherwise.  Virtual Rz gates take none, so a
+    gate's count depends on its name only.
+    """
     if config.is_opt:
-        return 2 if gate.name == "u3" else 1
+        return 2, 1
     typical = config.typical_u3_cycles()
-    return typical if gate.name == "u3" else max(3, typical // 2)
+    return typical, max(3, typical // 2)
 
 
 def _synthetic_delays(gate: Gate, config: DigiQConfig) -> Tuple[int, ...]:
@@ -139,8 +226,10 @@ def _synthetic_delays(gate: Gate, config: DigiQConfig) -> Tuple[int, ...]:
     across qubits, uniform over the delay range.
     """
     qubit = gate.qubits[0]
+    u3_cycles, other_cycles = _pulsed_gate_cycles(config)
+    pulses = 0 if gate.name == "rz" else u3_cycles if gate.name == "u3" else other_cycles
     delays = []
-    for step in range(_synthetic_pulses(gate, config)):
+    for step in range(pulses):
         payload = f"{qubit}:{gate.name}:{tuple(round(p, 6) for p in gate.params)}:{step}"
         digest = hashlib.sha256(payload.encode()).digest()
         delays.append(int.from_bytes(digest[:4], "little") % (config.n_delay_slots + 1))
@@ -164,8 +253,6 @@ class SIMDScheduler:
         # Per-config constants, hoisted out of the per-moment loop.
         self._cz_cycles = config.cz_decomposed_cycles()
         self._cycle_ns = config.controller_cycle_ns()
-        # Synthetic pulse count per gate name (see _synthetic_pulses).
-        self._pulse_counts: Dict[str, int] = {}
 
     # -- per-moment scheduling -------------------------------------------------------
 
@@ -211,80 +298,95 @@ class SIMDScheduler:
         return cycles, ideal
 
     def moment_cost(self, moment: Moment, index: int, num_qubits: int) -> MomentCost:
-        """Controller-cycle cost of one compiled moment, from one pass over its gates.
+        """Controller-cycle cost of one moment, as :meth:`schedule_moments` costs it."""
+        (cost,) = self.schedule_moments(Schedule([moment], num_qubits), num_qubits).moments
+        return replace(cost, index=index)
 
-        A single-qubit gate is known by two cheap facts: its synthetic pulse
-        count and its group.  Delay values are hashed, and the greedy grant
-        loop run, only when some group has more than ``BS`` gates that need
-        pulses; otherwise every group's requests fit in its bitstreams each
-        cycle and the moment takes its ideal cycles.
+    def _granted_cost(
+        self, moment: Moment, cost: MomentCost, index: int, num_qubits: int
+    ) -> MomentCost:
+        """``cost`` of an over-subscribed moment, its 1q cycles from the greedy grant.
+
+        Only here are delay values hashed, one requirement per pulsed gate in
+        gate order (the grant breaks vote ties by request order).
         """
         config = self.config
-        pulse_counts = self._pulse_counts
-        group_of_qubit = config.group_of_qubit
-        pulsed: List[Tuple[Gate, int]] = []
-        occupancy: Dict[int, int] = {}
-        num_single = num_two = ideal_single = 0
-        for gate in moment.gates:
-            width = len(gate.qubits)
-            if width == 2:
-                num_two += 1
-                continue
-            if width != 1:
-                continue
-            num_single += 1
-            group = group_of_qubit(gate.qubits[0], num_qubits)
-            pulses = pulse_counts.get(gate.name)
-            if pulses is None:
-                pulses = pulse_counts[gate.name] = _synthetic_pulses(gate, config)
-            if pulses:
-                pulsed.append((gate, group))
-                occupancy[group] = occupancy.get(group, 0) + 1
-                if pulses > ideal_single:
-                    ideal_single = pulses
-
-        if not config.is_opt or max(occupancy.values(), default=0) <= config.bitstreams:
-            # DigiQ_min broadcasts its whole gate set every cycle; DigiQ_opt
-            # grants at most occupancy <= BS distinct delays per group.
-            single_cycles = ideal_single
-        else:
-            single_cycles, ideal_single = self._single_qubit_cycles(
-                [
-                    GateRequirement(group=group, delays=_synthetic_delays(gate, config))
-                    for gate, group in pulsed
-                ]
-            )
-        # A software-calibrated CZ is an echo sequence of Uqq pulses with
-        # interleaved single-qubit gates (Sec. V-B), so it occupies far more
-        # than one pulse worth of controller cycles.
-        two_qubit_cycles = self._cz_cycles if num_two else 0
-        return MomentCost(
-            index=index,
-            single_qubit_cycles=single_cycles,
-            two_qubit_cycles=two_qubit_cycles,
-            ideal_cycles=max(ideal_single, two_qubit_cycles),
-            num_single_qubit_gates=num_single,
-            num_two_qubit_gates=num_two,
+        single_cycles, _ = self._single_qubit_cycles(
+            [
+                GateRequirement(
+                    group=config.group_of_qubit(gate.qubits[0], num_qubits),
+                    delays=_synthetic_delays(gate, config),
+                )
+                for gate in moment.gates
+                if len(gate.qubits) == 1 and gate.name != "rz"
+            ]
         )
+        return replace(cost, index=index, single_qubit_cycles=single_cycles)
 
     # -- whole-circuit scheduling -----------------------------------------------------
 
     def schedule(self, compiled: CompiledCircuit) -> SIMDScheduleResult:
         """Schedule a compiled circuit and return its controller-cycle cost."""
-        return self.schedule_moments(compiled.schedule, compiled.coupling.num_qubits)
+        profile, _ = compiled_profile(compiled, self.config.groups)
+        return self._schedule_profile(profile, compiled.schedule, compiled.coupling.num_qubits)
 
     def schedule_moments(self, schedule: Schedule, num_qubits: int) -> SIMDScheduleResult:
         """Schedule an explicit moment list (used by tests and ablations)."""
-        costs = [
-            self.moment_cost(moment, index, num_qubits)
-            for index, moment in enumerate(schedule.moments)
-        ]
-        total = sum(cost.cycles for cost in costs)
-        ideal = sum(cost.ideal_cycles for cost in costs)
+        profile = moment_profile(schedule, self.config.groups, num_qubits)
+        return self._schedule_profile(profile, schedule, num_qubits)
+
+    def _schedule_profile(
+        self, profile: MomentProfile, schedule: Schedule, num_qubits: int
+    ) -> SIMDScheduleResult:
+        """Cost ``schedule`` from its moment profile under this scheduler's G.
+
+        Each class is costed once.  A moment whose class over-subscribes a
+        group (DigiQ_opt, occupancy > BS) goes through the greedy grant
+        (:meth:`_granted_cost`).
+        """
+        config = self.config
+        u3_cycles, other_cycles = _pulsed_gate_cycles(config)
+        costs: List[MomentCost] = []
+        over_subscribed: List[bool] = []
+        for num_single, num_two, has_u3, has_other, max_occupancy in profile.classes:
+            single = max(u3_cycles if has_u3 else 0, other_cycles if has_other else 0)
+            # A software-calibrated CZ is an echo sequence of Uqq pulses with
+            # interleaved single-qubit gates (Sec. V-B), so it occupies far
+            # more than one pulse worth of controller cycles.
+            two = self._cz_cycles if num_two else 0
+            # The class's cost; _moment_costs gives each moment its own index.
+            costs.append(MomentCost(-1, single, two, max(single, two), num_single, num_two))
+            # DigiQ_min broadcasts its whole gate set every cycle; DigiQ_opt
+            # grants at most occupancy <= BS distinct delays per group.
+            over_subscribed.append(config.is_opt and max_occupancy > config.bitstreams)
+        total = ideal = 0
+        for cost, count, granting in zip(costs, profile.counts, over_subscribed):
+            if not granting:
+                total += count * cost.cycles
+                ideal += count * cost.ideal_cycles
+        granted: Dict[int, MomentCost] = {}
+        if any(over_subscribed):
+            for index, class_id in enumerate(profile.class_ids):
+                if over_subscribed[class_id]:
+                    cost = granted[index] = self._granted_cost(
+                        schedule.moments[index], costs[class_id], index, num_qubits
+                    )
+                    total += cost.cycles
+                    ideal += cost.ideal_cycles
         return SIMDScheduleResult(
-            config=self.config,
-            moments=costs,
+            config=config,
             total_cycles=total,
             ideal_cycles=ideal,
             controller_cycle_ns=self._cycle_ns,
+            moment_costs=partial(_moment_costs, profile.class_ids, costs, granted),
         )
+
+
+def _moment_costs(
+    class_ids: Sequence[int], costs: Sequence[MomentCost], granted: Dict[int, MomentCost]
+) -> List[MomentCost]:
+    """Each moment's cost: its class's, or its own where the grant ran."""
+    return [
+        granted[index] if index in granted else replace(costs[class_id], index=index)
+        for index, class_id in enumerate(class_ids)
+    ]

@@ -13,6 +13,10 @@ Three layers of checks:
   the greedy grant loop), kept here verbatim.  The production scheduler
   must produce equal :class:`MomentCost` objects moment by moment.
 * **Properties** of the model, over random moments on grid devices.
+* **One moment profile per compiled circuit.**  The designs costed on one
+  compiled circuit share its profile; totals and the Impossible-MIMD time
+  must equal the per-moment reference, and a hand-built ``Schedule`` is
+  always profiled afresh.
 
 To regenerate the goldens after an intentional model change::
 
@@ -36,8 +40,13 @@ from repro.circuits.benchmarks import TABLE_IV_NAMES, build_benchmark
 from repro.circuits.gate import Gate
 from repro.compiler import compile_circuit
 from repro.compiler.scheduling import Moment, Schedule
+from repro import telemetry
 from repro.core import scheduler as scheduler_module
-from repro.core.architecture import DigiQConfig
+from repro.core.architecture import DigiQConfig, single_qubit_gate_time_ns
+from repro.core.execution import normalized_execution_time
+from repro.runtime.dispatch import compute_job_keys
+from repro.runtime.jobs import execute_compile_group
+from repro.runtime.spec import ExperimentSpec
 from repro.core.scheduler import GateRequirement, MomentCost, SIMDScheduler
 
 GOLDEN_PATH = Path(__file__).parent / "golden_simd_schedules.json"
@@ -400,3 +409,99 @@ def test_only_over_subscribed_groups_hash_delays(monkeypatch):
         1 for moment in over_subscribed for gate in moment.gates
         if gate.is_single_qubit and gate.name != "rz"
     )
+
+
+# -- one moment profile per compiled circuit ------------------------------------------
+
+
+def reference_mimd_time_ns(schedule, config):
+    """The Impossible-MIMD baseline, one moment at a time, left to right."""
+    single_gate_ns = max(
+        single_qubit_gate_time_ns(config.group_frequency(group)) for group in range(config.groups)
+    )
+    total = 0.0
+    for moment in schedule.moments:
+        two_qubit = any(len(gate.qubits) == 2 for gate in moment.gates)
+        pulsed = any(len(gate.qubits) == 1 and gate.name != "rz" for gate in moment.gates)
+        duration = config.cz_time_ns if two_qubit else 0.0
+        if pulsed:
+            duration = max(duration, single_gate_ns)
+        total += duration
+    return total
+
+
+def reference_totals(schedule, num_qubits, config):
+    """``(total_cycles, ideal_cycles, serialization_overhead)`` from the per-moment oracle."""
+    total = ideal = 0
+    for index, moment in enumerate(schedule.moments):
+        cost = reference_moment_cost(moment, index, num_qubits, config)
+        total += cost.cycles
+        ideal += cost.ideal_cycles
+    return total, ideal, (total - ideal) / ideal if ideal else 0.0
+
+
+def count_profile_builds(monkeypatch):
+    builds = []
+    original = scheduler_module.moment_profile
+
+    def counting(schedule, groups, num_qubits):
+        builds.append(groups)
+        return original(schedule, groups, num_qubits)
+
+    monkeypatch.setattr(scheduler_module, "moment_profile", counting)
+    return builds
+
+
+@pytest.mark.parametrize("name,qubits", ORACLE_CASES)
+def test_profiled_totals_and_mimd_time_match_the_reference(name, qubits):
+    compiled = compiled_benchmark(name, qubits)
+    num_qubits = compiled.coupling.num_qubits
+    compiled.simd_profiles.clear()
+    for label, config in CONFIGS.items():
+        total, ideal, overhead = reference_totals(compiled.schedule, num_qubits, config)
+        result = SIMDScheduler(config).schedule(compiled)
+        estimate = normalized_execution_time(compiled, config)
+        assert (result.total_cycles, result.ideal_cycles) == (total, ideal), label
+        assert result.serialization_overhead == overhead, label
+        assert estimate.total_cycles == total, label
+        assert estimate.serialization_overhead == overhead, label
+        mimd = reference_mimd_time_ns(compiled.schedule, config)
+        assert estimate.mimd_time_ns.hex() == mimd.hex(), label
+    assert sorted(compiled.simd_profiles) == [1, 2, 4]
+
+
+def test_a_compile_group_of_three_designs_builds_one_profile(monkeypatch):
+    builds = count_profile_builds(monkeypatch)
+    specs = [
+        ExperimentSpec(benchmark="bv", backend=backend, num_qubits=8, seed=11)
+        for backend in ("digiq-opt8", "digiq-opt16", "digiq-min2")
+    ]
+    telemetry.reset()
+    try:
+        execute_compile_group(specs, compute_job_keys(specs))
+        counters = telemetry.snapshot_metrics()["counters"]
+    finally:
+        telemetry.reset()
+    assert builds == [2]
+    assert (counters["simd.profile.miss"], counters["simd.profile.hit"]) == (1, 2)
+
+
+def test_hand_built_schedules_are_costed_fresh(monkeypatch):
+    compiled = compiled_benchmark("ising", 16)
+    num_qubits = compiled.coupling.num_qubits
+    config = DigiQConfig.opt(groups=1, bitstreams=2)
+    SIMDScheduler(config).schedule(compiled)  # the compiled circuit now holds a G = 1 profile
+    builds = count_profile_builds(monkeypatch)
+    schedule = Schedule(
+        moments=[Moment(list(moment.gates)) for moment in compiled.schedule.moments],
+        num_qubits=num_qubits,
+    )
+    first = SIMDScheduler(config).schedule_moments(schedule, num_qubits)
+    schedule.moments.append(Moment([Gate("u3", (q,), (0.5, 0.25, float(q))) for q in range(4)]))
+    second = SIMDScheduler(config).schedule_moments(schedule, num_qubits)
+    assert builds == [1, 1]
+    assert first.total_cycles == SIMDScheduler(config).schedule(compiled).total_cycles
+    total, ideal, _ = reference_totals(schedule, num_qubits, config)
+    assert (second.total_cycles, second.ideal_cycles) == (total, ideal)
+    assert second.total_cycles > first.total_cycles
+    assert_matches_reference(SIMDScheduler(config), schedule, num_qubits)

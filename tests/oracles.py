@@ -5,9 +5,15 @@ Nothing in ``src/`` needs these: they answer "is this matrix unitary?" or
 code under test.
 """
 
-from typing import Sequence
+import math
+from typing import Dict, Sequence
 
 import numpy as np
+
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gate import Gate
+from repro.circuits.library import gate_matrix
+from repro.physics.rotations import zyz_angles
 
 
 def projector(dim: int, levels: Sequence[int] = (0, 1)) -> np.ndarray:
@@ -76,3 +82,40 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def are_coupled(coupling, a: int, b: int) -> bool:
     """True if physical qubits ``a`` and ``b`` share a coupler of ``coupling``."""
     return b in coupling.neighbors(a)
+
+
+def fuse_single_qubit_runs_reference(circuit: QuantumCircuit, tol: float = 1e-9) -> QuantumCircuit:
+    """Single-qubit fusion with no memo: one product and one ZYZ per run.
+
+    Each qubit's pending unitary starts at the identity and takes every gate
+    of its run on the left (``gate_matrix(g) @ pending``); a two-qubit gate
+    flushes its qubits, and the end flushes the rest in qubit order.  A run
+    becomes ``rz(alpha + beta)`` when ``theta`` is 0, ``u3(theta, beta,
+    alpha)`` otherwise, and nothing at all when it is the identity up to
+    global phase.
+    """
+    out = QuantumCircuit(circuit.num_qubits, name=circuit.name)
+    pending: Dict[int, np.ndarray] = {}
+
+    def flush(qubit: int) -> None:
+        if qubit not in pending:
+            return
+        alpha, theta, beta = zyz_angles(pending.pop(qubit))
+        if abs(theta) < tol:
+            phase = alpha + beta
+            if abs(math.remainder(phase, 2.0 * math.pi)) >= tol:
+                out.append(Gate("rz", (qubit,), (phase,)))
+        else:
+            out.append(Gate("u3", (qubit,), (theta, beta, alpha)))
+
+    for gate in circuit:
+        if len(gate.qubits) == 1:
+            qubit = gate.qubits[0]
+            pending[qubit] = gate_matrix(gate) @ pending.get(qubit, np.eye(2, dtype=complex))
+        else:
+            for qubit in gate.qubits:
+                flush(qubit)
+            out.append(gate)
+    for qubit in sorted(pending):
+        flush(qubit)
+    return out
