@@ -7,8 +7,10 @@ rows in three steps:
 2. split cache hits from misses against the :class:`~repro.runtime.store.ResultStore`;
 3. batch the misses by *compile group* — all backends of one benchmark
    instance that share a device topology share a single compilation — and
-   execute the groups either serially or on a
-   :class:`~repro.runtime.executor.WorkerPool`.
+   execute the groups either serially or on the sweep's one
+   :class:`~repro.runtime.executor.WorkerPool`; a one-group sweep lends
+   that pool to its jobs' trajectory batches instead (processes start only
+   when a batch is submitted).
 
 Results are re-assembled in grid-expansion order, so a parallel run yields
 exactly the same row sequence (byte-identical under canonical JSON) as a
@@ -18,6 +20,7 @@ serial run, and a resumed run as an uninterrupted one.
 from __future__ import annotations
 
 from concurrent.futures import as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -139,8 +142,9 @@ def run_sweep(
         Result cache; defaults to :class:`ResultStore`'s default directory.
         Completed jobs found in the store are never recomputed.
     workers:
-        ``1`` executes compile groups serially in-process; ``> 1`` fans them
-        out over a :class:`~repro.runtime.executor.WorkerPool` of that size.
+        ``1`` runs everything in-process; ``> 1`` opens one
+        :class:`~repro.runtime.executor.WorkerPool` of up to that size for
+        the compile groups, or for a single group's trajectory batches.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -170,11 +174,6 @@ def run_sweep(
                 missing_indices.append(index)
 
         groups = _compile_groups(specs, keys, missing_indices)
-        # A sweep that collapses to one compile group (or runs serially with a
-        # worker budget) hands its workers down to the group's own trajectory
-        # batches instead of leaving them idle; pooled groups keep their
-        # simulations in-process so process pools never nest.
-        in_process = workers == 1 or len(groups) <= 1
 
         def persist(batch: Sequence[JobResult]) -> None:
             for result in batch:
@@ -184,11 +183,11 @@ def run_sweep(
         # Each group's results are persisted as soon as that group finishes,
         # so an interrupted sweep keeps every completed group and a resumed
         # run only recomputes the remainder.
-        if in_process:
-            for group_specs, group_keys in groups:
-                persist(
-                    execute_compile_group(group_specs, group_keys, sim_workers=workers)
-                )
+        if workers == 1 or len(groups) <= 1:
+            lend = workers > 1 and len(groups) == 1
+            with WorkerPool(workers) if lend else nullcontext() as pool:
+                for group_specs, group_keys in groups:
+                    persist(execute_compile_group(group_specs, group_keys, pool=pool))
         else:
             parent_id = sweep_span.span_id if sweep_span is not None else None
             with WorkerPool(min(workers, len(groups))) as pool:

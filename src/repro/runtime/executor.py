@@ -1,12 +1,14 @@
 """The one process pool behind every pooled path.
 
-Sweeps (:func:`repro.runtime.dispatch.run_sweep` with ``workers > 1``),
-trajectory batches (:func:`repro.simulation.engine.run_trajectories` with
-``workers > 1``) and the ``repro serve`` daemon
-(:class:`repro.queue.scheduler.QueueService`) all fan work out through a
-:class:`WorkerPool`: :meth:`WorkerPool.submit` takes a module-level function
-and its arguments — the Python objects the caller already holds, pickled as
-they are — and returns a :class:`~concurrent.futures.Future` of what the
+Only the driver of a fan-out owns a :class:`WorkerPool`: a sweep
+(:func:`repro.runtime.dispatch.run_sweep` with ``workers > 1``, at most one
+pool per call) and the ``repro serve`` daemon
+(:class:`repro.queue.scheduler.QueueService`).  Code below a driver borrows
+its pool and never starts one: trajectory batches
+(:func:`repro.simulation.engine.run_trajectories` with ``pool=``) run on the
+pool a one-group sweep lends them.  :meth:`WorkerPool.submit` takes a
+module-level function and its arguments — the Python objects the caller
+already holds, pickled as they are — and returns a :class:`~concurrent.futures.Future` of what the
 worker *shipped back*: the function's result plus the worker's span and
 metric snapshots.  The caller adopts those with
 :func:`merge_shipped_telemetry` under the span that dispatched the task, in

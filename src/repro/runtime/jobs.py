@@ -44,7 +44,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..circuits.circuit import QuantumCircuit, circuit_fingerprint
@@ -53,6 +53,9 @@ from ..core.execution import normalized_execution_time
 from ..simulation.engine import run_trajectories
 from .spec import ExperimentSpec
 from .store import RESULT_SCHEMA_VERSION, canonical_json
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .executor import WorkerPool
 
 #: Generator circuits (with fingerprints) the source memo keeps per process.
 SOURCE_MEMO_SIZE = 16
@@ -197,7 +200,7 @@ class JobResult:
 
 
 def _fidelity_row(
-    spec: ExperimentSpec, compiled: CompiledCircuit, sim_workers: int = 1
+    spec: ExperimentSpec, compiled: CompiledCircuit, pool: Optional["WorkerPool"] = None
 ) -> Dict[str, object]:
     """Monte-Carlo fidelity columns for one job (``spec.fidelity`` is set).
 
@@ -207,8 +210,7 @@ def _fidelity_row(
     calibrated backends contribute their target's frozen rates, sampled
     backends draw a device from the variability model pinned by
     ``noise_seed``; the trajectory randomness is pinned by the job seed (and
-    unaffected by ``sim_workers``, which only fans batches out when the
-    dispatcher runs this job in-process instead of inside a pooled worker).
+    unaffected by ``pool``, a borrowed pool the batches fan out over).
     """
     options = spec.fidelity
     num_physical = compiled.coupling.num_qubits
@@ -230,13 +232,13 @@ def _fidelity_row(
         num_trajectories=options.trajectories,
         seed=spec.seed,
         batch_size=options.batch_size,
-        workers=max(1, sim_workers),
+        pool=pool,
     )
     return result.as_row()
 
 
 def _result_row(
-    spec: ExperimentSpec, compiled: CompiledCircuit, sim_workers: int = 1
+    spec: ExperimentSpec, compiled: CompiledCircuit, pool: Optional["WorkerPool"] = None
 ) -> Dict[str, object]:
     """The Fig. 9 row for one (compiled benchmark, backend) pair, with compile stats."""
     with telemetry.span("job.simd_schedule", backend=spec.backend.name):
@@ -258,7 +260,7 @@ def _result_row(
         }
     )
     if spec.fidelity is not None:
-        row.update(_fidelity_row(spec, compiled, sim_workers=sim_workers))
+        row.update(_fidelity_row(spec, compiled, pool=pool))
     return row
 
 
@@ -311,7 +313,7 @@ def execute_spec(
     spec: ExperimentSpec,
     key: Optional[str] = None,
     compiled: Optional[CompiledCircuit] = None,
-    sim_workers: int = 1,
+    pool: Optional["WorkerPool"] = None,
 ) -> JobResult:
     """Execute exactly one job; the circuit-level execution door.
 
@@ -331,12 +333,12 @@ def execute_spec(
     compiled:
         A compilation of the spec's circuit to reuse; when omitted the spec
         is compiled here and the compile time is included in ``elapsed_s``.
-    sim_workers:
-        Worker budget for the job's own trajectory batches.  ``1`` (the
-        default) keeps the simulation in-process — mandatory inside a pooled
-        dispatcher worker; the dispatcher grants more only when it executes
-        the job in the parent process.  Never changes the result, only how
-        the batches are scheduled.
+    pool:
+        A borrowed worker pool for the job's trajectory batches.  ``None``
+        (the default) keeps the simulation in-process — mandatory inside a
+        pooled worker, so pools never nest; the dispatcher lends its pool
+        only when it runs the job in its own process.  Never changes the
+        result, only where the batches run.
     """
     start = time.perf_counter()
     with telemetry.span(
@@ -347,7 +349,7 @@ def execute_spec(
     ):
         if compiled is None:
             compiled = compile_spec(spec)
-        row = _result_row(spec, compiled, sim_workers=sim_workers)
+        row = _result_row(spec, compiled, pool=pool)
     elapsed = time.perf_counter() - start
     return JobResult(
         key=key if key is not None else job_key(spec),
@@ -362,7 +364,7 @@ def execute_compile_group(
     specs: Sequence[ExperimentSpec],
     keys: Sequence[str],
     memo: Optional[CompileMemo] = None,
-    sim_workers: int = 1,
+    pool: Optional["WorkerPool"] = None,
 ) -> List[JobResult]:
     """Execute all jobs of one compile group; the pooled unit of work.
 
@@ -372,9 +374,9 @@ def execute_compile_group(
     every cache-missing job of a group into one call; the queue daemon sends
     each admitted job as a one-job group.  The circuit is built and compiled
     exactly once; each job then only pays for SIMD scheduling under its own
-    backend.  ``sim_workers`` grants each job's trajectory run a worker pool
-    of its own; the dispatcher passes more than 1 only when it runs the
-    group in-process, so pools never nest.  ``memo`` (the queue worker's,
+    backend.  ``pool`` is lent to each job's trajectory run; the dispatcher
+    lends one only when it runs the group in its own process, so pools
+    never nest.  ``memo`` (the queue worker's,
     see :func:`execute_queued_job`) reuses a compilation of the group made by
     an earlier call; sweeps pass none.  Returns the results in job order.
     """
@@ -387,7 +389,7 @@ def execute_compile_group(
         compile_elapsed = time.perf_counter() - start
 
         results = [
-            execute_spec(spec, key=key, compiled=compiled, sim_workers=sim_workers)
+            execute_spec(spec, key=key, compiled=compiled, pool=pool)
             for spec, key in zip(specs, keys)
         ]
     # Attribute the shared compile cost to the group's first job so the summed

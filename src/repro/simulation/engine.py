@@ -1,4 +1,4 @@
-"""Trajectory dispatch: in-process, or batches on the shared worker pool.
+"""Trajectory dispatch: in-process, or batches on a borrowed worker pool.
 
 :func:`run_trajectories` is the front door of the simulation subsystem: it
 builds one :class:`~repro.simulation.trajectories.TrajectoryPlan` (its
@@ -6,27 +6,28 @@ noise-free half, the fused circuit and ideal state, comes from a memo shared
 by every noise model the circuit runs under; only the kick probabilities
 are new), derives one child seed per trajectory batch from a single
 :class:`numpy.random.SeedSequence`, and runs the batches either in-process or
-on a :class:`repro.runtime.executor.WorkerPool` — the process pool sweeps and
-the daemon use too.  A batch is the seeding unit; the lockstep unit is the
-group: in-process, and within each pooled chunk, consecutive batches advance
-together in one set of rows
+on a :class:`repro.runtime.executor.WorkerPool` the caller owns and lends
+(the sweep dispatcher lends its pool to a one-group sweep's jobs).  This
+module never starts a pool.  A batch is the seeding unit; the lockstep unit
+is the group: in-process, and within each pooled chunk, consecutive batches
+advance together in one set of rows
 (:func:`~repro.simulation.trajectories.lockstep_groups`), which changes no
 bit of any batch's result.  Batches are re-assembled in spawn order, so the
-merged result is bit-identical for any worker count — the
+merged result is bit-identical for any pool size — the
 parallel/serial-identical guarantee the determinism tests pin down — and
 the workers' ``sim.batch`` spans (one per group) and counters merge back
 under the run's ``sim.run`` span.
 
-A pooled run splits its batches into one contiguous chunk per worker and
-submits each chunk as one task.  The chunk's batches share one plan object,
-which pickles once per chunk with both halves; each worker
+A pooled run splits its batches into ``min(pool.size, batches)`` contiguous
+chunks and submits each chunk as one task.  The chunk's batches share one
+plan object, which pickles once per chunk with both halves; each worker
 therefore unpickles the plan once per run rather than once per batch, and
 builds nothing itself.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .. import telemetry
 from ..circuits.circuit import QuantumCircuit
@@ -39,6 +40,9 @@ from .trajectories import (
     run_trajectory_group,
     trajectory_batch_payloads,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - repro.runtime imports this module
+    from ..runtime.executor import WorkerPool
 
 
 def _run_batches(payloads: Sequence[BatchPayload]) -> List[TrajectoryResult]:
@@ -59,7 +63,7 @@ def run_trajectories(
     num_trajectories: int = 100,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
+    pool: Optional["WorkerPool"] = None,
 ) -> TrajectoryResult:
     """Monte-Carlo trajectory estimate of a circuit's end-to-end fidelity.
 
@@ -79,60 +83,49 @@ def run_trajectories(
         Total Monte-Carlo samples.
     seed:
         Root seed; together with ``num_trajectories`` and ``batch_size`` it
-        pins the result exactly, independent of ``workers``.
+        pins the result exactly, independent of ``pool``.
     batch_size:
         Trajectories per seeded batch.  Each batch draws its kicks from its
         own child seed, so this is part of the seeding scheme; consecutive
         batches still advance in lockstep groups.
-    workers:
-        ``1`` runs batches serially in-process; ``> 1`` fans them out over a
-        :class:`~repro.runtime.executor.WorkerPool` of up to that size, one
-        contiguous chunk of batches per worker.
+    pool:
+        ``None`` runs batches serially in-process; a borrowed
+        :class:`~repro.runtime.executor.WorkerPool` runs them as
+        ``min(pool.size, batches)`` contiguous chunks, one task each.  The
+        pool stays open; its owner shuts it down.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     payloads = trajectory_batch_payloads(
         circuit, noise, num_trajectories, seed=seed, batch_size=batch_size
     )
 
+    chunks = 1 if pool is None else min(pool.size, len(payloads))
     parts: List[TrajectoryResult]
     with telemetry.span(
         "sim.run",
         qubits=circuit.num_qubits,
         trajectories=num_trajectories,
         batches=len(payloads),
-        workers=workers,
+        workers=chunks,
     ) as run_span:
-        if workers == 1 or len(payloads) == 1:
+        if chunks == 1:
             # In-process groups record their own sim.batch kernel spans,
             # nested under this one (the path fidelity sweep jobs take).
             parts = _run_batches(payloads)
         else:
+            # Deferred: repro.runtime imports this module through its job runner.
+            from ..runtime.executor import merge_shipped_telemetry
+
+            bounds = [len(payloads) * chunk // chunks for chunk in range(chunks + 1)]
+            futures = [
+                pool.submit(_run_batches, payloads[start:stop])
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+            # Adopted in chunk order, under this span, so the merge sees the
+            # batches exactly as the serial path would.
             parent_id = run_span.span_id if run_span is not None else None
-            parts = _run_pooled(payloads, workers, parent_id)
+            parts = [
+                part
+                for future in futures
+                for part in merge_shipped_telemetry(future.result(), parent_id)
+            ]
     return TrajectoryResult.merge(parts)
-
-
-def _run_pooled(
-    payloads: Sequence[BatchPayload], workers: int, parent_id: Optional[str]
-) -> List[TrajectoryResult]:
-    """Fan batches out over a worker pool, one contiguous chunk per worker.
-
-    Shipped results and telemetry are adopted in chunk order, under
-    ``parent_id``, so the merge sees batches exactly as the serial path would.
-    """
-    # Deferred: repro.runtime imports this module through its job runner.
-    from ..runtime.executor import WorkerPool, merge_shipped_telemetry
-
-    count = min(workers, len(payloads))
-    bounds = [len(payloads) * chunk // count for chunk in range(count + 1)]
-    with WorkerPool(count) as pool:
-        futures = [
-            pool.submit(_run_batches, payloads[start:stop])
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-        return [
-            part
-            for future in futures
-            for part in merge_shipped_telemetry(future.result(), parent_id)
-        ]

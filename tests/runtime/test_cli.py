@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,3 +238,43 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert "4 jobs (4 computed, 0 cached)" in result.stdout
+
+    def test_pooled_fidelity_sweep_leaves_no_process_behind(self, tmp_path):
+        """A one-group fidelity sweep lends its pool to the trajectory
+        batches; the CLI's fork server and workers exit with it.
+
+        The CLI leads its own process group, which every process it starts
+        joins, so an empty group means nothing is left behind.
+        """
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.runtime", "--benchmarks", "bv",
+             "--configs", "opt8", "min2", "--qubits", "8", "--fidelity",
+             "--trajectories", "40", "--workers", "2", "--format", "json",
+             "--cache-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=300)
+            assert process.returncode == 0, err
+            rows = json.loads(out)["rows"]
+            assert [row["trajectories"] for row in rows] == [40, 40]
+            deadline = time.monotonic() + 30.0
+            while True:
+                try:
+                    os.killpg(process.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a pool process outlived the CLI"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

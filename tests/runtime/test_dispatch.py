@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runtime.dispatch import run_sweep
-from repro.runtime.spec import SweepGrid
+from repro.runtime.executor import WorkerPool
+from repro.runtime.spec import FidelityOptions, SweepGrid
 from repro.runtime.store import ResultStore, canonical_json
 
 
@@ -98,6 +99,36 @@ class TestParallel:
         parallel_bytes = canonical_json({"rows": parallel.rows}).encode()
         assert serial_bytes == parallel_bytes
         assert parallel.keys == serial.keys
+
+    def test_one_group_fidelity_sweep_builds_one_pool(self, tmp_path, monkeypatch):
+        """One circuit under three designs is one compile group: the sweep's
+        single pool runs every job's trajectory batches, one process a slot."""
+        pools, processes = [], []
+        real_init, real_new_executor = WorkerPool.__init__, WorkerPool._new_executor
+
+        def counting_init(pool, size):
+            pools.append(size)
+            real_init(pool, size)
+
+        def counting_new_executor(pool):
+            processes.append(pool)
+            return real_new_executor(pool)
+
+        monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+        monkeypatch.setattr(WorkerPool, "_new_executor", counting_new_executor)
+        grid = SweepGrid(
+            benchmarks=("bv",),
+            backends=("digiq-opt8", "digiq-opt16", "digiq-min2"),
+            num_qubits=8,
+            seeds=(0,),
+            fidelity=FidelityOptions(trajectories=100),
+        )
+        pooled = run_sweep(grid, store=ResultStore(tmp_path / "pooled"), workers=2)
+        assert pools == [2]
+        assert len(processes) <= 2
+        serial = run_sweep(grid, store=ResultStore(tmp_path / "serial"), workers=1)
+        assert pools == [2]
+        assert canonical_json(pooled.rows) == canonical_json(serial.rows)
 
     def test_invalid_worker_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):

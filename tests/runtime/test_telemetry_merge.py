@@ -9,9 +9,10 @@ import pytest
 from repro import telemetry
 from repro.circuits.benchmarks import build_benchmark
 from repro.runtime.dispatch import run_sweep
+from repro.runtime.executor import WorkerPool
 from repro.runtime.spec import FidelityOptions, SweepGrid
 from repro.runtime.store import ResultStore
-from repro.simulation import NoiseModel, run_trajectories
+from repro.simulation import NoiseModel, run_trajectories, trajectories
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,9 @@ def fidelity_grid():
 
 
 def sweep_counters(workers, store_dir):
+    # Each side builds its trajectory plan from an empty fused-circuit memo,
+    # so its sim.plan.memo counters do not depend on what ran before it.
+    trajectories._FUSED.clear()
     telemetry.reset()
     run_sweep(fidelity_grid(), store=ResultStore(store_dir), workers=workers)
     return telemetry.snapshot_metrics()["counters"]
@@ -146,8 +150,8 @@ class TestPooledTrajectoryTelemetry:
         circuit = build_benchmark("qgan", num_qubits=6, seed=3)
         noise = NoiseModel.uniform(6, 0.02, 0.05)
         telemetry.reset()
-        with telemetry.collecting():
-            run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=2)
+        with telemetry.collecting(), WorkerPool(2) as pool:
+            run_trajectories(circuit, noise, 40, seed=7, batch_size=10, pool=pool)
         spans = telemetry.snapshot_spans()
         (run,) = [span for span in spans if span["name"] == "sim.run"]
         groups = [span for span in spans if span["name"] == "sim.batch"]

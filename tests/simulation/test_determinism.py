@@ -6,6 +6,7 @@ import numpy as np
 from repro.circuits.benchmarks import build_benchmark
 from repro.circuits.simulator import sample_counts, simulate
 from repro.noise.variability import VariabilityModel
+from repro.runtime.executor import WorkerPool
 from repro.simulation import NoiseModel, run_trajectories
 
 
@@ -67,15 +68,17 @@ class TestTrajectoryDeterminism:
         to serial runs for the same (seed, trajectories, batch_size)."""
         circuit = _bv()
         noise = NoiseModel.uniform(circuit.num_qubits, 0.02, 0.05)
-        serial = run_trajectories(circuit, noise, 48, seed=7, batch_size=12, workers=1)
-        parallel = run_trajectories(circuit, noise, 48, seed=7, batch_size=12, workers=2)
+        serial = run_trajectories(circuit, noise, 48, seed=7, batch_size=12)
+        with WorkerPool(2) as pool:
+            parallel = run_trajectories(circuit, noise, 48, seed=7, batch_size=12, pool=pool)
         assert serial == parallel
 
     def test_more_batches_than_workers_match_serial_exactly(self):
         circuit = _bv()
         noise = NoiseModel.uniform(circuit.num_qubits, 0.02, 0.05)
-        serial = run_trajectories(circuit, noise, 40, seed=7, batch_size=4, workers=1)
-        pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=4, workers=2)
+        serial = run_trajectories(circuit, noise, 40, seed=7, batch_size=4)
+        with WorkerPool(2) as pool:
+            pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=4, pool=pool)
         assert pooled == serial
 
     def test_uneven_final_batch_is_handled(self):

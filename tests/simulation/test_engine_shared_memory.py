@@ -6,6 +6,7 @@ import pytest
 
 from repro import telemetry
 from repro.circuits.benchmarks import build_benchmark
+from repro.runtime.executor import WorkerPool
 from repro.simulation import NoiseModel, run_trajectories
 
 
@@ -24,14 +25,15 @@ def _qgan():
 class TestPooledRuns:
     def test_pooled_statevector_run_matches_serial_exactly(self):
         circuit, noise = _qgan()
-        serial = run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=1)
-        pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=10, workers=2)
+        serial = run_trajectories(circuit, noise, 40, seed=7, batch_size=10)
+        with WorkerPool(2) as pool:
+            pooled = run_trajectories(circuit, noise, 40, seed=7, batch_size=10, pool=pool)
         assert pooled == serial
 
     def test_each_worker_runs_one_contiguous_chunk_in_spawn_order(self):
         circuit, noise = _qgan()
-        with telemetry.collecting():
-            run_trajectories(circuit, noise, 36, seed=7, batch_size=4, workers=2)
+        with telemetry.collecting(), WorkerPool(2) as pool:
+            run_trajectories(circuit, noise, 36, seed=7, batch_size=4, pool=pool)
         groups = [s for s in telemetry.snapshot_spans() if s["name"] == "sim.batch"]
         # one span per lockstep group, whose "batches" attribute counts them
         batches_by_pid = {}

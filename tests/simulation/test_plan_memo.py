@@ -11,6 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.circuits.circuit import QuantumCircuit, circuit_fingerprint
+from repro.runtime.executor import WorkerPool
 from repro.runtime.jobs import compile_spec, execute_compile_group, job_key
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.simulation import NoiseModel, run_trajectories, trajectories
@@ -171,10 +172,11 @@ def test_cached_arrays_are_read_only():
 
 def test_pooled_run_equals_serial_with_a_shared_half():
     circuit, noises = compiled_job()
-    for noise in noises:
-        serial = run_trajectories(circuit, noise, 100, seed=4, workers=1)
-        pooled = run_trajectories(circuit, noise, 100, seed=4, workers=2)
-        assert result_bytes(pooled) == result_bytes(serial)
+    with WorkerPool(2) as pool:
+        for noise in noises:
+            serial = run_trajectories(circuit, noise, 100, seed=4)
+            pooled = run_trajectories(circuit, noise, 100, seed=4, pool=pool)
+            assert result_bytes(pooled) == result_bytes(serial)
     assert memo_counts() == (3, 1)
 
 

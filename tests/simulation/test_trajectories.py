@@ -128,8 +128,8 @@ class TestTrajectories:
     def test_engine_and_serial_reference_agree(self):
         circuit = small_benchmark("ising")
         noise = NoiseModel.uniform(circuit.num_qubits, 0.01, 0.02)
-        reference = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
-        engine = run_trajectories(circuit, noise, 30, seed=5, batch_size=8, workers=1)
+        reference = run_trajectories(circuit, noise, 30, seed=5, batch_size=8)
+        engine = run_trajectories(circuit, noise, 30, seed=5, batch_size=8)
         assert engine == reference
 
 
