@@ -1,6 +1,6 @@
 """Quantum circuit IR, gate library, simulator, and NISQ benchmark generators."""
 
-from .builder import CircuitBuilder, encode_integer, register_value
+from .builder import CircuitBuilder, encode_integer
 from .circuit import QuantumCircuit, circuit_fingerprint
 from .gate import Gate
 from .library import (
@@ -15,7 +15,6 @@ from .library import (
 from .simulator import (
     apply_gate,
     apply_matrix,
-    basis_state_index,
     circuit_unitary,
     dominant_bitstring,
     measure_probabilities,
@@ -33,7 +32,6 @@ __all__ = [
     "QuantumCircuit",
     "apply_gate",
     "apply_matrix",
-    "basis_state_index",
     "circuit_fingerprint",
     "circuit_unitary",
     "dominant_bitstring",
@@ -42,7 +40,6 @@ __all__ = [
     "gate_spec",
     "inverse_gate",
     "measure_probabilities",
-    "register_value",
     "sample_counts",
     "simulate",
     "validate_gate",

@@ -12,15 +12,12 @@ QAOA    QAOA MaxCut on a seeded random graph (not in the paper)
 GHZ     GHZ core + seeded phase layers (two-amplitude support)
 ======  =========================================================
 
-:func:`benchmark_suite` builds the full suite scaled to a target device size,
-which is how the Fig. 9 / Fig. 10 experiment drivers consume them.  Paper
-reproduction paths (Table IV, Fig. 9) use :data:`TABLE_IV_NAMES`; the sweep
-runtime accepts everything in :data:`BENCHMARK_NAMES`.
+:func:`build_benchmark` builds one of them scaled to a target device size.
+Paper reproduction paths (Table IV, Fig. 9) use :data:`TABLE_IV_NAMES`; the
+sweep runtime accepts everything in :data:`BENCHMARK_NAMES`.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Optional
 
 from ..circuit import QuantumCircuit
 from .adders import (
@@ -28,7 +25,7 @@ from .adders import (
     carry_lookahead_adder_circuit,
     cuccaro_adder_circuit,
 )
-from .bernstein_vazirani import bernstein_vazirani_circuit, bernstein_vazirani_secret
+from .bernstein_vazirani import bernstein_vazirani_circuit
 from .ghz import ghz_phase_circuit
 from .grover_sqrt import GroverSqrtLayout, grover_sqrt_circuit
 from .ising import ising_chain_circuit
@@ -79,29 +76,12 @@ def build_benchmark(name: str, num_qubits: int = 64, seed: int = 7) -> QuantumCi
     raise KeyError(f"unknown benchmark '{name}'; known: {BENCHMARK_NAMES}")
 
 
-def benchmark_suite(
-    num_qubits: int = 64,
-    names: Optional[List[str]] = None,
-    seed: int = 7,
-) -> Dict[str, QuantumCircuit]:
-    """Build the named benchmarks at a device size.
-
-    The default is every registered benchmark (:data:`BENCHMARK_NAMES`,
-    Table IV plus QFT/QAOA); pass ``names=TABLE_IV_NAMES`` for the
-    paper-faithful six.
-    """
-    selected = list(names) if names is not None else list(BENCHMARK_NAMES)
-    return {name: build_benchmark(name, num_qubits=num_qubits, seed=seed) for name in selected}
-
-
 __all__ = [
     "AdderLayout",
     "BENCHMARK_NAMES",
     "GroverSqrtLayout",
     "TABLE_IV_NAMES",
-    "benchmark_suite",
     "bernstein_vazirani_circuit",
-    "bernstein_vazirani_secret",
     "build_benchmark",
     "carry_lookahead_adder_circuit",
     "cuccaro_adder_circuit",

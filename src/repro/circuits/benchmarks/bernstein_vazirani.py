@@ -57,14 +57,3 @@ def bernstein_vazirani_circuit(
     # Return the ancilla to |1> so the final state is a computational basis state.
     circuit.h(ancilla)
     return circuit
-
-
-def bernstein_vazirani_secret(circuit: QuantumCircuit) -> str:
-    """Recover the secret encoded in a BV circuit (for verification in tests)."""
-    num_bits = circuit.num_qubits - 1
-    secret = ["0"] * num_bits
-    ancilla = num_bits
-    for gate in circuit:
-        if gate.name == "cx" and gate.qubits[1] == ancilla:
-            secret[gate.qubits[0]] = "1"
-    return "".join(reversed(secret))

@@ -100,13 +100,3 @@ def encode_integer(builder: CircuitBuilder, register: Sequence[int], value: int)
     for position, qubit in enumerate(register):
         if (value >> position) & 1:
             builder.x(qubit)
-
-
-def register_value(bitstring: str, register: Sequence[int]) -> int:
-    """Decode a register's value from a measured bitstring (qubit 0 rightmost)."""
-    num_qubits = len(bitstring)
-    value = 0
-    for position, qubit in enumerate(register):
-        bit = bitstring[num_qubits - 1 - qubit]
-        value |= int(bit) << position
-    return value

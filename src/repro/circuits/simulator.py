@@ -34,26 +34,6 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
-def basis_state_index(bits: Sequence[int], num_qubits: Optional[int] = None) -> int:
-    """Index of the basis state with the given per-qubit bits (qubit 0 first).
-
-    When ``num_qubits`` is given, the bit list must describe exactly that
-    register width; a mismatch raises ``ValueError`` instead of silently
-    addressing a state of a differently-sized register.
-    """
-    bits = list(bits)
-    if num_qubits is not None and len(bits) != num_qubits:
-        raise ValueError(
-            f"got {len(bits)} bits for a register of {num_qubits} qubits"
-        )
-    index = 0
-    for position, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {bit}")
-        index |= bit << position
-    return index
-
-
 @lru_cache(maxsize=4096)
 def _apply_plan(
     targets: Tuple[int, ...], num_qubits: int

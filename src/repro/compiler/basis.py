@@ -81,7 +81,7 @@ def _append_toffoli(circuit: QuantumCircuit, c0: int, c1: int, target: int) -> N
     append(fast_gate("cx", (c0, c1)))
 
 
-def rebase_to_cz_basis(circuit: QuantumCircuit, fuse: bool = True) -> QuantumCircuit:
+def rebase_to_cz_basis(circuit: QuantumCircuit) -> QuantumCircuit:
     """Rewrite a (<=2-qubit-gate) circuit into the {u3, cz} basis.
 
     Two-qubit rules::
@@ -91,15 +91,13 @@ def rebase_to_cz_basis(circuit: QuantumCircuit, fuse: bool = True) -> QuantumCir
         rzz(th)    ->  cx(a, b) rz(th, b) cx(a, b), each cx rebased
         cp(th)     ->  rz(th/2, a) rz(th/2, b) + rzz(-th/2) identity, rebased
 
-    If ``fuse`` is true, runs of single-qubit gates on the same qubit are
-    collapsed into one ``u3``.
+    Runs of single-qubit gates on the same qubit are then collapsed into one
+    ``u3`` (see :func:`fuse_single_qubit_runs`).
     """
     expanded = QuantumCircuit(circuit.num_qubits, name=circuit.name)
     for gate in circuit:
         _rebase_gate(expanded, gate)
-    if fuse:
-        return fuse_single_qubit_runs(expanded)
-    return expanded
+    return fuse_single_qubit_runs(expanded)
 
 
 def _emit_cx(out: QuantumCircuit, control: int, target: int) -> None:

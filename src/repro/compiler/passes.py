@@ -255,11 +255,8 @@ class StochasticRoute(TransformationPass):
 class RebaseToCZ(TransformationPass):
     """Rewrite into the DigiQ {u3, rz, cz} basis, fusing 1q runs."""
 
-    def __init__(self, fuse: bool = True):
-        self.fuse = fuse
-
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
-        return rebase_to_cz_basis(circuit, fuse=self.fuse)
+        return rebase_to_cz_basis(circuit)
 
 
 class ValidateBasis(AnalysisPass):

@@ -31,8 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import time
 
-import numpy as np
-
 from .. import telemetry
 from ..circuits.circuit import QuantumCircuit
 from .coupling import CouplingMap, smallest_grid_for
@@ -121,45 +119,6 @@ class CompiledCircuit:
         """The per-pass metrics trace as JSON-able rows (may be empty)."""
         return [record.as_dict() for record in self.pass_trace]
 
-    def logical_unitary(self, max_qubits: int = 12) -> np.ndarray:
-        """The compiled circuit's action on the *logical* register.
-
-        Simulates the physical circuit on every embedded logical basis state
-        (via the initial layout) and reads the outcome back through the final
-        layout, returning a ``2**n_logical`` square matrix.  Because routing
-        only permutes tensor factors, physical qubits that hold no logical
-        qubit stay in ``|0>`` and the extraction is exact.  This is what the
-        equivalence tests compare across optimization levels (compilation
-        preserves it up to global phase).
-        """
-        from ..circuits.simulator import simulate
-
-        num_logical = self.source.num_qubits
-        num_physical = self.coupling.num_qubits
-        if num_physical > max_qubits:
-            raise ValueError(
-                f"logical_unitary simulates all {num_physical} physical qubits; "
-                f"refusing beyond {max_qubits}"
-            )
-        dim_logical = 2**num_logical
-
-        def embed(basis_index: int, layout: Layout) -> int:
-            physical_index = 0
-            for logical in range(num_logical):
-                if (basis_index >> logical) & 1:
-                    physical_index |= 1 << layout.physical(logical)
-            return physical_index
-
-        batch = np.zeros((dim_logical, 2**num_physical), dtype=complex)
-        for basis_index in range(dim_logical):
-            batch[basis_index, embed(basis_index, self.initial_layout)] = 1.0
-        evolved = simulate(self.physical_circuit, initial_state=batch)
-
-        unitary = np.empty((dim_logical, dim_logical), dtype=complex)
-        for out_index in range(dim_logical):
-            unitary[out_index, :] = evolved[:, embed(out_index, self.final_layout)]
-        return unitary
-
 
 def build_pass_manager(
     opt_level: int = DEFAULT_OPT_LEVEL,
@@ -198,7 +157,7 @@ def build_pass_manager(
         passes.append(CancelInverseGates())
     passes.append(BuildInitialLayout(strategy=layout_strategy))
     passes.append(router)
-    passes.append(RebaseToCZ(fuse=True))
+    passes.append(RebaseToCZ())
     if opt_level >= 2:
         passes.append(CommutationAwareFusion())
     if opt_level >= 1:

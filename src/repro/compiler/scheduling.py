@@ -83,20 +83,6 @@ class Schedule:
         }
 
 
-def asap_schedule(circuit: QuantumCircuit) -> Schedule:
-    """Plain ASAP layering (no crosstalk constraint)."""
-    moments: List[Moment] = []
-    frontier = [0] * circuit.num_qubits
-    for gate in circuit:
-        level = max(frontier[q] for q in gate.qubits)
-        while len(moments) <= level:
-            moments.append(Moment())
-        moments[level].gates.append(gate)
-        for q in gate.qubits:
-            frontier[q] = level + 1
-    return Schedule(moments=moments, num_qubits=circuit.num_qubits)
-
-
 def crosstalk_aware_schedule(
     circuit: QuantumCircuit,
     coupling: Optional[CouplingMap] = None,

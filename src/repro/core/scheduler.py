@@ -297,11 +297,6 @@ class SIMDScheduler:
                 raise RuntimeError("SIMD scheduling did not converge")
         return cycles, ideal
 
-    def moment_cost(self, moment: Moment, index: int, num_qubits: int) -> MomentCost:
-        """Controller-cycle cost of one moment, as :meth:`schedule_moments` costs it."""
-        (cost,) = self.schedule_moments(Schedule([moment], num_qubits), num_qubits).moments
-        return replace(cost, index=index)
-
     def _granted_cost(
         self, moment: Moment, cost: MomentCost, index: int, num_qubits: int
     ) -> MomentCost:
@@ -329,11 +324,6 @@ class SIMDScheduler:
         """Schedule a compiled circuit and return its controller-cycle cost."""
         profile, _ = compiled_profile(compiled, self.config.groups)
         return self._schedule_profile(profile, compiled.schedule, compiled.coupling.num_qubits)
-
-    def schedule_moments(self, schedule: Schedule, num_qubits: int) -> SIMDScheduleResult:
-        """Schedule an explicit moment list (used by tests and ablations)."""
-        profile = moment_profile(schedule, self.config.groups, num_qubits)
-        return self._schedule_profile(profile, schedule, num_qubits)
 
     def _schedule_profile(
         self, profile: MomentProfile, schedule: Schedule, num_qubits: int

@@ -67,14 +67,6 @@ class QubitSample:
             levels=levels,
         )
 
-    def nominal_transmon(self, levels: int = 6) -> Transmon:
-        """The nominal (design-point) transmon model."""
-        return Transmon(
-            frequency=self.nominal_frequency,
-            anharmonicity=self.anharmonicity,
-            levels=levels,
-        )
-
 
 class VariabilityModel:
     """Samples per-qubit frequency variation and per-coupler hardware error.
@@ -165,13 +157,6 @@ class VariabilityModel:
     def sample_current_scale(self) -> float:
         """Multiplicative amplitude error of one current generator (mean 1.0)."""
         return float(max(1.0 + self._rng.normal(0.0, self.current_sigma), 0.0))
-
-    def sample_current_scales(self, count: int) -> np.ndarray:
-        """Amplitude errors for ``count`` current generators."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        scales = 1.0 + self._rng.normal(0.0, self.current_sigma, size=count)
-        return np.maximum(scales, 0.0)
 
     # -- residual gate-error sampling ---------------------------------------------
 

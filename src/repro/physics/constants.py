@@ -48,8 +48,3 @@ PAPER_PARKING_FREQUENCIES_GHZ = (6.21286, 5.02978, 4.14238)
 PAPER_PARKING_DRIFT_TOLERANCE_GHZ = (0.01282, 0.01049, 0.00820)
 
 TWO_PI = 2.0 * math.pi
-
-
-def angular(frequency_ghz: float) -> float:
-    """Convert a plain frequency in GHz to an angular frequency in rad/ns."""
-    return TWO_PI * frequency_ghz

@@ -13,7 +13,7 @@ This module provides:
 * :class:`TwoTransmonSystem` — the coupled-Duffing-oscillator Hamiltonian and
   piecewise-constant Schrödinger integration for time-dependent frequency
   trajectories (the ``Uqq`` of the paper);
-* :func:`cz_target` / :func:`project_two_qubit` — comparison helpers;
+* :data:`CZ_TARGET` / :func:`project_two_qubit` — comparison helpers;
 * :class:`FluxPulseCalibration` — the mapping from a current waveform to a
   frequency trajectory, with the nominal design point chosen so the gate
   matches the paper's 60 ns CZ duration.
@@ -21,7 +21,6 @@ This module provides:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -33,11 +32,6 @@ from .transmon import TransmonPairParameters
 
 #: The ideal CZ gate in the two-qubit computational basis (|00>,|01>,|10>,|11>).
 CZ_TARGET = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
-def cz_target() -> np.ndarray:
-    """The ideal CZ unitary (4x4)."""
-    return CZ_TARGET.copy()
 
 
 def computational_indices(levels: int) -> Tuple[int, int, int, int]:
@@ -170,15 +164,6 @@ class TwoTransmonSystem:
         """
         return self.pair.qubit_b.frequency - self.pair.qubit_a.anharmonicity
 
-    def cz_hold_time_ns(self) -> float:
-        """Half vacuum-Rabi period of the |11> <-> |20> oscillation at resonance.
-
-        The matrix element between |11> and |20> is ``sqrt(2) * g``, so a full
-        population return with a conditional pi phase takes
-        ``1 / (2 sqrt(2) g)`` ns.
-        """
-        return 1.0 / (2.0 * math.sqrt(2.0) * self.pair.coupling)
-
 
 @dataclass(frozen=True)
 class FluxPulseCalibration:
@@ -188,8 +173,9 @@ class FluxPulseCalibration:
     :mod:`repro.hardware.current_generator`) threads flux through the tunable
     transmon's SQUID loop.  For the purposes of the controller-level study the
     relevant quantity is the *frequency excursion per unit current*; we expose
-    it directly as ``ghz_per_ma`` and provide a helper that calibrates it so
-    that the plateau of a given waveform lands exactly on the CZ resonance.
+    it directly as ``ghz_per_ma`` (:mod:`repro.core.two_qubit` calibrates it
+    so that the plateau of a given waveform lands at a chosen detuning from
+    the CZ resonance).
 
     Attributes
     ----------
@@ -210,18 +196,6 @@ class FluxPulseCalibration:
         currents = np.asarray(current_samples_ma, dtype=float) * self.amplitude_scale
         return parked_frequency + self.ghz_per_ma * currents
 
-    @staticmethod
-    def calibrate_for_resonance(
-        system: TwoTransmonSystem,
-        plateau_current_ma: float,
-    ) -> "FluxPulseCalibration":
-        """Choose ``ghz_per_ma`` so the plateau current hits the CZ resonance."""
-        if plateau_current_ma <= 0:
-            raise ValueError("plateau current must be positive")
-        parked = system.pair.qubit_a.frequency
-        target = system.resonance_frequency_for_cz()
-        return FluxPulseCalibration(ghz_per_ma=(target - parked) / plateau_current_ma)
-
 
 def simulate_uqq(
     system: TwoTransmonSystem,
@@ -233,7 +207,7 @@ def simulate_uqq(
     """Simulate the two-qubit unitary produced by one current pulse (``Uqq``).
 
     Returns the full multi-level propagator (``levels**2`` square); project it
-    with :func:`project_two_qubit` before comparing against :func:`cz_target`.
+    with :func:`project_two_qubit` before comparing against :data:`CZ_TARGET`.
     """
     samples = np.asarray(current_samples_ma, dtype=float)
     trajectory = calibration.frequency_trajectory(system.pair.qubit_a.frequency, samples)

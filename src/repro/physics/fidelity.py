@@ -15,7 +15,6 @@ this matches the treatment referenced by the paper [Ghosh, arXiv:1111.2478].
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -70,19 +69,6 @@ def leakage_projected_error(
     return 1.0 - leakage_projected_fidelity(propagator, target_qubit_unitary, levels)
 
 
-def leakage(propagator: np.ndarray, levels: Sequence[int] = (0, 1)) -> float:
-    """Average population leaked out of the computational subspace.
-
-    Computed as ``1 - tr(M† M) / d`` where ``M`` is the projected propagator,
-    i.e. the average over computational basis states of the probability of
-    ending up outside the computational subspace.
-    """
-    projected = project_to_qubit(propagator, levels=levels)
-    dim = projected.shape[0]
-    survival = np.real(np.trace(projected.conj().T @ projected)) / dim
-    return float(min(max(1.0 - survival, 0.0), 1.0))
-
-
 def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:
     """Fidelity ``|<a|b>|^2`` between two pure states."""
     a = np.asarray(state_a, dtype=complex).ravel()
@@ -93,72 +79,3 @@ def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:
     if na < 1e-12 or nb < 1e-12:
         raise ValueError("states must be non-zero")
     return float(abs(np.vdot(a, b)) ** 2 / (na * nb) ** 2)
-
-
-def phase_corrected_two_qubit_error(
-    actual: np.ndarray, target: np.ndarray, phase_grid: int = 36
-) -> float:
-    """Two-qubit gate error minimised over single-qubit Z phase corrections.
-
-    Virtual Z rotations before/after a two-qubit gate are free in software, so
-    comparing a simulated two-qubit propagator against a target (e.g. CZ)
-    should allow arbitrary ``Rz ⊗ Rz`` corrections on both sides.  This
-    routine performs a coarse grid search followed by a local refinement over
-    the four correction phases.
-
-    Both operators must be given in the two-qubit computational basis (4x4);
-    use :func:`repro.physics.coupled.project_two_qubit` to project a
-    multi-level propagator first.
-    """
-    actual = np.asarray(actual, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if actual.shape != (4, 4) or target.shape != (4, 4):
-        raise ValueError("phase_corrected_two_qubit_error expects 4x4 operators")
-
-    def corrected_error(phases: np.ndarray) -> float:
-        pre = _zz_phase_operator(phases[0], phases[1])
-        post = _zz_phase_operator(phases[2], phases[3])
-        return average_gate_error(post @ actual @ pre, target)
-
-    best_phases = np.zeros(4)
-    best_error = corrected_error(best_phases)
-    grid = np.linspace(0.0, 2.0 * math.pi, phase_grid, endpoint=False)
-    # Coarse search: Z corrections before and after commute with the diagonal
-    # part of a CZ-like gate, so searching pre-phases with post set to the
-    # negative pre-phase seed is a good starting point; then refine all four.
-    for pa in grid:
-        for pb in grid:
-            phases = np.array([pa, pb, 0.0, 0.0])
-            err = corrected_error(phases)
-            if err < best_error:
-                best_error, best_phases = err, phases
-    best_error, best_phases = _refine_phases(corrected_error, best_phases, best_error)
-    return best_error
-
-
-def _zz_phase_operator(phase_a: float, phase_b: float) -> np.ndarray:
-    """Diagonal ``Rz(phase_a) ⊗ Rz(phase_b)`` operator on two qubits (4x4)."""
-    za = np.array([1.0, np.exp(1j * phase_a)], dtype=complex)
-    zb = np.array([1.0, np.exp(1j * phase_b)], dtype=complex)
-    return np.diag(np.kron(za, zb))
-
-
-def _refine_phases(objective, phases: np.ndarray, value: float, rounds: int = 40):
-    """Simple coordinate-descent refinement of the four correction phases."""
-    step = 0.2
-    phases = phases.copy()
-    for _ in range(rounds):
-        improved = False
-        for idx in range(4):
-            for delta in (step, -step):
-                trial = phases.copy()
-                trial[idx] += delta
-                trial_value = objective(trial)
-                if trial_value < value:
-                    value, phases = trial_value, trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-4:
-                break
-    return value, phases

@@ -34,11 +34,6 @@ def destroy(dim: int) -> np.ndarray:
     return op
 
 
-def create(dim: int) -> np.ndarray:
-    """Creation (raising) operator on a ``dim``-level truncated oscillator."""
-    return destroy(dim).conj().T
-
-
 def number(dim: int) -> np.ndarray:
     """Number operator ``b† b`` on a ``dim``-level truncated oscillator."""
     return np.diag(np.arange(dim, dtype=float)).astype(complex)

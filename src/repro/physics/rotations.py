@@ -6,8 +6,8 @@ and are used pervasively by the DigiQ decomposition and calibration code:
 * :func:`rx`, :func:`ry`, :func:`rz`, :func:`u3` build standard rotations;
 * :func:`zyz_angles` performs the Z-Y-Z Euler decomposition that underlies the
   DigiQ_opt decomposition ``U = Rz(c) Ry(theta) Rz(a)``;
-* :func:`su2_distance` / :func:`equivalent_up_to_phase` compare unitaries in a
-  global-phase-insensitive way.
+* :func:`global_phase_aligned` removes the global phase, giving the SU(2)
+  representative.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-
-from .operators import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def rx(theta: float) -> np.ndarray:
@@ -37,20 +35,6 @@ def rz(phi: float) -> np.ndarray:
     """Rotation by ``phi`` around the z axis of the Bloch sphere."""
     return np.array(
         [[cmath.exp(-0.5j * phi), 0.0], [0.0, cmath.exp(0.5j * phi)]], dtype=complex
-    )
-
-
-def rotation(axis: Tuple[float, float, float], angle: float) -> np.ndarray:
-    """Rotation by ``angle`` around an arbitrary (not necessarily unit) axis."""
-    nx, ny, nz = axis
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if norm == 0.0:
-        raise ValueError("rotation axis must be non-zero")
-    nx, ny, nz = nx / norm, ny / norm, nz / norm
-    generator = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-    return (
-        math.cos(angle / 2.0) * np.eye(2, dtype=complex)
-        - 1j * math.sin(angle / 2.0) * generator
     )
 
 
@@ -127,53 +111,3 @@ def _wrap_angle(angle: float) -> float:
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi
     return wrapped - math.pi
-
-
-def wrap_angle(angle: float) -> float:
-    """Public alias of the internal angle wrapper (range ``(-pi, pi]``)."""
-    return _wrap_angle(angle)
-
-
-def circular_distance(a: float, b: float, period: float = 2.0 * math.pi) -> float:
-    """Smallest absolute distance between two angles on a circle of ``period``."""
-    diff = math.fmod(a - b, period)
-    if diff < 0:
-        diff += period
-    return min(diff, period - diff)
-
-
-def su2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Phase-insensitive operator distance between two single-qubit unitaries.
-
-    Returns ``sqrt(1 - |tr(a† b)| / 2)`` which is zero iff the two unitaries
-    are equal up to global phase and grows monotonically with gate infidelity.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    overlap = abs(np.trace(a.conj().T @ b)) / 2.0
-    overlap = min(overlap, 1.0)
-    return math.sqrt(max(0.0, 1.0 - overlap))
-
-
-def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
-    """True if two unitaries are equal up to a global phase within ``atol``."""
-    return su2_distance(a, b) < atol
-
-
-def bloch_vector(state: np.ndarray) -> np.ndarray:
-    """Bloch vector (x, y, z) of a single-qubit pure state."""
-    state = np.asarray(state, dtype=complex).reshape(2)
-    norm = np.linalg.norm(state)
-    if norm < 1e-12:
-        raise ValueError("state vector must be non-zero")
-    state = state / norm
-    rho = np.outer(state, state.conj())
-    return np.real(
-        np.array(
-            [
-                np.trace(rho @ PAULI_X),
-                np.trace(rho @ PAULI_Y),
-                np.trace(rho @ PAULI_Z),
-            ]
-        )
-    )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,37 +123,6 @@ class SFQPulseModel:
         duration = bits.size * self.clock_period_ns
         return self.frame_propagator(duration, frame_frequency) @ unitary
 
-    def gate_duration_ns(self, bits: Sequence[int]) -> float:
-        """Wall-clock duration of a bitstream in ns."""
-        return len(list(bits)) * self.clock_period_ns
-
-    # -- helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def tip_angle_for_gate_time(
-        frequency_ghz: float,
-        target_angle: float,
-        gate_time_ns: float,
-        clock_period_ns: float = DEFAULT_SFQ_CLOCK_PERIOD_NS,
-        phase_window: float = 0.35,
-    ) -> float:
-        """Tip angle such that ``target_angle`` accumulates within ``gate_time_ns``.
-
-        The number of usable pulse slots within the gate time is estimated
-        from the phase-coherent pulse pattern produced by
-        :func:`coherent_bitstream` with the same ``phase_window``.
-        """
-        n_bits = int(round(gate_time_ns / clock_period_ns))
-        seed = coherent_bitstream(
-            frequency_ghz, n_bits, clock_period_ns=clock_period_ns, phase_window=phase_window
-        )
-        n_pulses = int(np.sum(seed))
-        if n_pulses == 0:
-            raise ValueError(
-                "no coherent pulse slots available; increase gate time or phase window"
-            )
-        return target_angle / n_pulses
-
 
 def coherent_bitstream(
     frequency_ghz: float,
@@ -184,24 +152,3 @@ def coherent_bitstream(
     phases = (TWO_PI * frequency_ghz * clock_period_ns * cycles + phase_offset) % TWO_PI
     distances = np.minimum(phases, TWO_PI - phases)
     return (distances <= phase_window).astype(int)
-
-
-@lru_cache(maxsize=None)
-def _cached_model(frequency: float, anharmonicity: float, levels: int, tip_angle: float, clock: float):
-    """Cache of pulse models keyed by physical parameters (used by sweeps)."""
-    return SFQPulseModel(
-        Transmon(frequency=frequency, anharmonicity=anharmonicity, levels=levels),
-        tip_angle=tip_angle,
-        clock_period_ns=clock,
-    )
-
-
-def pulse_model_for(
-    frequency: float,
-    anharmonicity: float = -0.250,
-    levels: int = 6,
-    tip_angle: float = 0.025,
-    clock_period_ns: float = DEFAULT_SFQ_CLOCK_PERIOD_NS,
-) -> SFQPulseModel:
-    """Convenience constructor with caching, used by frequency sweeps."""
-    return _cached_model(frequency, anharmonicity, levels, tip_angle, clock_period_ns)

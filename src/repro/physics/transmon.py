@@ -51,11 +51,6 @@ class Transmon:
         if self.levels < 2:
             raise ValueError(f"at least two levels are required, got {self.levels}")
 
-    @property
-    def period_ns(self) -> float:
-        """Qubit oscillation period in ns."""
-        return 1.0 / self.frequency
-
     def level_frequencies(self) -> np.ndarray:
         """Energies of each level, expressed as frequencies in GHz.
 
@@ -83,10 +78,6 @@ class Transmon:
         """Free-evolution propagator ``exp(-i H t)`` for ``duration_ns`` ns."""
         phases = -TWO_PI * self.level_frequencies() * duration_ns
         return np.diag(np.exp(1j * phases)).astype(complex)
-
-    def with_frequency(self, frequency: float) -> "Transmon":
-        """A copy of this transmon with a different |0>-|1> frequency."""
-        return replace(self, frequency=frequency)
 
 
 @dataclass(frozen=True)
@@ -150,39 +141,6 @@ class AsymmetricTransmon:
     def max_frequency(self) -> float:
         """Frequency at the flux sweet spot (zero flux)."""
         return self.frequency(0.0)
-
-    def min_frequency(self) -> float:
-        """Frequency at half-flux, the lower sweet spot of an asymmetric transmon."""
-        return self.frequency(0.5)
-
-    def flux_for_frequency(self, target_frequency: float) -> float:
-        """Invert the frequency-vs-flux curve on the branch ``flux in [0, 0.5]``.
-
-        Raises ``ValueError`` if the target frequency is outside the tunable band.
-        """
-        f_max = self.max_frequency()
-        f_min = self.min_frequency()
-        if not f_min <= target_frequency <= f_max:
-            raise ValueError(
-                f"target frequency {target_frequency:.4f} GHz outside tunable band "
-                f"[{f_min:.4f}, {f_max:.4f}] GHz"
-            )
-        lo, hi = 0.0, 0.5
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.frequency(mid) > target_frequency:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def duffing_model(self, flux: float = 0.0) -> Transmon:
-        """A fixed-frequency :class:`Transmon` snapshot at the given flux."""
-        return Transmon(
-            frequency=self.frequency(flux),
-            anharmonicity=self.anharmonicity(),
-            levels=self.levels,
-        )
 
     @staticmethod
     def from_frequency(

@@ -34,7 +34,7 @@ from ..runtime.store import ResultStore
 from ..simulation.trajectories import noisy_trajectory_states
 from .job import JobHandle
 from .observables import PauliObservable
-from .results import CircuitExecution, EstimateData, EstimatorResult
+from .results import EstimateData, EstimatorResult
 from .session import CircuitLike, Session
 
 #: Valid estimation methods.
@@ -136,22 +136,13 @@ class Estimator:
         method: str,
         fidelity: FidelityOptions,
     ) -> EstimateData:
-        result, cached = self.session.execute(spec)
+        execution = self.session._execution(spec)
         compiled = self.session.compiled_for(spec)
         num_physical = compiled.coupling.num_qubits
         qubit_map = [
             compiled.final_layout.physical(logical)
             for logical in range(compiled.source.num_qubits)
         ]
-        execution = CircuitExecution(
-            label=spec.benchmark,
-            job_key=result.key,
-            backend=self.session.backend.name,
-            row=dict(result.row),
-            trace=result.trace,
-            elapsed_s=0.0 if cached else result.elapsed_s,
-            cached=cached,
-        )
         if method == "exact":
             if num_physical > MAX_EXACT_QUBITS:
                 raise ValueError(
@@ -230,25 +221,11 @@ class Estimator:
         pairs = self._pairs(circuits, observables, num_qubits, seed, compile_options)
 
         def work() -> EstimatorResult:
-            entries = []
-            keys = []
-            cached_count = 0
-            elapsed = 0.0
-            for spec, observable in pairs:
-                estimate = self._estimate(spec, observable, method, fidelity)
-                entries.append(estimate)
-                keys.append(estimate.execution.job_key)
-                cached_count += int(estimate.execution.cached)
-                elapsed += estimate.execution.elapsed_s
-            return EstimatorResult(
-                entries=tuple(entries),
-                metadata={
-                    "backend": self.session.backend.name,
-                    "job_keys": keys,
-                    "elapsed_s": round(elapsed, 6),
-                    "cached": cached_count,
-                    "method": method,
-                },
+            entries = tuple(
+                self._estimate(spec, observable, method, fidelity) for spec, observable in pairs
             )
+            metadata = self.session._metadata([entry.execution for entry in entries])
+            metadata["method"] = method
+            return EstimatorResult(entries=entries, metadata=metadata)
 
         return self.session._submit(work, lazy=lazy)

@@ -270,6 +270,40 @@ class Session:
                 )
         return specs
 
+    def _execution(
+        self,
+        spec: ExperimentSpec,
+        shots: Optional[int] = None,
+        entry_cls=CircuitExecution,
+    ) -> CircuitExecution:
+        """Execute one spec and record it, with ``shots`` logical counts if asked."""
+        from .sampler import sample_logical_counts  # circular-import guard
+
+        result, cached = self.execute(spec)
+        counts = None
+        if shots is not None:
+            counts = sample_logical_counts(self.compiled_for(spec), shots, seed=spec.seed)
+        return entry_cls(
+            label=spec.benchmark,
+            job_key=result.key,
+            backend=self.backend.name,
+            row=dict(result.row),
+            counts=counts,
+            shots=shots,
+            trace=result.trace,
+            elapsed_s=0.0 if cached else result.elapsed_s,
+            cached=cached,
+        )
+
+    def _metadata(self, executions: Sequence[CircuitExecution]) -> Dict[str, object]:
+        """The metadata a submission's result shares across its executions."""
+        return {
+            "backend": self.backend.name,
+            "job_keys": [execution.job_key for execution in executions],
+            "elapsed_s": round(sum((execution.elapsed_s for execution in executions), 0.0), 6),
+            "cached": sum(int(execution.cached) for execution in executions),
+        }
+
     def _run_entries(
         self,
         specs: Sequence[ExperimentSpec],
@@ -277,42 +311,8 @@ class Session:
         entry_cls=CircuitExecution,
     ) -> Tuple[Tuple[CircuitExecution, ...], Dict[str, object]]:
         """Execute specs in order and build typed entries + shared metadata."""
-        from .sampler import sample_logical_counts  # circular-import guard
-
-        entries = []
-        keys = []
-        cached_count = 0
-        elapsed = 0.0
-        for spec in specs:
-            result, cached = self.execute(spec)
-            keys.append(result.key)
-            cached_count += int(cached)
-            elapsed += 0.0 if cached else result.elapsed_s
-            counts = None
-            if shots is not None:
-                counts = sample_logical_counts(
-                    self.compiled_for(spec), shots, seed=spec.seed
-                )
-            entries.append(
-                entry_cls(
-                    label=spec.benchmark,
-                    job_key=result.key,
-                    backend=self.backend.name,
-                    row=dict(result.row),
-                    counts=counts,
-                    shots=shots,
-                    trace=result.trace,
-                    elapsed_s=0.0 if cached else result.elapsed_s,
-                    cached=cached,
-                )
-            )
-        metadata = {
-            "backend": self.backend.name,
-            "job_keys": keys,
-            "elapsed_s": round(elapsed, 6),
-            "cached": cached_count,
-        }
-        return tuple(entries), metadata
+        entries = tuple(self._execution(spec, shots, entry_cls) for spec in specs)
+        return entries, self._metadata(entries)
 
     def run(
         self,

@@ -149,11 +149,6 @@ class QueueService:
 
     # -- power accounting -----------------------------------------------------------
 
-    def power_in_flight(self) -> float:
-        """Summed priced power of currently admitted jobs (watts)."""
-        with self._lock:
-            return sum(self._inflight.values())
-
     def _power_add(self, job: QueueJob) -> None:
         with self._lock:
             self._inflight[job.job_id] = job.power_w

@@ -266,11 +266,6 @@ class SweepGrid:
         if self.num_qubits < 2:
             raise ValueError("num_qubits must be >= 2")
 
-    @property
-    def configs(self) -> Tuple[DigiQConfig, ...]:
-        """The backends' DigiQ configurations, in backend order."""
-        return tuple(backend.config for backend in self.backends)
-
     def __len__(self) -> int:
         return len(self.benchmarks) * len(self.seeds) * len(self.backends)
 

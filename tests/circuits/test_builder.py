@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.circuits.builder import CircuitBuilder, encode_integer, register_value
+from repro.circuits.builder import CircuitBuilder, encode_integer
 from repro.circuits.simulator import dominant_bitstring, simulate
+from tests.oracles import register_value
 
 
 class TestAllocation:

@@ -18,7 +18,6 @@ from repro.circuits.library import (
 )
 from repro.circuits.simulator import (
     apply_matrix,
-    basis_state_index,
     circuit_unitary,
     dominant_bitstring,
     measure_probabilities,
@@ -26,7 +25,7 @@ from repro.circuits.simulator import (
     simulate,
     zero_state,
 )
-from tests.oracles import is_unitary
+from tests.oracles import basis_state_index, is_unitary
 
 
 class TestLibrary:

@@ -17,7 +17,7 @@ from repro.circuits.benchmarks import TABLE_IV_NAMES, build_benchmark
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.simulator import circuit_unitary
 from repro.compiler import compile_circuit
-from tests.oracles import are_coupled
+from tests.oracles import are_coupled, logical_unitary
 
 
 def random_logical_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumCircuit:
@@ -63,9 +63,9 @@ class TestLevelEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_optimized_levels_match_o0_up_to_global_phase(self, num_qubits, seed):
         circuit = random_logical_circuit(num_qubits, num_gates=12, seed=seed)
-        baseline = compile_circuit(circuit, seed=0, opt_level=0).logical_unitary()
+        baseline = logical_unitary(compile_circuit(circuit, seed=0, opt_level=0))
         for level in (1, 2):
-            optimized = compile_circuit(circuit, seed=0, opt_level=level).logical_unitary()
+            optimized = logical_unitary(compile_circuit(circuit, seed=0, opt_level=level))
             assert aligned(baseline, optimized), f"-O{level} diverged from -O0 (seed {seed})"
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -73,7 +73,7 @@ class TestLevelEquivalence:
     def test_o0_matches_the_source_circuit(self, seed):
         circuit = random_logical_circuit(4, num_gates=10, seed=seed)
         logical = circuit_unitary(circuit)
-        compiled = compile_circuit(circuit, seed=0, opt_level=0).logical_unitary()
+        compiled = logical_unitary(compile_circuit(circuit, seed=0, opt_level=0))
         assert aligned(logical, compiled)
 
 

@@ -13,8 +13,8 @@ from repro.compiler.coupling import (
     TorusCouplingMap,
 )
 from repro.compiler.pipeline import compile_circuit
-from repro.compiler.scheduling import asap_schedule, crosstalk_aware_schedule
-from tests.oracles import are_coupled
+from repro.compiler.scheduling import crosstalk_aware_schedule
+from tests.oracles import are_coupled, asap_schedule
 
 
 class TestASAPSchedule:

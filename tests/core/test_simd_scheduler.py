@@ -48,6 +48,7 @@ from repro.runtime.dispatch import compute_job_keys
 from repro.runtime.jobs import execute_compile_group
 from repro.runtime.spec import ExperimentSpec
 from repro.core.scheduler import GateRequirement, MomentCost, SIMDScheduler
+from tests.oracles import moment_cost, schedule_moments
 
 GOLDEN_PATH = Path(__file__).parent / "golden_simd_schedules.json"
 
@@ -145,7 +146,7 @@ def reference_moment_cost(moment, index, num_qubits, config):
 
 
 def assert_matches_reference(scheduler, schedule, num_qubits):
-    result = scheduler.schedule_moments(schedule, num_qubits)
+    result = schedule_moments(scheduler, schedule, num_qubits)
     expected = [
         reference_moment_cost(moment, index, num_qubits, scheduler.config)
         for index, moment in enumerate(schedule.moments)
@@ -154,7 +155,7 @@ def assert_matches_reference(scheduler, schedule, num_qubits):
     assert result.total_cycles == sum(cost.cycles for cost in expected)
     assert result.ideal_cycles == sum(cost.ideal_cycles for cost in expected)
     for index, moment in enumerate(schedule.moments):
-        assert scheduler.moment_cost(moment, index, num_qubits) == expected[index]
+        assert moment_cost(scheduler, moment, index, num_qubits) == expected[index]
 
 
 # -- goldens ------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def test_random_moments_match_reference_oracle(schedule, config):
 @settings(max_examples=150, deadline=None)
 @given(random_schedules(), random_configs())
 def test_total_cycles_at_least_ideal(schedule, config):
-    result = SIMDScheduler(config).schedule_moments(schedule, schedule.num_qubits)
+    result = schedule_moments(SIMDScheduler(config), schedule, schedule.num_qubits)
     assert result.total_cycles >= result.ideal_cycles
     assert result.serialization_overhead >= 0
 
@@ -305,7 +306,7 @@ def test_enough_bitstreams_never_serialize(schedule, config):
         config,
         bitstreams=max(max_occupancy(moment, config) for moment in schedule.moments) or 1,
     )
-    result = SIMDScheduler(config).schedule_moments(schedule, schedule.num_qubits)
+    result = schedule_moments(SIMDScheduler(config), schedule, schedule.num_qubits)
     for moment, cost in zip(schedule.moments, result.moments):
         assert cost.single_qubit_cycles <= cost.ideal_cycles
         assert cost.cycles - cost.ideal_cycles == virtual_only(moment)
@@ -314,7 +315,7 @@ def test_enough_bitstreams_never_serialize(schedule, config):
 @settings(max_examples=150, deadline=None)
 @given(random_schedules(), random_configs(variant="min"))
 def test_digiq_min_never_serializes(schedule, config):
-    result = SIMDScheduler(config).schedule_moments(schedule, schedule.num_qubits)
+    result = schedule_moments(SIMDScheduler(config), schedule, schedule.num_qubits)
     for moment, cost in zip(schedule.moments, result.moments):
         deepest = max(
             (len(reference_delays(gate, config)) for gate in moment.gates if gate.is_single_qubit),
@@ -347,7 +348,7 @@ def test_greedy_grant_is_not_monotone_in_bitstreams():
     cycles = {}
     for bs in range(1, 8):
         config = DigiQConfig.opt(groups=1, bitstreams=bs, n_delay_slots=5)
-        cost = SIMDScheduler(config).moment_cost(NON_MONOTONE_MOMENT, 0, 16)
+        cost = moment_cost(SIMDScheduler(config), NON_MONOTONE_MOMENT, 0, 16)
         assert cost == reference_moment_cost(NON_MONOTONE_MOMENT, 0, 16, config)
         cycles[bs] = cost.cycles
     assert cycles == {1: 6, 2: 3, 3: 4, 4: 2, 5: 2, 6: 2, 7: 2}
@@ -369,7 +370,7 @@ def test_out_of_range_qubit_is_rejected():
     schedule = Schedule(moments=[Moment([Gate("rz", (4,), (0.5,))])], num_qubits=5)
     for config in (DigiQConfig.opt(), DigiQConfig.minimal()):
         with pytest.raises(ValueError, match="outside device"):
-            SIMDScheduler(config).schedule_moments(schedule, 4)
+            schedule_moments(SIMDScheduler(config), schedule, 4)
 
 
 # -- delays are hashed only where a group can serialize ------------------------------
@@ -496,9 +497,9 @@ def test_hand_built_schedules_are_costed_fresh(monkeypatch):
         moments=[Moment(list(moment.gates)) for moment in compiled.schedule.moments],
         num_qubits=num_qubits,
     )
-    first = SIMDScheduler(config).schedule_moments(schedule, num_qubits)
+    first = schedule_moments(SIMDScheduler(config), schedule, num_qubits)
     schedule.moments.append(Moment([Gate("u3", (q,), (0.5, 0.25, float(q))) for q in range(4)]))
-    second = SIMDScheduler(config).schedule_moments(schedule, num_qubits)
+    second = schedule_moments(SIMDScheduler(config), schedule, num_qubits)
     assert builds == [1, 1]
     assert first.total_cycles == SIMDScheduler(config).schedule(compiled).total_cycles
     total, ideal, _ = reference_totals(schedule, num_qubits, config)

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from repro.physics.fidelity import (
     average_gate_error,
     average_gate_fidelity,
-    leakage,
     leakage_projected_error,
     leakage_projected_fidelity,
-    phase_corrected_two_qubit_error,
     state_fidelity,
 )
 from repro.physics.operators import PAULI_X
 from repro.physics.rotations import rx, rz, u3
-from tests.oracles import embed_qubit_operator
+from tests.oracles import embed_qubit_operator, leakage
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -84,24 +82,3 @@ class TestStateFidelity:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             state_fidelity([0, 0], [1, 0])
-
-
-class TestPhaseCorrectedTwoQubit:
-    def test_cz_with_local_phases_recovers_zero_error(self):
-        cz = np.diag([1, 1, 1, -1]).astype(complex)
-        corrupted = np.diag(np.kron([1, np.exp(0.4j)], [1, np.exp(-0.9j)])) @ cz
-        error = phase_corrected_two_qubit_error(corrupted, cz)
-        assert error < 1e-4
-
-    def test_genuinely_wrong_gate_keeps_error(self):
-        cz = np.diag([1, 1, 1, -1]).astype(complex)
-        iswap_like = np.eye(4, dtype=complex)
-        iswap_like[1, 1] = 0
-        iswap_like[2, 2] = 0
-        iswap_like[1, 2] = 1j
-        iswap_like[2, 1] = 1j
-        assert phase_corrected_two_qubit_error(iswap_like, cz) > 0.1
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            phase_corrected_two_qubit_error(np.eye(2), np.eye(2))

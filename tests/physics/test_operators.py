@@ -9,7 +9,6 @@ from repro.physics.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    create,
     destroy,
     kron,
     number,
@@ -18,6 +17,7 @@ from repro.physics.operators import (
 from tests.oracles import (
     basis_state,
     commutator,
+    create,
     dagger,
     embed_qubit_operator,
     is_hermitian,

@@ -8,20 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.physics.operators import PAULI_X, PAULI_Y, PAULI_Z
-from tests.oracles import is_unitary
-from repro.physics.rotations import (
+from repro.physics.rotations import global_phase_aligned, rx, ry, rz, u3, zyz_angles
+from tests.oracles import (
     bloch_vector,
     circular_distance,
     equivalent_up_to_phase,
-    global_phase_aligned,
+    is_unitary,
     rotation,
-    rx,
-    ry,
-    rz,
     su2_distance,
-    u3,
     wrap_angle,
-    zyz_angles,
 )
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)

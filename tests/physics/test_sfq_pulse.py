@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.physics.fidelity import leakage, leakage_projected_error
+from repro.physics.fidelity import leakage_projected_error
 from repro.physics.operators import project_to_qubit
 from repro.physics.rotations import ry
-from repro.physics.sfq_pulse import SFQPulseModel, coherent_bitstream, pulse_model_for
+from repro.physics.sfq_pulse import SFQPulseModel, coherent_bitstream
 from repro.physics.transmon import Transmon
-from tests.oracles import is_unitary
+from tests.oracles import is_unitary, leakage
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +61,6 @@ class TestBitstreamPropagation:
         # A phase-coherent seed already gets within ~1e-2 of Ry(pi/2).
         assert error < 5e-2
 
-    def test_gate_duration(self, model):
-        assert np.isclose(model.gate_duration_ns([0] * 250), 10.0)
-
     def test_leakage_increases_with_tip_angle(self):
         frequency = 6.21286
         bits = coherent_bitstream(frequency, 120, phase_window=0.8)
@@ -85,17 +82,3 @@ class TestCoherentBitstream:
     def test_first_bit_fires_with_zero_offset(self):
         bits = coherent_bitstream(6.0, 10, phase_window=0.3)
         assert bits[0] == 1
-
-    def test_tip_angle_for_gate_time(self):
-        tip = SFQPulseModel.tip_angle_for_gate_time(6.21286, math.pi / 2, 10.12)
-        assert 0.0 < tip < math.pi / 2
-
-
-class TestCaching:
-    def test_pulse_model_for_returns_same_object(self):
-        a = pulse_model_for(5.0)
-        b = pulse_model_for(5.0)
-        assert a is b
-
-    def test_pulse_model_for_distinct_frequencies(self):
-        assert pulse_model_for(5.0) is not pulse_model_for(5.1)

@@ -22,6 +22,7 @@ from repro.queue.store import QueueStore
 from repro.runtime.jobs import execute_queued_job
 from repro.runtime.spec import ExperimentSpec
 from repro.runtime.store import ResultStore
+from tests.oracles import power_in_flight
 
 SPEC = spec_payload(ExperimentSpec(benchmark="bv", num_qubits=4))
 
@@ -219,7 +220,7 @@ class TestQueueServiceTick:
         assert executed == [job.result_key]
         assert svc.store.get(job.job_id).state == "done"
         assert svc.results.get(job.result_key) == {"r": 1}
-        assert svc.power_in_flight() == 0.0
+        assert power_in_flight(svc) == 0.0
         assert svc.peak_power_w == pytest.approx(2.0)
 
     def test_cache_hit_completes_without_running(self, tmp_path, monkeypatch):
@@ -243,7 +244,7 @@ class TestQueueServiceTick:
         got = svc.store.get(job.job_id)
         assert got.state == "failed"
         assert "bad trajectory" in got.error
-        assert svc.power_in_flight() == 0.0
+        assert power_in_flight(svc) == 0.0
 
     def test_deferrable_waits_for_headroom_then_runs(self, tmp_path, monkeypatch):
         """The queue-smoke scenario: over-budget deferrable runs only after."""
@@ -314,7 +315,7 @@ class TestQueueServiceTick:
             assert [j.job_id for j in svc.tick()] == [job.job_id]
         # left 'running' for crash recovery to requeue, power released
         assert svc.store.get(job.job_id).state == "running"
-        assert svc.power_in_flight() == 0.0
+        assert power_in_flight(svc) == 0.0
         assert f"job {job.job_id} stopped on KeyboardInterrupt" in caplog.text
 
 
@@ -329,7 +330,7 @@ class TestSettleFailures:
         assert got[0].state == "failed"
         assert got[0].error.startswith(error)
         assert svc.store.get(job.job_id).error == got[0].error
-        assert svc.power_in_flight() == 0.0
+        assert power_in_flight(svc) == 0.0
 
     @pytest.mark.parametrize("stage", ["to_spec", "submit"])
     def test_a_job_that_cannot_be_submitted_fails(self, tmp_path, monkeypatch, stage):
@@ -556,12 +557,12 @@ class TestConcurrentBudget:
         deadline = time.monotonic() + 5.0
         while not peaks and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert svc.power_in_flight() == pytest.approx(6.0)
+        assert power_in_flight(svc) == pytest.approx(6.0)
         assert telemetry.gauge("queue.power_in_flight").value == pytest.approx(6.0)
         assert svc.tick() == []  # still no headroom for the second job
         release.set()
         deadline = time.monotonic() + 5.0
-        while svc.power_in_flight() > 0 and time.monotonic() < deadline:
+        while power_in_flight(svc) > 0 and time.monotonic() < deadline:
             time.sleep(0.01)
         svc.tick()  # now the second one goes
         deadline = time.monotonic() + 5.0

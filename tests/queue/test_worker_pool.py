@@ -30,6 +30,7 @@ from repro.runtime.executor import BLAS_THREAD_VARS, WorkerDiedError, WorkerPool
 from repro.runtime.jobs import execute_compile_group, execute_spec, job_key
 from repro.runtime.spec import ExperimentSpec, FidelityOptions
 from repro.runtime.store import ResultStore, canonical_json
+from tests.oracles import power_in_flight
 
 
 def timed_nap(seconds):
@@ -167,7 +168,7 @@ class TestDrain:
             service.drain()  # the job's callback runs before the slots are joined
         assert service.store.get(job.job_id).state == "done"
         assert service.results.get(job.result_key) is not None
-        assert service.power_in_flight() == 0.0
+        assert power_in_flight(service) == 0.0
 
 
 class TestWorkerPool:

@@ -99,7 +99,7 @@ class TestSweepGrid:
 
     def test_defaults_cover_three_by_three(self):
         grid = SweepGrid()
-        assert len(grid.benchmarks) >= 3 and len(grid.configs) >= 3
+        assert len(grid.benchmarks) >= 3 and len(grid.backends) >= 3
 
 
 class TestJobKeys:

@@ -17,11 +17,11 @@ from repro.circuits.gate import Gate
 from repro.circuits.simulator import (
     apply_gate,
     apply_matrix,
-    basis_state_index,
     circuit_unitary,
     simulate,
     zero_state,
 )
+from tests.oracles import basis_state_index
 
 #: Gate names by arity, with their parameter counts (subset of the library
 #: that covers parameter-free, parameterised, symmetric and asymmetric gates).
