@@ -68,14 +68,3 @@ def leakage_projected_error(
     """Gate error of a multi-level propagator against a subspace target."""
     return 1.0 - leakage_projected_fidelity(propagator, target_qubit_unitary, levels)
 
-
-def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:
-    """Fidelity ``|<a|b>|^2`` between two pure states."""
-    a = np.asarray(state_a, dtype=complex).ravel()
-    b = np.asarray(state_b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"state dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        raise ValueError("states must be non-zero")
-    return float(abs(np.vdot(a, b)) ** 2 / (na * nb) ** 2)

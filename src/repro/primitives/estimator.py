@@ -15,9 +15,9 @@ did to the circuit) by one of two methods:
   (:func:`repro.simulation.trajectories.noisy_trajectory_states`, the same
   kick scheme the fidelity sweeps use), with a standard error of the mean.
 
-Each estimate reuses the session's memoized compilation and records the
-underlying timing job, so estimator traffic shares compile work and cache
-entries with samplers and sweeps.
+A submission's timing jobs run through the session in one call, and each
+estimate reuses the session's memoized compilation, so estimator traffic
+shares compile work and cache entries with samplers and sweeps.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ..runtime.store import ResultStore
 from ..simulation.trajectories import noisy_trajectory_states
 from .job import JobHandle
 from .observables import PauliObservable
-from .results import EstimateData, EstimatorResult
+from .results import CircuitExecution, EstimateData, EstimatorResult
 from .session import CircuitLike, Session
 
 #: Valid estimation methods.
@@ -135,8 +135,8 @@ class Estimator:
         observable: PauliObservable,
         method: str,
         fidelity: FidelityOptions,
+        execution: CircuitExecution,
     ) -> EstimateData:
-        execution = self.session._execution(spec)
         compiled = self.session.compiled_for(spec)
         num_physical = compiled.coupling.num_qubits
         qubit_map = [
@@ -221,10 +221,11 @@ class Estimator:
         pairs = self._pairs(circuits, observables, num_qubits, seed, compile_options)
 
         def work() -> EstimatorResult:
+            executions, metadata = self.session._run_entries([spec for spec, _ in pairs], None)
             entries = tuple(
-                self._estimate(spec, observable, method, fidelity) for spec, observable in pairs
+                self._estimate(spec, observable, method, fidelity, execution)
+                for (spec, observable), execution in zip(pairs, executions)
             )
-            metadata = self.session._metadata([entry.execution for entry in entries])
             metadata["method"] = method
             return EstimatorResult(entries=entries, metadata=metadata)
 

@@ -1,21 +1,22 @@
 """Execution sessions: compile-once, cache-shared circuit submission.
 
-A :class:`Session` binds one :class:`~repro.backends.Backend` to an optional
-content-addressed :class:`~repro.runtime.store.ResultStore` and a worker
-pool, and is the stateful submission door of the provider-style API:
+A :class:`Session` binds one :class:`~repro.backends.Backend` to a result
+store and a worker pool, and is the stateful submission door of the
+provider-style API:
 
-* **compilation reuse** — every submission is keyed by its
+* **the sweep's job path** — each submission's specs go to
+  :func:`repro.runtime.dispatch.run_specs` in one call: the same keys,
+  store lookup, compile-group batching and persist a sweep uses, so a
+  session pointed at a sweep's :class:`~repro.runtime.store.ResultStore`
+  serves sweep results without recomputing (and vice versa).  A session
+  without a store keeps results in a dict; the store is its only cache;
+* **compilation reuse** — groups compile through the session's
+  :class:`~repro.runtime.jobs.CompileMemo`, keyed by
   :attr:`~repro.runtime.spec.ExperimentSpec.compile_group` (circuit content
-  x topology x compile options) in the session's
-  :class:`~repro.runtime.jobs.CompileMemo`, so resubmitting the same circuit
-  — alone, with different shot counts, or under a different observable —
-  compiles once while it is among the session's last
+  x topology x compile options), so resubmitting the same circuit — alone,
+  with different shot counts, or under a different observable — compiles
+  once while it is among the session's last
   :data:`~repro.runtime.jobs.COMPILE_MEMO_SIZE` circuits;
-* **shared result cache** — jobs are executed through
-  :func:`repro.runtime.jobs.execute_spec` and stored under the same
-  content-addressed keys the sweep engine uses, so a session pointed at a
-  sweep's store directory serves sweep results without recomputing (and
-  vice versa);
 * **async submission** — ``run()`` returns a
   :class:`~repro.primitives.job.JobHandle`, either lazy or backed by the
   session's ``ThreadPoolExecutor`` (sized by ``max_workers`` or
@@ -33,14 +34,15 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .. import telemetry
 from ..backends import Backend, get_backend
 from ..circuits.circuit import QuantumCircuit
 from ..compiler.pipeline import CompiledCircuit
+from ..runtime.dispatch import run_specs
 from ..runtime.executor import default_worker_count
-from ..runtime.jobs import CompileMemo, JobResult, execute_spec, job_key
+from ..runtime.jobs import CompileMemo, JobResult, execute_compile_group
 from ..runtime.spec import CompileOptions, ExperimentSpec, FidelityOptions
 from ..runtime.store import ResultStore
 from .job import JobHandle
@@ -51,6 +53,12 @@ from .results import CircuitExecution, RunResult
 CircuitLike = Union[QuantumCircuit, str]
 
 T = TypeVar("T")
+
+
+class _MemoryStore(dict):
+    """:class:`ResultStore`'s ``get``/``put`` over a dict, for a storeless session."""
+
+    put = dict.__setitem__
 
 
 class Session:
@@ -76,9 +84,8 @@ class Session:
         executing in-process: a :class:`~repro.queue.client.QueueClient`,
         a daemon URL string, or ``True`` to discover the daemon from the
         default queue root.  Results are byte-identical to local execution
-        (the daemon funnels through the same
-        :func:`~repro.runtime.jobs.execute_spec` under the same job keys),
-        and cache layers still apply — only actual misses travel.
+        (the daemon runs the same compile-group worker under the same job
+        keys), and the store still applies — only actual misses travel.
     """
 
     def __init__(
@@ -89,12 +96,11 @@ class Session:
         queue=None,
     ):
         self.backend = get_backend(backend)
-        self.store = store
+        self.store = store if store is not None else _MemoryStore()
         self.queue = self._resolve_queue(queue)
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self._max_workers = max_workers
-        self._memory: Dict[str, JobResult] = {}
         self._compiled = CompileMemo()
         self._lock = threading.RLock()
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -187,43 +193,35 @@ class Session:
     # -- execution ------------------------------------------------------------------
 
     def execute(self, spec: ExperimentSpec) -> Tuple[JobResult, bool]:
-        """Execute one spec synchronously, via every cache layer.
+        """Execute one spec synchronously; ``(result, cached)``, where ``cached``
+        is True when the session's store served the job."""
+        return self._execute_all([spec])[0]
 
-        Returns ``(result, cached)`` where ``cached`` is True when the job
-        was served from session memory or the shared store.  Misses run
-        through :func:`repro.runtime.jobs.execute_spec` with the session's
-        memoized compilation and are persisted back to the store.
+    def _execute_all(self, specs: List[ExperimentSpec]) -> List[Tuple[JobResult, bool]]:
+        """Run one submission's specs through the sweep's job core in one call.
+
+        Returns ``(result, cached)`` per spec, in order; ``cached`` is False
+        only at the first position of each job this call computed.  Misses
+        compile through the session's memo, or travel to its queue.
         """
-        if spec.backend.identity_dict() != self.backend.identity_dict():
-            raise ValueError(
-                f"spec targets backend '{spec.backend.name}' but this session "
-                f"executes on '{self.backend.name}'"
-            )
-        key = job_key(spec)
-        with self._lock:
-            hit = self._memory.get(key)
-        if hit is not None:
-            telemetry.counter("session.jobs.cached").inc()
-            return hit, True
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                result = JobResult.from_dict(stored)
-                with self._lock:
-                    self._memory[key] = result
-                telemetry.counter("session.jobs.cached").inc()
-                return result, True
-        if self.queue is not None:
-            result = self.queue.submit(spec).result()
-            telemetry.counter("session.jobs.queued").inc()
-        else:
-            result = execute_spec(spec, key=key, compiled=self.compiled_for(spec))
-            telemetry.counter("session.jobs.computed").inc()
-        if self.store is not None:
-            self.store.put(key, result.as_dict())
-        with self._lock:
-            self._memory[key] = result
-        return result, False
+        for spec in specs:
+            if spec.backend.identity_dict() != self.backend.identity_dict():
+                raise ValueError(
+                    f"spec targets backend '{spec.backend.name}' but this session "
+                    f"executes on '{self.backend.name}'"
+                )
+        run_group = (
+            partial(execute_compile_group, memo=self._compiled)
+            if self.queue is None
+            else lambda group, _keys: [self.queue.submit(spec).result() for spec in group]
+        )
+        report = run_specs(specs, self.store, run_group=run_group)
+        fresh = set(report.computed_keys)
+        outcomes = []
+        for result in report.results:
+            outcomes.append((result, result.key not in fresh))
+            fresh.discard(result.key)
+        return outcomes
 
     def make_specs(
         self,
@@ -270,49 +268,41 @@ class Session:
                 )
         return specs
 
-    def _execution(
-        self,
-        spec: ExperimentSpec,
-        shots: Optional[int] = None,
-        entry_cls=CircuitExecution,
-    ) -> CircuitExecution:
-        """Execute one spec and record it, with ``shots`` logical counts if asked."""
-        from .sampler import sample_logical_counts  # circular-import guard
-
-        result, cached = self.execute(spec)
-        counts = None
-        if shots is not None:
-            counts = sample_logical_counts(self.compiled_for(spec), shots, seed=spec.seed)
-        return entry_cls(
-            label=spec.benchmark,
-            job_key=result.key,
-            backend=self.backend.name,
-            row=dict(result.row),
-            counts=counts,
-            shots=shots,
-            trace=result.trace,
-            elapsed_s=0.0 if cached else result.elapsed_s,
-            cached=cached,
-        )
-
-    def _metadata(self, executions: Sequence[CircuitExecution]) -> Dict[str, object]:
-        """The metadata a submission's result shares across its executions."""
-        return {
-            "backend": self.backend.name,
-            "job_keys": [execution.job_key for execution in executions],
-            "elapsed_s": round(sum((execution.elapsed_s for execution in executions), 0.0), 6),
-            "cached": sum(int(execution.cached) for execution in executions),
-        }
-
     def _run_entries(
         self,
         specs: Sequence[ExperimentSpec],
         shots: Optional[int],
         entry_cls=CircuitExecution,
     ) -> Tuple[Tuple[CircuitExecution, ...], Dict[str, object]]:
-        """Execute specs in order and build typed entries + shared metadata."""
-        entries = tuple(self._execution(spec, shots, entry_cls) for spec in specs)
-        return entries, self._metadata(entries)
+        """Execute specs in one core call; typed entries (with ``shots``
+        logical counts if asked) + shared metadata."""
+        from .sampler import sample_logical_counts  # circular-import guard
+
+        entries = []
+        for spec, (result, cached) in zip(specs, self._execute_all(specs)):
+            counts = None
+            if shots is not None:
+                counts = sample_logical_counts(self.compiled_for(spec), shots, seed=spec.seed)
+            entries.append(
+                entry_cls(
+                    label=spec.benchmark,
+                    job_key=result.key,
+                    backend=self.backend.name,
+                    row=dict(result.row),
+                    counts=counts,
+                    shots=shots,
+                    trace=result.trace,
+                    elapsed_s=0.0 if cached else result.elapsed_s,
+                    cached=cached,
+                )
+            )
+        metadata = {
+            "backend": self.backend.name,
+            "job_keys": [entry.job_key for entry in entries],
+            "elapsed_s": round(sum((entry.elapsed_s for entry in entries), 0.0), 6),
+            "cached": sum(int(entry.cached) for entry in entries),
+        }
+        return tuple(entries), metadata
 
     def run(
         self,
@@ -356,6 +346,6 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Session(backend={self.backend.name!r}, "
-            f"store={'shared' if self.store is not None else 'memory'}, "
+            f"store={'memory' if isinstance(self.store, _MemoryStore) else 'shared'}, "
             f"compiled={len(self._compiled)})"
         )

@@ -1,20 +1,21 @@
-"""The sweep dispatcher: cache lookup, compile-group batching, worker pool.
+"""The job core: cache lookup, compile-group batching, worker pool.
 
-:func:`run_sweep` turns a :class:`~repro.runtime.spec.SweepGrid` into result
-rows in three steps:
+:func:`run_specs` is the one local job path: :func:`run_sweep` expands a
+:class:`~repro.runtime.spec.SweepGrid` into it, and every
+:class:`~repro.primitives.Session` submission sends its specs to it.  It
 
-1. expand the grid into jobs and compute each job's content-addressed key;
-2. split cache hits from misses against the :class:`~repro.runtime.store.ResultStore`;
-3. batch the misses by *compile group* — all backends of one benchmark
+1. computes each job's content-addressed key and drops repeated keys;
+2. splits cache hits from misses against the store;
+3. batches the misses by *compile group* — all backends of one benchmark
    instance that share a device topology share a single compilation — and
-   execute the groups either serially or on the sweep's one
-   :class:`~repro.runtime.executor.WorkerPool`; a one-group sweep lends
+   executes the groups either serially or on the call's one
+   :class:`~repro.runtime.executor.WorkerPool`; a one-group call lends
    that pool to its jobs' trajectory batches instead (processes start only
-   when a batch is submitted).
+   when a batch is submitted), and persists each group as it finishes.
 
-Results are re-assembled in grid-expansion order, so a parallel run yields
-exactly the same row sequence (byte-identical under canonical JSON) as a
-serial run, and a resumed run as an uninterrupted one.
+Results are re-assembled in spec order, so a parallel run yields exactly
+the same row sequence (byte-identical under canonical JSON) as a serial
+run, and a resumed run as an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 from concurrent.futures import as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from .executor import WorkerPool, merge_shipped_telemetry
@@ -33,14 +35,16 @@ from .store import ResultStore
 
 @dataclass
 class SweepReport:
-    """Outcome of one sweep: ordered rows plus cache accounting."""
+    """Outcome of one :func:`run_specs` call: ordered rows plus cache
+    accounting (``grid`` is the sweep's, when :func:`run_sweep` made it)."""
 
-    grid: SweepGrid
+    specs: List[ExperimentSpec]
     keys: List[str]
     results: List[JobResult]
     computed_keys: List[str] = field(default_factory=list)
     cached_keys: List[str] = field(default_factory=list)
     duplicate_keys: List[str] = field(default_factory=list)
+    grid: Optional[SweepGrid] = None
 
     @property
     def rows(self) -> List[Dict[str, object]]:
@@ -92,7 +96,7 @@ class SweepReport:
         """
         seen = set()
         traces: List[Dict[str, object]] = []
-        for job, result in zip(self.grid.expand(), self.results):
+        for job, result in zip(self.specs, self.results):
             if not result.trace or job.compile_group in seen:
                 continue
             seen.add(job.compile_group)
@@ -127,33 +131,19 @@ def _compile_groups(
     return list(groups.values())
 
 
-def run_sweep(
-    grid: SweepGrid,
-    store: Optional[ResultStore] = None,
+def run_specs(
+    specs: List[ExperimentSpec],
+    store: ResultStore,
     workers: int = 1,
+    run_group: Optional[Callable[..., List[JobResult]]] = None,
 ) -> SweepReport:
-    """Run (or resume) a sweep, returning rows in deterministic grid order.
+    """Run the jobs ``specs`` describe against ``store``, results in spec order.
 
-    Parameters
-    ----------
-    grid:
-        The sweep axes.
-    store:
-        Result cache; defaults to :class:`ResultStore`'s default directory.
-        Completed jobs found in the store are never recomputed.
-    workers:
-        ``1`` runs everything in-process; ``> 1`` opens one
-        :class:`~repro.runtime.executor.WorkerPool` of up to that size for
-        the compile groups, or for a single group's trajectory batches.
+    ``workers`` is :func:`run_sweep`'s.  ``run_group`` replaces
+    :func:`~repro.runtime.jobs.execute_compile_group` for in-process groups
+    (a session's compile memo or queue); it needs ``workers == 1``.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    store = store if store is not None else ResultStore()
-
-    with telemetry.span(
-        "sweep.run", jobs=len(grid), workers=workers
-    ) as sweep_span:
-        specs = grid.expand()
+    with telemetry.span("sweep.run", jobs=len(specs), workers=workers) as sweep_span:
         keys = compute_job_keys(specs)
 
         by_key: Dict[str, JobResult] = {}
@@ -186,8 +176,9 @@ def run_sweep(
         if workers == 1 or len(groups) <= 1:
             lend = workers > 1 and len(groups) == 1
             with WorkerPool(workers) if lend else nullcontext() as pool:
+                run = run_group or partial(execute_compile_group, pool=pool)
                 for group_specs, group_keys in groups:
-                    persist(execute_compile_group(group_specs, group_keys, pool=pool))
+                    persist(run(group_specs, group_keys))
         else:
             parent_id = sweep_span.span_id if sweep_span is not None else None
             with WorkerPool(min(workers, len(groups))) as pool:
@@ -211,12 +202,38 @@ def run_sweep(
         telemetry.counter("sweep.cached").inc(len(cached_keys))
         telemetry.counter("sweep.duplicates").inc(len(duplicate_keys))
 
-    results = [by_key[key] for key in keys]
     return SweepReport(
-        grid=grid,
+        specs=specs,
         keys=keys,
-        results=results,
+        results=[by_key[key] for key in keys],
         computed_keys=computed_keys,
         cached_keys=cached_keys,
         duplicate_keys=duplicate_keys,
     )
+
+
+def run_sweep(
+    grid: SweepGrid,
+    store: Optional[ResultStore] = None,
+    workers: int = 1,
+) -> SweepReport:
+    """Run (or resume) a sweep, returning rows in deterministic grid order.
+
+    Parameters
+    ----------
+    grid:
+        The sweep axes.
+    store:
+        Result cache; defaults to :class:`ResultStore`'s default directory.
+        Completed jobs found in the store are never recomputed.
+    workers:
+        ``1`` runs everything in-process; ``> 1`` opens one
+        :class:`~repro.runtime.executor.WorkerPool` of up to that size for
+        the compile groups, or for a single group's trajectory batches.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    store = store if store is not None else ResultStore()
+    report = run_specs(grid.expand(), store, workers)
+    report.grid = grid
+    return report

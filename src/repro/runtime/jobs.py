@@ -10,14 +10,12 @@ opt8`` sweep hits the same entries as ``--backend digiq-opt8``, and a
 :class:`repro.primitives.Sampler` submitting a Table IV circuit hits the
 same entries as the equivalent ``--fidelity`` sweep.
 
-:func:`execute_spec` runs exactly one job and is the execution door every
-client shares: :class:`repro.primitives.Session` calls it per submission,
-and :func:`execute_compile_group` — the unit of work the sweep dispatcher
-and the queue daemon hand a :class:`repro.runtime.executor.WorkerPool`, as
-the :class:`~repro.runtime.spec.ExperimentSpec` objects and keys they
-already hold — calls it once per backend after compiling the group's
-circuit a single time per device topology, which is what makes wide
-backend sweeps cheap.
+:func:`execute_spec` runs exactly one job.  :func:`execute_compile_group` —
+the unit of work the job core (:mod:`repro.runtime.dispatch`, which sweeps
+and :class:`repro.primitives.Session` submissions share) runs or hands a
+:class:`repro.runtime.executor.WorkerPool`, as does the queue daemon —
+calls it once per backend after compiling the group's circuit a single
+time per device topology, which is what makes wide backend sweeps cheap.
 
 Two bounded, lock-guarded LRU memos keep repeated work out of the hot paths;
 neither changes an output:
@@ -317,12 +315,10 @@ def execute_spec(
 ) -> JobResult:
     """Execute exactly one job; the circuit-level execution door.
 
-    Every execution client goes through here: the sweep worker
-    (:func:`execute_compile_group`) after compiling a group's circuit once,
-    and :class:`repro.primitives.Session` per submission (passing its cached
-    compilation via ``compiled``).  A row produced for a given spec is
-    byte-identical under canonical JSON no matter which client asked for it,
-    which is what lets all of them share one content-addressed store.
+    Every execution client reaches it through :func:`execute_compile_group`,
+    after the group's circuit is compiled once.  A row produced for a given
+    spec is byte-identical under canonical JSON no matter which client asked
+    for it, which is what lets all of them share one content-addressed store.
 
     Parameters
     ----------
@@ -376,9 +372,9 @@ def execute_compile_group(
     exactly once; each job then only pays for SIMD scheduling under its own
     backend.  ``pool`` is lent to each job's trajectory run; the dispatcher
     lends one only when it runs the group in its own process, so pools
-    never nest.  ``memo`` (the queue worker's,
-    see :func:`execute_queued_job`) reuses a compilation of the group made by
-    an earlier call; sweeps pass none.  Returns the results in job order.
+    never nest.  ``memo`` (a session's, or the queue worker's, see
+    :func:`execute_queued_job`) reuses a compilation of the group made by an
+    earlier call; sweeps pass none.  Returns the results in job order.
     """
     first = specs[0]
     with telemetry.span(

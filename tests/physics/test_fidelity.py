@@ -12,7 +12,6 @@ from repro.physics.fidelity import (
     average_gate_fidelity,
     leakage_projected_error,
     leakage_projected_fidelity,
-    state_fidelity,
 )
 from repro.physics.operators import PAULI_X
 from repro.physics.rotations import rx, rz, u3
@@ -66,19 +65,3 @@ class TestLeakage:
         assert np.isclose(leakage(full), 0.5)
         assert leakage_projected_error(full, np.eye(2)) > 0.3
 
-
-class TestStateFidelity:
-    def test_identical_states(self):
-        state = np.array([0.6, 0.8j])
-        assert np.isclose(state_fidelity(state, state), 1.0)
-
-    def test_orthogonal_states(self):
-        assert np.isclose(state_fidelity([1, 0], [0, 1]), 0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            state_fidelity([1, 0], [1, 0, 0])
-
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            state_fidelity([0, 0], [1, 0])

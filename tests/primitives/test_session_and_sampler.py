@@ -1,9 +1,12 @@
 """Session/Sampler: sweep-path bit-identity, shared caches, counts."""
 
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.backends import get_backend
 from repro.circuits import QuantumCircuit, simulate
 from repro.primitives import Sampler, Session
@@ -94,6 +97,78 @@ class TestSamplerMatchesSweep:
         report = run_sweep(grid, store=store)
         assert report.num_cached == 1
         assert report.num_computed == 0
+
+
+class TestSweepJobPath:
+    """A session submission runs through the sweep's job core, not beside it."""
+
+    def test_store_is_the_sessions_only_result_cache(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with Session("digiq-opt8", store=store) as session:
+            def submit():
+                return session.run("bv", num_qubits=8, lazy=True).result()[0]
+
+            first = submit()
+            assert first.cached is False
+            assert submit().cached is True  # served by the store
+            # No copy above the store: a discarded entry is recomputed ...
+            assert store.discard(first.job_key)
+            again = submit()
+            assert again.cached is False
+            assert canonical_json(again.row) == canonical_json(first.row)
+            # ... and a torn one reads as a miss, exactly as a sweep reads it.
+            store.path_for(first.job_key).write_text("{torn", encoding="utf-8")
+            assert submit().cached is False
+            assert submit().cached is True  # the recompute rewrote the entry
+
+    def test_concurrent_submissions_share_one_store(self):
+        """Submissions on the session's threads race on its store and memo;
+        every entry still carries the row a lone submission gives."""
+        names = ["bv", "ising", "qgan"]
+        with Session("digiq-opt8") as session:
+            expected = [
+                session.run(name, num_qubits=5, lazy=True).result()[0].row for name in names
+            ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Session("digiq-opt8", max_workers=8) as session:
+                handles = [session.run(names, num_qubits=5) for _ in range(16)]
+                results = [handle.result(timeout=300) for handle in handles]
+                stored = len(session.store)
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert [entry.row for entry in result] == expected
+        assert stored == len(names)
+
+    def test_traced_sampler_runs_the_sweep_span_tree(self):
+        telemetry.reset()
+        try:
+            sampler = Sampler("digiq-opt8")
+            with telemetry.collecting():
+                sampler.run(["bv", "ising"], num_qubits=6, shots=8).result()
+                tree = telemetry.span_tree()
+            sampler.run(["bv", "ising"], num_qubits=6, shots=8).result()
+            counters = telemetry.snapshot_metrics()["counters"]
+        finally:
+            telemetry.reset()
+
+        (root,) = tree
+        assert root["name"] == "sweep.run"
+        assert root["attrs"]["jobs"] == 2
+        groups = [node for node in root["children"] if node["name"] == "sweep.group"]
+        assert [group["attrs"]["benchmark"] for group in groups] == ["bv", "ising"]
+        for group in groups:
+            (job,) = [node for node in group["children"] if node["name"] == "job.execute"]
+            schedules = [
+                node for node in job["children"] if node["name"] == "job.simd_schedule"
+            ]
+            assert len(schedules) == 1
+        # Two submissions of two jobs: computed once, then served by the store.
+        assert counters["sweep.jobs"] == 4
+        assert counters["sweep.computed"] == 2
+        assert counters["sweep.cached"] == 2
 
 
 class TestSessionCompilationReuse:
