@@ -3,7 +3,8 @@
 Each function returns a list of plain-dict rows so the benchmark harness and
 the examples can print or assert on them directly:
 
-* :func:`design_space_table` — Table I (qualitative design-space summary).
+* :func:`~repro.core.architecture.design_space_table` — Table I (qualitative
+  design-space summary), kept beside the configurations it describes.
 * :func:`parking_frequency_table_rows` — Table II (optimal parking
   frequencies and drift tolerance for Rz(phi) with N = 255).
 * :func:`cell_library_table` — Table III (the RSFQ cell library).
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..circuits.benchmarks import TABLE_IV_NAMES, build_benchmark
-from ..core.architecture import design_space_table as _design_space_table
 from ..core.rz_delay import parking_frequency_table
 from ..hardware.cells import table3_rows
 
@@ -29,11 +29,6 @@ BENCHMARK_DESCRIPTIONS: Dict[str, str] = {
     "add2": "Parallel carry-lookahead adder",
     "sqrt": "Square root via Grover search",
 }
-
-
-def design_space_table() -> List[Dict[str, str]]:
-    """Table I rows."""
-    return _design_space_table()
 
 
 def parking_frequency_table_rows(

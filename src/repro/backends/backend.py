@@ -28,7 +28,7 @@ from ..compiler.coupling import (
 )
 from ..core.architecture import DigiQConfig
 from ..hardware.budget import FridgeBudget, ScalabilityResult, max_qubits_within_budget
-from ..hardware.controller_designs import ControllerDesign, DesignCost, evaluate_design
+from ..hardware.controller_designs import ControllerDesign
 from ..noise.variability import VariabilityModel
 from ..simulation.channels import (
     DEFAULT_CZ_ERROR,
@@ -112,11 +112,6 @@ class Backend:
         if num_qubits < 1:
             raise ValueError("num_qubits must be positive")
         return _build_target(self, num_qubits)
-
-    @property
-    def target(self) -> Target:
-        """The target at the backend's default device size."""
-        return self.target_for(self.default_qubits)
 
     @property
     def num_qubits(self) -> int:
@@ -211,14 +206,6 @@ class Backend:
             return NoiseModel.from_target(self.target_for(size))
         return NoiseModel.sampled(
             size, config=self.config, couplers=tuple(couplers), seed=seed
-        )
-
-    # -- cost -----------------------------------------------------------------------
-
-    def cost(self, num_qubits: Optional[int] = None) -> DesignCost:
-        """Hardware power/area/cable cost at a device size (default size if None)."""
-        return evaluate_design(
-            self.controller, num_qubits if num_qubits is not None else self.default_qubits
         )
 
     def scalability(

@@ -7,9 +7,9 @@ nothing about *how* the device is controlled — that is the
 :class:`~repro.backends.backend.Backend`'s job, which bundles a target with
 its DigiQ configuration, controller design, and cost model.
 
-Targets are frozen and JSON round-trippable (:meth:`Target.to_dict` /
-:meth:`Target.from_dict`), which is what lets backend identities participate
-in the runtime's content-addressed cache keys.
+Targets are frozen and have a canonical JSON form (:meth:`Target.to_dict`),
+which is what lets backend identities participate in the runtime's
+content-addressed cache keys.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from ..compiler.coupling import CouplingMap, coupling_from_dict, coupling_to_dict
+from ..compiler.coupling import CouplingMap, coupling_to_dict
 
 #: The DigiQ native basis every built-in backend compiles to.
 DEFAULT_BASIS_GATES: Tuple[str, ...] = ("u3", "rz", "cz")
@@ -95,12 +95,6 @@ class Target:
         """All couplers of the device, as sorted pairs."""
         return self.coupling.couplers()
 
-    def single_qubit_error(self, qubit: int) -> float:
-        """Calibrated single-qubit gate-error rate of one qubit."""
-        return float(
-            self.single_qubit_error_rates.get(qubit, self.default_single_qubit_error)
-        )
-
     # -- serialization --------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -119,26 +113,3 @@ class Target:
                 str(q): rate for q, rate in sorted(self.single_qubit_error_rates.items())
             },
         }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "Target":
-        """Inverse of :meth:`to_dict`."""
-        coupler_rates: Dict[Tuple[int, int], float] = {}
-        for key, rate in data.get("coupler_error_rates", {}).items():
-            a, b = key.split("-")
-            coupler_rates[(int(a), int(b))] = float(rate)
-        return Target(
-            name=data["name"],
-            coupling=coupling_from_dict(data["coupling"]),
-            basis_gates=tuple(data.get("basis_gates", DEFAULT_BASIS_GATES)),
-            gate_durations_ns={
-                k: float(v) for k, v in data.get("gate_durations_ns", {}).items()
-            },
-            single_qubit_error_rates={
-                int(q): float(rate)
-                for q, rate in data.get("single_qubit_error_rates", {}).items()
-            },
-            coupler_error_rates=coupler_rates,
-            default_single_qubit_error=float(data.get("default_single_qubit_error", 1e-4)),
-            default_cz_error=float(data.get("default_cz_error", 1e-3)),
-        )

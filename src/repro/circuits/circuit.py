@@ -1,9 +1,9 @@
 """Quantum circuit container.
 
 :class:`QuantumCircuit` is a flat, ordered list of :class:`~repro.circuits.gate.Gate`
-objects over a fixed number of qubits, with builder methods for the standard
-library gates and a handful of analysis helpers (gate counts, depth, layers)
-used by the compiler and the DigiQ scheduler.
+objects over a fixed number of qubits, with builder methods for the library
+gates the benchmarks use and a handful of analysis helpers (gate counts,
+depth) used by the compiler and the DigiQ scheduler.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gate import Gate
-from .library import inverse_gate, validate_gate
+from .library import validate_gate
 
 
 def circuit_fingerprint(circuit: "QuantumCircuit") -> str:
@@ -109,35 +109,14 @@ class QuantumCircuit:
 
     # Named builders (the ones used by benchmarks and the compiler).
 
-    def id(self, q: int) -> "QuantumCircuit":
-        return self.add("id", (q,))
-
     def x(self, q: int) -> "QuantumCircuit":
         return self.add("x", (q,))
-
-    def y(self, q: int) -> "QuantumCircuit":
-        return self.add("y", (q,))
 
     def z(self, q: int) -> "QuantumCircuit":
         return self.add("z", (q,))
 
     def h(self, q: int) -> "QuantumCircuit":
         return self.add("h", (q,))
-
-    def s(self, q: int) -> "QuantumCircuit":
-        return self.add("s", (q,))
-
-    def sdg(self, q: int) -> "QuantumCircuit":
-        return self.add("sdg", (q,))
-
-    def t(self, q: int) -> "QuantumCircuit":
-        return self.add("t", (q,))
-
-    def tdg(self, q: int) -> "QuantumCircuit":
-        return self.add("tdg", (q,))
-
-    def sx(self, q: int) -> "QuantumCircuit":
-        return self.add("sx", (q,))
 
     def rx(self, theta: float, q: int) -> "QuantumCircuit":
         return self.add("rx", (q,), (theta,))
@@ -147,12 +126,6 @@ class QuantumCircuit:
 
     def rz(self, phi: float, q: int) -> "QuantumCircuit":
         return self.add("rz", (q,), (phi,))
-
-    def p(self, phi: float, q: int) -> "QuantumCircuit":
-        return self.add("p", (q,), (phi,))
-
-    def u3(self, theta: float, phi: float, lam: float, q: int) -> "QuantumCircuit":
-        return self.add("u3", (q,), (theta, phi, lam))
 
     def cx(self, control: int, target: int) -> "QuantumCircuit":
         return self.add("cx", (control, target))
@@ -172,22 +145,12 @@ class QuantumCircuit:
     def ccx(self, c0: int, c1: int, target: int) -> "QuantumCircuit":
         return self.add("ccx", (c0, c1, target))
 
-    def ccz(self, a: int, b: int, c: int) -> "QuantumCircuit":
-        return self.add("ccz", (a, b, c))
-
     # -- transformations ----------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "QuantumCircuit":
         """A shallow copy (gates are immutable so this is effectively deep)."""
         other = QuantumCircuit(self.num_qubits, name or self.name)
         other._gates = list(self._gates)
-        return other
-
-    def inverse(self) -> "QuantumCircuit":
-        """The inverse circuit (gates reversed and individually inverted)."""
-        other = QuantumCircuit(self.num_qubits, f"{self.name}_dg")
-        for gate in reversed(self._gates):
-            other.append(inverse_gate(gate))
         return other
 
     def compose(self, other: "QuantumCircuit") -> "QuantumCircuit":
@@ -260,23 +223,6 @@ class QuantumCircuit:
                 for q in qubits:
                     frontier[q] = level
         return max(frontier) if frontier else 0
-
-    def layers(self) -> List[List[Gate]]:
-        """ASAP layering: gates grouped into dependency levels.
-
-        Within a layer no two gates share a qubit; a gate is placed in the
-        earliest layer after all gates it depends on.
-        """
-        frontier = [0] * self.num_qubits
-        layered: List[List[Gate]] = []
-        for gate in self._gates:
-            level = max(frontier[q] for q in gate.qubits)
-            while len(layered) <= level:
-                layered.append([])
-            layered[level].append(gate)
-            for q in gate.qubits:
-                frontier[q] = level + 1
-        return layered
 
     def two_qubit_pairs(self) -> Counter:
         """Histogram of (sorted) qubit pairs touched by two-qubit gates."""

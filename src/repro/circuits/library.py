@@ -180,22 +180,6 @@ def _build_gate_matrix(gate: Gate) -> np.ndarray:
     raise KeyError(f"no matrix builder for gate '{name}'")  # pragma: no cover
 
 
-# Convenience constructors -------------------------------------------------------
-
-def single(name: str, qubit: int, *params: float) -> Gate:
-    """Build a single-qubit gate and validate it against the library."""
-    gate = Gate(name, (qubit,), tuple(params))
-    validate_gate(gate)
-    return gate
-
-
-def two(name: str, qubit_a: int, qubit_b: int, *params: float) -> Gate:
-    """Build a two-qubit gate and validate it against the library."""
-    gate = Gate(name, (qubit_a, qubit_b), tuple(params))
-    validate_gate(gate)
-    return gate
-
-
 def inverse_gate(gate: Gate) -> Gate:
     """The inverse of a library gate, as another library gate."""
     spec = gate_spec(gate.name)

@@ -10,8 +10,7 @@ consume.  :class:`LineCouplingMap` (a 1-D chain),
 :class:`HeavyHexCouplingMap` (a grid with sparse vertical rungs, in the
 style of IBM's heavy-hex lattices) and :class:`TorusCouplingMap` (a
 periodic grid whose wrap-around couplers remove edge effects) are the
-built-in alternatives, and
-:func:`coupling_to_dict` / :func:`coupling_from_dict` give every map a
+built-in alternatives, and :func:`coupling_to_dict` gives every map a
 canonical JSON form for backend serialization and cache keys.
 """
 
@@ -87,11 +86,6 @@ class CouplingMap:
         self._distance_cache[source] = distances
         return distances
 
-    def neighbors(self, qubit: int) -> List[int]:
-        """Physical qubits directly coupled to ``qubit``."""
-        self._check_qubit(qubit)
-        return list(self._adjacency[qubit])
-
     # -- distances ----------------------------------------------------------------
 
     def distance_matrix(self) -> np.ndarray:
@@ -119,18 +113,6 @@ class CouplingMap:
             for qubit, dist in self._distances_from(source).items():
                 row[qubit] = dist
         return matrix
-
-    @cached_property
-    def _distance_flat(self) -> List[int]:
-        # Row-major Python-int view of distance_matrix(): the router inner
-        # loop reads `flat[a * n + b]`, which beats ndarray scalar indexing.
-        return self.distance_matrix().ravel().tolist()
-
-    def distance(self, a: int, b: int) -> int:
-        """Coupling-graph distance between two qubits (O(1) array read)."""
-        self._check_qubit(a)
-        self._check_qubit(b)
-        return self._distance_flat[a * self.num_qubits + b]
 
     def shortest_path(self, a: int, b: int) -> List[int]:
         """One deterministic shortest path from ``a`` to ``b`` (inclusive).
@@ -197,13 +179,6 @@ class CouplingMap:
             path.append(current)
         return path
 
-    # -- couplers -----------------------------------------------------------------
-
-    @property
-    def num_couplers(self) -> int:
-        """Number of couplers."""
-        return len(self.couplers())
-
     # -- layout support -----------------------------------------------------------
 
     def layout_order(self) -> List[int]:
@@ -266,26 +241,6 @@ class GridCouplingMap(CouplingMap):
         """Grid position (row, col) of a physical qubit index."""
         self._check_qubit(qubit)
         return divmod(qubit, self.cols)
-
-    def neighbors(self, qubit: int) -> List[int]:
-        """Physical qubits directly coupled to ``qubit``."""
-        row, col = self.position(qubit)
-        result = []
-        if row > 0:
-            result.append(self.index(row - 1, col))
-        if row < self.rows - 1:
-            result.append(self.index(row + 1, col))
-        if col > 0:
-            result.append(self.index(row, col - 1))
-        if col < self.cols - 1:
-            result.append(self.index(row, col + 1))
-        return result
-
-    def distance(self, a: int, b: int) -> int:
-        """Coupling-graph distance (Manhattan distance on the grid)."""
-        ra, ca = self.position(a)
-        rb, cb = self.position(b)
-        return abs(ra - rb) + abs(ca - cb)
 
     def _build_distance_matrix(self) -> np.ndarray:
         """Closed-form all-pairs Manhattan distances (no BFS)."""
@@ -358,11 +313,6 @@ class GridCouplingMap(CouplingMap):
                     result.append((qubit, self.index(row + 1, col)))
         return result
 
-    @property
-    def num_couplers(self) -> int:
-        """Number of couplers (2 * rows * cols - rows - cols for a grid)."""
-        return 2 * self.rows * self.cols - self.rows - self.cols
-
     # -- layout support -----------------------------------------------------------
 
     def layout_order(self) -> List[int]:
@@ -397,11 +347,6 @@ class LineCouplingMap(CouplingMap):
 
     def couplers(self) -> List[Tuple[int, int]]:
         return [(i, i + 1) for i in range(self.num_sites - 1)]
-
-    def distance(self, a: int, b: int) -> int:
-        self._check_qubit(a)
-        self._check_qubit(b)
-        return abs(a - b)
 
     def _build_distance_matrix(self) -> np.ndarray:
         """Closed-form all-pairs chain distances ``|i - j|`` (no BFS)."""
@@ -458,11 +403,6 @@ class HeavyHexCouplingMap(CouplingMap):
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise ValueError(f"position ({row}, {col}) outside {self.rows}x{self.cols} lattice")
         return row * self.cols + col
-
-    def position(self, qubit: int) -> Tuple[int, int]:
-        """Lattice position (row, col) of a physical qubit index."""
-        self._check_qubit(qubit)
-        return divmod(qubit, self.cols)
 
     def rung_columns(self, row: int) -> List[int]:
         """Columns carrying a vertical coupler between ``row`` and ``row + 1``."""
@@ -529,14 +469,6 @@ class TorusCouplingMap(CouplingMap):
         if forward <= backward:
             return 1, forward
         return -1, backward
-
-    def distance(self, a: int, b: int) -> int:
-        """Closed-form torus distance (per-axis short way around)."""
-        ra, ca = self.position(a)
-        rb, cb = self.position(b)
-        dr = abs(ra - rb)
-        dc = abs(ca - cb)
-        return min(dr, self.rows - dr) + min(dc, self.cols - dc)
 
     def _build_distance_matrix(self) -> np.ndarray:
         """Closed-form all-pairs torus distances (per-axis min-wrap, no BFS)."""
@@ -683,21 +615,3 @@ def coupling_to_dict(coupling: CouplingMap) -> Dict[str, object]:
     for name in fields:
         data[name] = getattr(coupling, name)
     return data
-
-
-def coupling_from_dict(data: Dict[str, object]) -> CouplingMap:
-    """Inverse of :func:`coupling_to_dict`."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    if kind not in _COUPLING_KINDS:
-        raise ValueError(f"unknown coupling map kind '{kind}'; known: {sorted(_COUPLING_KINDS)}")
-    cls, fields = _COUPLING_KINDS[kind]
-    unexpected = set(payload) - set(fields)
-    if unexpected:
-        raise ValueError(f"unexpected coupling fields for '{kind}': {sorted(unexpected)}")
-    missing = set(fields) - set(payload)
-    if missing:
-        # Silently falling back to class defaults would reconstruct a wrong
-        # device from a truncated/version-skewed payload.
-        raise ValueError(f"missing coupling fields for '{kind}': {sorted(missing)}")
-    return cls(**{name: int(payload[name]) for name in fields})

@@ -13,7 +13,7 @@ by the SWAP router as it permutes logical qubits across the device.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..circuits.circuit import QuantumCircuit
 from .coupling import CouplingMap
@@ -37,19 +37,6 @@ class Layout:
     def physical(self, logical: int) -> int:
         """Physical qubit currently holding ``logical``."""
         return self._l2p[logical]
-
-    def logical(self, physical: int) -> Optional[int]:
-        """Logical qubit currently held by ``physical`` (None if unused)."""
-        return self._p2l.get(physical)
-
-    @property
-    def num_logical(self) -> int:
-        """Number of logical qubits in the layout."""
-        return len(self._l2p)
-
-    def logical_to_physical(self) -> Dict[int, int]:
-        """A copy of the current logical-to-physical map."""
-        return dict(self._l2p)
 
     # -- mutation -----------------------------------------------------------------
 

@@ -103,20 +103,6 @@ class PassRecord:
             "depth_after": self.depth_after,
         }
 
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "PassRecord":
-        return PassRecord(
-            name=data["pass"],
-            kind=data["kind"],
-            wall_time_s=data["wall_time_s"],
-            gates_before=data["gates_before"],
-            gates_after=data["gates_after"],
-            two_qubit_before=data["two_qubit_before"],
-            two_qubit_after=data["two_qubit_after"],
-            depth_before=data["depth_before"],
-            depth_after=data["depth_after"],
-        )
-
 
 class Pass:
     """Base class of all compiler passes.

@@ -213,10 +213,6 @@ class DigiQConfig:
             self.cz_echo_pulses + 1
         ) * max(0, interleaved)
 
-    def bitstream_bits(self, group: int = 0) -> int:
-        """Number of SFQ clock cycles in the stored Ry(pi/2) bitstream."""
-        return int(round(self.single_qubit_gate_time_ns(group) / self.sfq_clock_ns))
-
     # -- convenience constructors ---------------------------------------------------
 
     @staticmethod

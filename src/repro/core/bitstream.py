@@ -72,16 +72,6 @@ class SFQBitstream:
         """Number of SFQ clock cycles spanned by the bitstream."""
         return len(self.bits)
 
-    @property
-    def num_pulses(self) -> int:
-        """Number of pulses fired by the bitstream."""
-        return int(sum(self.bits))
-
-    @property
-    def duration_ns(self) -> float:
-        """Wall-clock duration of the bitstream, in ns."""
-        return self.num_bits * self.clock_period_ns
-
     def pulse_model(self, transmon: Transmon) -> SFQPulseModel:
         """The pulse model used to propagate this bitstream on a transmon."""
         return SFQPulseModel(

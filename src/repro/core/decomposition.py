@@ -94,18 +94,11 @@ class OptDecomposition:
         Trailing virtual ``Rz`` angle to be absorbed into the next gate.
     error:
         Average gate error of the decomposition (leakage included).
-    num_pulses:
-        Number of ``Ubs`` basis pulses used (``len(delays)``).
     """
 
     delays: Tuple[int, ...]
     residual_phase: float
     error: float
-
-    @property
-    def num_pulses(self) -> int:
-        """Number of basis pulses (controller cycles on this qubit)."""
-        return len(self.delays)
 
 
 class OptBasis:

@@ -159,13 +159,6 @@ class CurrentWaveform:
         return float(self.times_ns[1] - self.times_ns[0])
 
     @property
-    def duration_ns(self) -> float:
-        """Total waveform duration in ns."""
-        if self.times_ns.size == 0:
-            return 0.0
-        return float(self.times_ns[-1] - self.times_ns[0]) + self.dt_ns
-
-    @property
     def peak_current_ma(self) -> float:
         """Maximum instantaneous current, in mA."""
         return float(self.currents_ma.max()) if self.currents_ma.size else 0.0

@@ -95,10 +95,6 @@ class Netlist:
         """All nodes in insertion order."""
         return [self._nodes[i] for i in sorted(self._nodes)]
 
-    def node(self, node_id: int) -> Node:
-        """Look up a node by id."""
-        return self._nodes[node_id]
-
     def fanout(self, node_id: int) -> List[int]:
         """Sinks driven by a node."""
         return list(self._fanout.get(node_id, []))

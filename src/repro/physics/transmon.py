@@ -59,10 +59,6 @@ class Transmon:
         n = np.arange(self.levels, dtype=float)
         return n * self.frequency + 0.5 * self.anharmonicity * n * (n - 1)
 
-    def hamiltonian(self) -> np.ndarray:
-        """Static Hamiltonian in angular units (rad/ns), diagonal in the Fock basis."""
-        return TWO_PI * np.diag(self.level_frequencies()).astype(complex)
-
     def drive_operator(self) -> np.ndarray:
         """Charge-like drive operator ``-i (b - b†)`` coupling adjacent levels.
 
@@ -203,7 +199,3 @@ class TransmonPairParameters:
                 "two-qubit simulations need at least 3 levels per transmon to "
                 "capture the |11> <-> |02> interaction used by the CZ gate"
             )
-
-    def detuning(self) -> float:
-        """Frequency difference ``f_a - f_b`` in GHz."""
-        return self.qubit_a.frequency - self.qubit_b.frequency

@@ -192,11 +192,6 @@ class Session:
 
     # -- execution ------------------------------------------------------------------
 
-    def execute(self, spec: ExperimentSpec) -> Tuple[JobResult, bool]:
-        """Execute one spec synchronously; ``(result, cached)``, where ``cached``
-        is True when the session's store served the job."""
-        return self._execute_all([spec])[0]
-
     def _execute_all(self, specs: List[ExperimentSpec]) -> List[Tuple[JobResult, bool]]:
         """Run one submission's specs through the sweep's job core in one call.
 

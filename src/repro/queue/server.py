@@ -169,8 +169,13 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
         priority = str(body.get("priority", "batch"))
         if priority not in PRIORITIES:
             raise ValueError(f"unknown priority '{priority}'; known: {PRIORITIES}")
-        spec = spec_from_payload(payload)  # validates before anything lands on disk
         due_in_s = body.get("due_in_s")
+        if due_in_s is not None:
+            # json.loads reads NaN and Infinity; either would break EDD's order.
+            due_in_s = float(due_in_s)
+            if not math.isfinite(due_in_s):
+                raise ValueError(f"due_in_s must be a finite number of seconds, got {due_in_s}")
+        spec = spec_from_payload(payload)  # validates before anything lands on disk
         with telemetry.span(
             "queue.submit",
             benchmark=spec.benchmark,
@@ -183,7 +188,7 @@ class QueueRequestHandler(BaseHTTPRequestHandler):
                     spec,
                     priority=priority,
                     session=str(body.get("session", "anonymous")),
-                    due_in_s=None if due_in_s is None else float(due_in_s),
+                    due_in_s=due_in_s,
                 )
             )
         self.service.wake()

@@ -124,10 +124,6 @@ class QueueStore:
         for state in JOB_STATES:
             self.state_dir(state).mkdir(parents=True, exist_ok=True)
 
-    def lock(self) -> Iterator[None]:
-        """The root's advisory transition lock (see :func:`queue_lock`)."""
-        return queue_lock(self.root)
-
     # -- low-level IO ---------------------------------------------------------------
 
     def _write(self, job: QueueJob, state: Optional[str] = None) -> Path:

@@ -68,10 +68,6 @@ def configure_from_env() -> Optional[TraceSink]:
     return None
 
 
-def sink() -> Optional[TraceSink]:
-    return _SINK
-
-
 def close_sink() -> None:
     global _SINK
     if _SINK is not None:
@@ -226,7 +222,6 @@ __all__ = [
     "merge_spans",
     "read_trace",
     "reset",
-    "sink",
     "snapshot_metrics",
     "snapshot_spans",
     "span",

@@ -16,6 +16,7 @@ from repro.analysis import figures, tables
 from repro.circuits.benchmarks import build_benchmark
 from repro.compiler.coupling import smallest_grid_for
 from repro.compiler.pipeline import compile_circuit
+from repro.core.architecture import design_space_table
 from repro.core.execution import normalized_execution_time
 
 
@@ -38,7 +39,7 @@ DRIVERS = [
     (figures.fig8_hardware_cost, {}),
     (figures.fig8_same_bsg_comparison, {}),
     (figures.scalability_summary, {}),
-    (tables.design_space_table, {}),
+    (design_space_table, {}),
     (tables.cell_library_table, {}),
     (tables.parking_frequency_table_rows, {}),
     (tables.benchmark_table, {"num_qubits": 16}),

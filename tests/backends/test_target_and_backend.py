@@ -7,7 +7,6 @@ import pytest
 from repro.backends import (
     Backend,
     BackendNotFoundError,
-    Target,
     backend_names,
     get_backend,
     list_backends,
@@ -17,7 +16,7 @@ from repro.backends import (
 from repro.circuits.benchmarks import build_benchmark
 from repro.compiler import compile_circuit
 from repro.core.architecture import DigiQConfig
-from repro.hardware.controller_designs import ControllerDesign
+from repro.hardware.controller_designs import ControllerDesign, evaluate_design
 from repro.runtime.jobs import circuit_fingerprint, job_key
 from repro.runtime.spec import ExperimentSpec
 from repro.simulation.channels import NoiseModel
@@ -110,10 +109,11 @@ class TestSerialization:
     def test_target_dict_roundtrip(self, name):
         target = get_backend(name).target_for(12)
         data = target.to_dict()
-        json.dumps(data)
-        restored = Target.from_dict(data)
-        assert restored == target
-        assert restored.coupling.couplers() == target.coupling.couplers()
+        assert json.loads(json.dumps(data)) == data
+        assert data["single_qubit_error_rates"] == {
+            str(q): rate for q, rate in target.single_qubit_error_rates.items()
+        }
+        assert len(data["coupler_error_rates"]) == len(target.coupler_error_rates)
 
 
 class TestTargets:
@@ -126,7 +126,6 @@ class TestTargets:
     def test_sampled_backends_carry_no_frozen_rates(self):
         target = get_backend("digiq-opt8").target_for(9)
         assert not target.single_qubit_error_rates and not target.coupler_error_rates
-        assert target.single_qubit_error(0) == target.default_single_qubit_error
 
     @pytest.mark.parametrize("name", ["digiq-line", "digiq-heavy-hex", "cryo-cmos-grid"])
     def test_calibrated_backends_freeze_rates(self, name):
@@ -243,7 +242,7 @@ class TestCompileOnNewTopologies:
 
 class TestCryoCmosCost:
     def test_power_per_qubit_matches_prototype(self):
-        cost = get_backend("cryo-cmos-grid").cost(1024)
+        cost = evaluate_design(get_backend("cryo-cmos-grid").controller, 1024)
         assert cost.power_per_qubit_mw == pytest.approx(12.0)
         assert cost.storage_bits == 0
 

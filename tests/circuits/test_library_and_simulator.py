@@ -100,7 +100,7 @@ class TestSimulator:
         assert dominant_bitstring(state) == "10"
 
     def test_circuit_unitary_matches_simulation(self):
-        circuit = QuantumCircuit(2).h(0).cx(0, 1).t(1)
+        circuit = QuantumCircuit(2).h(0).cx(0, 1).add("t", (1,))
         unitary = circuit_unitary(circuit)
         assert is_unitary(unitary)
         assert np.allclose(unitary[:, 0], simulate(circuit))

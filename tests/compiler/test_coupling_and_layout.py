@@ -15,7 +15,7 @@ class TestGridCouplingMap:
     def test_paper_grid_dimensions(self):
         grid = GridCouplingMap(32, 32)
         assert grid.num_qubits == 1024
-        assert grid.num_couplers == 2 * 32 * 32 - 32 - 32  # 1984 couplers
+        assert len(grid.couplers()) == 2 * 32 * 32 - 32 - 32  # 1984 couplers
 
     def test_index_position_roundtrip(self):
         grid = GridCouplingMap(4, 5)
@@ -25,26 +25,26 @@ class TestGridCouplingMap:
 
     def test_neighbors_of_corner_and_interior(self):
         grid = GridCouplingMap(3, 3)
-        assert sorted(grid.neighbors(0)) == [1, 3]
-        assert sorted(grid.neighbors(4)) == [1, 3, 5, 7]
+        assert sorted(grid._adjacency[0]) == [1, 3]
+        assert sorted(grid._adjacency[4]) == [1, 3, 5, 7]
 
     def test_distance_is_manhattan(self):
         grid = GridCouplingMap(5, 5)
-        assert grid.distance(0, 24) == 8
-        assert grid.distance(7, 7) == 0
+        assert grid.distance_matrix()[0, 24] == 8
+        assert grid.distance_matrix()[7, 7] == 0
 
     def test_shortest_path_endpoints_and_length(self):
         grid = GridCouplingMap(6, 6)
         path = grid.shortest_path(0, 35)
         assert path[0] == 0 and path[-1] == 35
-        assert len(path) == grid.distance(0, 35) + 1
+        assert len(path) == grid.distance_matrix()[0, 35] + 1
 
     def test_graph_matches_couplers(self):
         grid = GridCouplingMap(4, 4)
         graph = nx.Graph(grid.couplers())
         graph.add_nodes_from(range(grid.num_qubits))
         assert graph.number_of_nodes() == grid.num_qubits
-        assert graph.number_of_edges() == grid.num_couplers
+        assert graph.number_of_edges() == len(grid.couplers())
         assert nx.is_connected(graph)
 
     def test_invalid_position(self):
@@ -84,7 +84,7 @@ class TestLayout:
         assert layout.physical(0) == 1 and layout.physical(1) == 0
         layout.swap_physical(1, 3)  # move logical 0 onto an empty qubit
         assert layout.physical(0) == 3
-        assert layout.logical(1) is None
+        assert layout._p2l.get(1) is None
 
     def test_duplicate_target_rejected(self):
         with pytest.raises(ValueError):

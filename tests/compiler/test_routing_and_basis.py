@@ -32,7 +32,7 @@ class TestDecomposeToTwoQubit:
         assert unitaries_equal_up_to_phase(circuit_unitary(circuit), circuit_unitary(expanded))
 
     def test_ccz_expansion_is_equivalent(self):
-        circuit = QuantumCircuit(3).ccz(0, 1, 2)
+        circuit = QuantumCircuit(3).add("ccz", (0, 1, 2))
         expanded = decompose_to_two_qubit_gates(circuit)
         assert unitaries_equal_up_to_phase(circuit_unitary(circuit), circuit_unitary(expanded))
 
@@ -56,7 +56,7 @@ class TestRebase:
         assert unitaries_equal_up_to_phase(circuit_unitary(circuit), circuit_unitary(rebased))
 
     def test_fuse_collapses_single_qubit_runs(self):
-        circuit = QuantumCircuit(1).h(0).t(0).s(0).h(0).rz(0.3, 0)
+        circuit = QuantumCircuit(1).h(0).add("t", (0,)).add("s", (0,)).h(0).rz(0.3, 0)
         fused = fuse_single_qubit_runs(circuit)
         assert len(fused) == 1
         assert unitaries_equal_up_to_phase(circuit_unitary(circuit), circuit_unitary(fused))
@@ -67,7 +67,7 @@ class TestRebase:
         assert len(fused) == 0
 
     def test_full_circuit_rebase_equivalence(self):
-        circuit = QuantumCircuit(3).h(0).cx(0, 1).t(1).swap(1, 2).rzz(0.4, 0, 2).h(2)
+        circuit = QuantumCircuit(3).h(0).cx(0, 1).add("t", (1,)).swap(1, 2).rzz(0.4, 0, 2).h(2)
         rebased = rebase_to_cz_basis(circuit)
         assert count_basis_violations(rebased) == 0
         assert unitaries_equal_up_to_phase(circuit_unitary(circuit), circuit_unitary(rebased))
@@ -100,7 +100,7 @@ class TestRouting:
         grid = GridCouplingMap(3, 3)
         circuit = QuantumCircuit(9).cz(0, 8)
         result = route_circuit(circuit, grid, trivial_layout(circuit, grid), seed=0)
-        assert result.num_swaps >= grid.distance(0, 8) - 1
+        assert result.num_swaps >= grid.distance_matrix()[0, 8] - 1
         # After routing, every two-qubit gate acts on coupled physical qubits.
         for gate in result.circuit:
             if gate.is_two_qubit and gate.name != "swap":
@@ -111,12 +111,12 @@ class TestRouting:
 
     def test_routing_preserves_semantics_small(self):
         grid = GridCouplingMap(2, 2)
-        circuit = QuantumCircuit(4).h(0).cx(0, 3).t(3).cx(1, 2).cz(0, 2)
+        circuit = QuantumCircuit(4).h(0).cx(0, 3).add("t", (3,)).cx(1, 2).cz(0, 2)
         layout = trivial_layout(circuit, grid)
         result = route_circuit(circuit, grid, layout, seed=1)
         # Undo the final permutation with explicit swaps, then compare unitaries.
         routed = result.circuit.copy()
-        final = result.final_layout.logical_to_physical()
+        final = {q: result.final_layout.physical(q) for q in range(circuit.num_qubits)}
         # Build permutation: logical i currently at physical final[i]; move back to i.
         perm = dict(final)
         for logical in sorted(perm):

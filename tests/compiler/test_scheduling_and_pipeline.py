@@ -105,7 +105,7 @@ class TestCrosstalkAwareSchedule:
                 circuit.h(int(rng.integers(9)))
             else:
                 qubit = int(rng.integers(9))
-                neighbors = grid.neighbors(qubit)
+                neighbors = grid._adjacency[qubit]
                 circuit.cz(qubit, int(rng.choice(neighbors)))
         schedule = crosstalk_aware_schedule(circuit, grid)
         assert schedule.gate_count() == len(circuit)

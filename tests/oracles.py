@@ -94,7 +94,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def are_coupled(coupling, a: int, b: int) -> bool:
     """True if physical qubits ``a`` and ``b`` share a coupler of ``coupling``."""
-    return b in coupling.neighbors(a)
+    return b in coupling._adjacency[a]
 
 
 def fuse_single_qubit_runs_reference(circuit: QuantumCircuit, tol: float = 1e-9) -> QuantumCircuit:

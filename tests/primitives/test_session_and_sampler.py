@@ -217,7 +217,7 @@ class TestSessionCompilationReuse:
         session = Session("digiq-opt8")
         spec = ExperimentSpec(benchmark="bv", backend="digiq-min2", num_qubits=8)
         with pytest.raises(ValueError, match="digiq-min2"):
-            session.execute(spec)
+            session._execute_all([spec])
 
 
 class TestCounts:

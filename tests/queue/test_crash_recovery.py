@@ -252,9 +252,9 @@ class TestCrossProcessRoundTrip:
         key = job_key(spec)
         assert shared.get(key) is not None  # the daemon's entry is in the store
         with Session(spec.backend, store=shared) as session:
-            local, cached = session.execute(spec)
-        assert cached is True  # served from the shared ResultStore key
-        assert remote["key"] == key == local.key
+            (local,) = session.run(spec.benchmark, num_qubits=spec.num_qubits, seed=spec.seed).result()
+        assert local.cached is True  # served from the shared ResultStore key
+        assert remote["key"] == key == local.job_key
         assert canonical_json(remote["row"]) == canonical_json(local.row)
 
         # recovery is done and none of the killed daemon's pool is running

@@ -206,6 +206,14 @@ class TestErrors:
         code, payload = client._request("POST", "/jobs", {})
         assert code == 400
 
+    @pytest.mark.parametrize("due", [float("nan"), float("inf")])
+    def test_non_finite_due_is_rejected(self, daemon, due):
+        client, service = daemon
+        with pytest.raises(QueueServerError, match="due_in_s must be a finite"):
+            client.submit(make_spec(seed=42), due_in_s=due)
+        assert sum(service.store.depths().values()) == 0
+        assert client.submit(make_spec(seed=42), due_in_s=5.0).job.seq == 1
+
     @pytest.mark.parametrize("mode", ["statevector", "stabilizer", "sparse"])
     def test_retired_sim_mode_rejected(self, daemon, mode):
         client, service = daemon
@@ -290,15 +298,16 @@ class TestSessionQueuePath:
         spec = make_spec(seed=5)
         remote = Session(spec.backend, queue=client)
         local = Session(spec.backend, store=ResultStore(tmp_path / "local"))
+        submission = dict(num_qubits=spec.num_qubits, seed=spec.seed)
         try:
-            remote_result, cached = remote.execute(spec)
-            assert cached is False
-            local_result, _ = local.execute(spec)
-            assert remote_result.key == local_result.key
+            (remote_result,) = remote.run(spec.benchmark, **submission).result()
+            assert remote_result.cached is False
+            (local_result,) = local.run(spec.benchmark, **submission).result()
+            assert remote_result.job_key == local_result.job_key == job_key(spec)
             assert canonical_json(remote_result.row) == canonical_json(local_result.row)
-            # second execute is a session-memory hit, no daemon traffic
-            again, cached = remote.execute(spec)
-            assert cached is True
+            # a second run is a session-store hit, no daemon traffic
+            (again,) = remote.run(spec.benchmark, **submission).result()
+            assert again.cached is True
         finally:
             remote.close()
             local.close()

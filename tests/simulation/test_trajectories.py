@@ -34,7 +34,7 @@ class TestFusion:
 
     def test_adjacent_single_qubit_runs_collapse_to_one_op(self):
         circuit = QuantumCircuit(2)
-        circuit.h(0).t(0).s(0).x(1)
+        circuit.h(0).add("t", (0,)).add("s", (0,)).x(1)
         fused = fuse_circuit(circuit)
         assert len(fused.matrices) == 2
         assert all(len(qubits) == 1 for qubits in fused.qubits)
@@ -42,7 +42,7 @@ class TestFusion:
     def test_fused_kick_probability_combines_constituents(self):
         noise = NoiseModel.uniform(1, single_qubit_error=0.1)
         circuit = QuantumCircuit(1)
-        circuit.h(0).t(0).s(0)
+        circuit.h(0).add("t", (0,)).add("s", (0,))
         (probs,) = build_trajectory_plan(circuit, noise).kick_probs
         assert probs[0] == pytest.approx(1.0 - 0.9**3)
 
